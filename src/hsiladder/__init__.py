@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigError,
     DataError,
-    DatasetMissingError,
     DivergenceError,
     GraphError,
     LadderError,
@@ -18,7 +17,6 @@ from .tensor import GradTape, Tensor
 __all__ = [
     "ConfigError",
     "DataError",
-    "DatasetMissingError",
     "DivergenceError",
     "GradTape",
     "GraphError",

@@ -21,9 +21,5 @@ class DataError(LadderError):
     """Malformed dataset, file format violation, or inconsistent labels."""
 
 
-class DatasetMissingError(DataError):
-    """A required dataset file is absent; message carries remediation steps."""
-
-
 class DivergenceError(LadderError):
     """Training produced NaN/Inf; aborts rather than silently continuing."""

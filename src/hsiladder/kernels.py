@@ -1,147 +1,23 @@
-"""Hot convolution kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot convolution kernels, one vectorized numpy implementation.
 
-The backend is chosen once at import time from ``HSILADDER_KERNELS``:
-
-    HSILADDER_KERNELS=numba   force the @njit loop kernels
-    HSILADDER_KERNELS=numpy   force the vectorized numpy kernels
-    unset / auto              numba when importable, numpy otherwise
-
-Both backends implement valid (unpadded) stride-1 cross-correlation over
-NHWC tensors and produce results equal to the brute-force definition to
-floating-point rounding.  Everything else in the numeric core is cheap
-enough to stay plain numpy.  ``benchmarks/bench_kernels.py`` times the two
-backends against each other.
+All three kernels implement valid (unpadded) stride-1 cross-correlation
+over NHWC tensors with (kh, kw, cin, cout) kernels and equal the
+brute-force definition to floating-point rounding; the tests check them
+against a loop oracle.  ``benchmarks/bench_kernels.py`` times them at the
+paper conv ladder's three shapes.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
-# ---------------------------------------------------------------------------
-# pure-numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _np_conv2d_forward(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    kh, kw = k.shape[0], k.shape[1]
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (b,oh,ow,ci,kh,kw)
-    return np.einsum("bijcpq,pqco->bijo", win, k, optimize=True)
-
-
-def _np_conv2d_kernel_grad(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
-    return np.einsum("bijcpq,bijo->pqco", win, gy, optimize=True)
-
-
-def _np_conv2d_input_grad(gy: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
-    kh, kw = k.shape[0], k.shape[1]
-    pad = ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0))
-    gp = np.pad(gy, pad)
-    # full correlation with the spatially flipped kernel, channels swapped
-    kf = np.ascontiguousarray(k[::-1, ::-1].transpose(0, 1, 3, 2))
-    return _np_conv2d_forward(gp, kf)
-
-
-# ---------------------------------------------------------------------------
-# numba backend (same contracts, explicit loops)
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_conv2d_forward(x, k):
-        b, h, w, ci = x.shape
-        kh, kw, _, co = k.shape
-        oh, ow = h - kh + 1, w - kw + 1
-        y = np.zeros((b, oh, ow, co), dtype=x.dtype)
-        for n in range(b):
-            for i in range(oh):
-                for j in range(ow):
-                    for p in range(kh):
-                        for q in range(kw):
-                            for c in range(ci):
-                                xv = x[n, i + p, j + q, c]
-                                for o in range(co):
-                                    y[n, i, j, o] += xv * k[p, q, c, o]
-        return y
-
-    @njit(cache=True)
-    def _nb_conv2d_kernel_grad(x, gy, kh, kw):
-        b, h, w, ci = x.shape
-        _, oh, ow, co = gy.shape
-        gk = np.zeros((kh, kw, ci, co), dtype=x.dtype)
-        for n in range(b):
-            for i in range(oh):
-                for j in range(ow):
-                    for p in range(kh):
-                        for q in range(kw):
-                            for c in range(ci):
-                                xv = x[n, i + p, j + q, c]
-                                for o in range(co):
-                                    gk[p, q, c, o] += xv * gy[n, i, j, o]
-        return gk
-
-    @njit(cache=True)
-    def _nb_conv2d_input_grad(gy, k, h, w):
-        b, oh, ow, co = gy.shape
-        kh, kw, ci, _ = k.shape
-        gx = np.zeros((b, h, w, ci), dtype=gy.dtype)
-        for n in range(b):
-            for i in range(oh):
-                for j in range(ow):
-                    for p in range(kh):
-                        for q in range(kw):
-                            for c in range(ci):
-                                acc = gy[n, i, j, 0] * k[p, q, c, 0]
-                                for o in range(1, co):
-                                    acc += gy[n, i, j, o] * k[p, q, c, o]
-                                gx[n, i + p, j + q, c] += acc
-        return gx
-
-
-_BACKENDS = {
-    "numpy": {
-        "forward": _np_conv2d_forward,
-        "input_grad": _np_conv2d_input_grad,
-        "kernel_grad": _np_conv2d_kernel_grad,
-    }
-}
-if _HAVE_NUMBA:
-    _BACKENDS["numba"] = {
-        "forward": _nb_conv2d_forward,
-        "input_grad": _nb_conv2d_input_grad,
-        "kernel_grad": _nb_conv2d_kernel_grad,
-    }
-
-
-def _select() -> str:
-    req = os.environ.get("HSILADDER_KERNELS", "auto").lower()
-    if req in ("auto", ""):
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if req not in ("numba", "numpy"):
-        raise ValueError(f"HSILADDER_KERNELS must be 'numba' or 'numpy', got {req!r}")
-    if req == "numba" and not _HAVE_NUMBA:
-        raise ImportError("HSILADDER_KERNELS=numba but numba is not importable")
-    return req
-
-
-_ACTIVE = _select()
-
 
 def active_backend() -> str:
-    return _ACTIVE
+    # the benchmark's environment manifest records this name
+    return "numpy"
 
 
 def _check_conv_shapes(x: np.ndarray, k: np.ndarray) -> None:
@@ -156,18 +32,29 @@ def _check_conv_shapes(x: np.ndarray, k: np.ndarray) -> None:
         raise ShapeError(f"kernel {k.shape[:2]} larger than input {x.shape[1:3]}")
 
 
+def _correlate(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    kh, kw = k.shape[0], k.shape[1]
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (b,oh,ow,ci,kh,kw)
+    return np.einsum("bijcpq,pqco->bijo", win, k, optimize=True)
+
+
 def conv2d_forward(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Valid stride-1 cross-correlation, NHWC input x (kh,kw,ci,co) kernel."""
     _check_conv_shapes(x, k)
-    f = _BACKENDS[_ACTIVE]["forward"]
-    return f(np.ascontiguousarray(x), np.ascontiguousarray(k))
+    return _correlate(x, k)
 
 
 def conv2d_input_grad(gy: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
-    f = _BACKENDS[_ACTIVE]["input_grad"]
-    return f(np.ascontiguousarray(gy), np.ascontiguousarray(k), h, w)
+    """Gradient of ``conv2d_forward`` w.r.t. its (b, h, w, ci) input."""
+    kh, kw = k.shape[0], k.shape[1]
+    pad = ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0))
+    gp = np.pad(gy, pad)
+    # full correlation with the spatially flipped kernel, channels swapped
+    kf = np.ascontiguousarray(k[::-1, ::-1].transpose(0, 1, 3, 2))
+    return _correlate(gp, kf)
 
 
 def conv2d_kernel_grad(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    f = _BACKENDS[_ACTIVE]["kernel_grad"]
-    return f(np.ascontiguousarray(x), np.ascontiguousarray(gy), kh, kw)
+    """Gradient of ``conv2d_forward`` w.r.t. its (kh, kw, ci, co) kernel."""
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
+    return np.einsum("bijcpq,bijo->pqco", win, gy, optimize=True)

@@ -108,14 +108,10 @@ class LadderSpec:
 
 @dataclass
 class LadderPassOutput:
-    """Everything one mixed batch produces on its way through the model."""
+    """The corrupted pass's levels and the decoder's reconstructions of them."""
 
     z_tilde: list[Tensor]
-    z_clean: list[Tensor] | None = None
-    clean_stats: list[tuple[Tensor, Tensor] | None] | None = None
     z_hat: dict[int, Tensor] = field(default_factory=dict)
-    y_tilde: Tensor | None = None
-    y_clean: Tensor | None = None
 
 
 def combinator_g(z_tilde: Tensor, u: Tensor, unit_params: dict[str, Tensor]) -> Tensor:
@@ -388,10 +384,6 @@ class LadderNetwork:
             raise ShapeError("supervised cost needs a nonempty labeled sub-batch")
         return ops.nll_loss(y_tilde, targets)
 
-    @staticmethod
-    def total_cost(c_recon: Tensor, c_super: Tensor) -> Tensor:
-        return ops.add(c_recon, c_super)
-
     def training_loss(
         self,
         batch: np.ndarray,
@@ -409,7 +401,7 @@ class LadderNetwork:
         lambdas = spec.lambdas if lambdas is None else tuple(float(v) for v in lambdas)
         x = Tensor(batch, dtype=self.dtype)
         z_tilde, h_top, y_tilde = self.corrupted_encoder(x, rng)
-        z_clean, stats, y_clean = self.clean_encoder(x, mode="train", update_running=True)
+        z_clean, stats, _ = self.clean_encoder(x, mode="train", update_running=True)
         y_lab = ops.slice_rows(y_tilde, labeled_count)
         c_super = self.supervised_cost(y_lab, targets)
         active = [l for l, lam in enumerate(lambdas) if lam > 0.0]
@@ -419,16 +411,8 @@ class LadderNetwork:
         else:
             z_hat = {}
             c_recon = Tensor(np.asarray(0.0, dtype=self.dtype))
-        c_total = self.total_cost(c_recon, c_super)
-        out = LadderPassOutput(
-            z_tilde=z_tilde,
-            z_clean=z_clean,
-            clean_stats=stats,
-            z_hat=z_hat,
-            y_tilde=y_tilde,
-            y_clean=y_clean,
-        )
-        return c_total, c_super, c_recon, out
+        c_total = ops.add(c_recon, c_super)
+        return c_total, c_super, c_recon, LadderPassOutput(z_tilde=z_tilde, z_hat=z_hat)
 
     # -- inference ----------------------------------------------------------
 

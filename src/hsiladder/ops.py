@@ -1,7 +1,7 @@
 """Differentiable operations over :class:`~hsiladder.tensor.Tensor`.
 
-Every op computes its result eagerly in numpy (convolutions go through the
-selected kernel backend) and, when a tape is active and the result requires a
+Every op computes its result eagerly in numpy (convolutions go through
+:mod:`~hsiladder.kernels`) and, when a tape is active and the result requires a
 gradient, records a node with an analytic backward closure.  All backward
 formulas are checked against central finite differences in the test suite.
 """
@@ -158,12 +158,9 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # 1 / (1 + e^-v) in log space: no overflow, and the v << 0 tail stays
+    # nonzero down to the dtype's subnormals
+    return np.exp(-np.logaddexp(0.0, -v))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -275,22 +272,14 @@ def conv2d_transpose(x: Tensor, k: Tensor) -> Tensor:
     oh, ow = h + kh - 1, w + kw - 1
 
     def compute():
-        return kernels.conv2d_input_grad(x.data, np.ascontiguousarray(k.data.transpose(0, 1, 3, 2)), oh, ow)
+        return kernels.conv2d_input_grad(x.data, k.data.transpose(0, 1, 3, 2), oh, ow)
 
     out = Tensor(compute(), requires_grad=x.requires_grad or k.requires_grad)
     nx, nk = x.requires_grad, k.requires_grad
 
     def backward(g):
-        gx = (
-            kernels.conv2d_forward(g, np.ascontiguousarray(k.data.transpose(0, 1, 3, 2)))
-            if nx
-            else None
-        )
-        gk = (
-            np.ascontiguousarray(kernels.conv2d_kernel_grad(g, x.data, kh, kw).transpose(0, 1, 3, 2))
-            if nk
-            else None
-        )
+        gx = kernels.conv2d_forward(g, k.data.transpose(0, 1, 3, 2)) if nx else None
+        gk = kernels.conv2d_kernel_grad(g, x.data, kh, kw).transpose(0, 1, 3, 2) if nk else None
         return gx, gk
 
     return _record("conv2d_transpose", (x, k), out, backward, compute)

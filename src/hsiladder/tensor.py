@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, GraphError
+from .errors import GraphError
 
 
 class Tensor:
@@ -48,14 +48,13 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
-        else:
-            self.grad = self.grad + g
+        """Add ``g`` into ``self.grad`` without copying the first contribution.
 
-    def assert_finite(self, context: str = "tensor") -> None:
-        if not np.all(np.isfinite(self.data)):
-            raise DivergenceError(f"non-finite values in {context}")
+        Backward functions may return ``g`` itself or a view of it (``add``,
+        ``sub`` and ``reshape`` do), so several tensors can hold the same
+        array: a gradient is only ever rebound, never written in place.
+        """
+        self.grad = np.asarray(g) if self.grad is None else self.grad + g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

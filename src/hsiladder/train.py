@@ -210,25 +210,26 @@ def save_checkpoint(path, net, adam, iteration, noise_rng, batch_rng) -> None:
 
 def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_rng: Rng) -> int:
     iteration, entries = ckpt.load_entries(path)
-    for name, p in net.params.items():
-        key = f"param/{name}"
+
+    def entry(key: str, shape: tuple) -> np.ndarray:
         if key not in entries:
             raise DataError(f"checkpoint missing {key}")
-        if entries[key].shape != p.data.shape:
-            raise DataError(
-                f"checkpoint {key} has shape {entries[key].shape}, model expects {p.data.shape}"
-            )
-        p.data = entries[key].astype(p.data.dtype)
+        if entries[key].shape != shape:
+            raise DataError(f"checkpoint {key} has shape {entries[key].shape}, model expects {shape}")
+        return entries[key]
+
+    for name, p in net.params.items():
+        p.data = entry(f"param/{name}", p.data.shape).astype(p.data.dtype)
     for l, rs in net.running.items():
-        rs.mean = entries[f"running/{l}/mean"].astype(rs.mean.dtype)
-        rs.var = entries[f"running/{l}/var"].astype(rs.var.dtype)
-        rs.initialized = bool(entries[f"running/{l}/init"][0])
+        rs.mean = entry(f"running/{l}/mean", rs.mean.shape).astype(rs.mean.dtype)
+        rs.var = entry(f"running/{l}/var", rs.var.shape).astype(rs.var.dtype)
+        rs.initialized = bool(entry(f"running/{l}/init", (1,))[0])
     for name in net.params:
-        adam.m[name] = entries[f"adam/m/{name}"].astype(adam.m[name].dtype)
-        adam.v[name] = entries[f"adam/v/{name}"].astype(adam.v[name].dtype)
-    adam.t = int(entries["adam/t"][0])
-    noise_rng.set_state_words(entries["rng/noise"])
-    batch_rng.set_state_words(entries["rng/batch"])
+        adam.m[name] = entry(f"adam/m/{name}", adam.m[name].shape).astype(adam.m[name].dtype)
+        adam.v[name] = entry(f"adam/v/{name}", adam.v[name].shape).astype(adam.v[name].dtype)
+    adam.t = int(entry("adam/t", (1,))[0])
+    noise_rng.set_state_words(entry("rng/noise", (6,)))
+    batch_rng.set_state_words(entry("rng/batch", (6,)))
     return iteration
 
 

@@ -391,11 +391,6 @@ class TestCosts:
         with pytest.raises(ShapeError):
             LadderNetwork.supervised_cost(Tensor(np.zeros((0, 3))), np.array([], dtype=int))
 
-    def test_total_cost_is_sum(self):
-        a = Tensor(np.asarray(2.0))
-        b = Tensor(np.asarray(1.0))
-        assert LadderNetwork.total_cost(a, b).item() == 3.0
-
     def test_all_lambda_zero_total_equals_supervised_bit_exact(self):
         spec = fc_spec([6], classes=3, bands=4, noise=0.3, lambdas=[0.0, 0.0, 0.0])
         net = LadderNetwork(spec, Rng(0))

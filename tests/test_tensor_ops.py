@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hsiladder import GradTape, GraphError, Rng, ShapeError, Tensor
-from hsiladder import kernels, ops
+from hsiladder import ops
 
 from helpers import conv2d_oracle, fd_gradcheck, matmul_oracle
 
@@ -85,26 +85,6 @@ class TestConv2dTranspose:
         kt = np.ascontiguousarray(k.transpose(0, 1, 3, 2))
         rhs = (ops.conv2d_transpose(Tensor(y), Tensor(kt)).data * x).sum()
         assert abs(lhs - rhs) < 1e-10
-
-
-class TestKernelBackends:
-    def test_both_backends_agree(self):
-        if "numba" not in kernels._BACKENDS:
-            pytest.skip("numba not available")
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 6, 6, 3))
-        k = rng.standard_normal((3, 3, 3, 5))
-        gy = rng.standard_normal((2, 4, 4, 5))
-        for name in ("forward", "input_grad", "kernel_grad"):
-            nb = kernels._BACKENDS["numba"][name]
-            npy = kernels._BACKENDS["numpy"][name]
-            if name == "forward":
-                a, b = nb(x, k), npy(x, k)
-            elif name == "input_grad":
-                a, b = nb(gy, k, 6, 6), npy(gy, k, 6, 6)
-            else:
-                a, b = nb(x, gy, 3, 3), npy(x, gy, 3, 3)
-            assert np.abs(a - b).max() < 1e-12, name
 
 
 class TestBatchnorm:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hsiladder import DivergenceError, LadderSpec, LayerSpec, Rng, Tensor
+from hsiladder import DataError, DivergenceError, LadderNetwork, LadderSpec, LayerSpec, Rng, Tensor
+from hsiladder import checkpoint as ckpt
 from hsiladder.data import prepare_dataset
 from hsiladder.synthetic import make_synthetic_cube
 from hsiladder.train import (
@@ -134,8 +135,9 @@ class TestMetrics:
 
 
 class TestDeterminism:
-    def test_bit_reproducible_runs(self, prepared):
-        config = small_config(seed=5, iterations=25)
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_bit_reproducible_runs(self, prepared, precision):
+        config = small_config(seed=5, iterations=25, precision=precision)
         net1, rep1 = train(config, prepared.patches, prepared.split)
         net2, rep2 = train(config, prepared.patches, prepared.split)
         np.testing.assert_array_equal(rep1.c_total, rep2.c_total)
@@ -174,14 +176,21 @@ class TestCheckpoint:
         save_checkpoint(p2, net, adam, it, noise, batch)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_resume_is_bit_identical_continuation(self, prepared, tmp_path):
-        full_cfg = small_config(seed=8, iterations=40, checkpoint_interval=20)
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_resume_is_bit_identical_continuation(self, prepared, tmp_path, precision):
+        full_cfg = small_config(
+            seed=8, iterations=40, checkpoint_interval=20, precision=precision
+        )
         net_full, rep_full = train(full_cfg, prepared.patches, prepared.split)
 
         out = tmp_path / "half"
-        half_cfg = small_config(seed=8, iterations=20, checkpoint_interval=20)
+        half_cfg = small_config(
+            seed=8, iterations=20, checkpoint_interval=20, precision=precision
+        )
         train(half_cfg, prepared.patches, prepared.split, out_dir=out)
-        resumed_cfg = small_config(seed=8, iterations=40, checkpoint_interval=0)
+        resumed_cfg = small_config(
+            seed=8, iterations=40, checkpoint_interval=0, precision=precision
+        )
         net_res, rep_res = train(
             resumed_cfg, prepared.patches, prepared.split, resume=out / "final.ckpt"
         )
@@ -189,6 +198,58 @@ class TestCheckpoint:
         for name in net_full.params:
             np.testing.assert_array_equal(net_full.params[name].data, net_res.params[name].data)
         assert rep_full.oa == rep_res.oa
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        good = {"w": np.arange(6.0).reshape(2, 3)}
+        ckpt.save_entries(path, 3, good)
+        bad = {"w": np.zeros(2), "labels": np.zeros(2, dtype=np.int32)}
+        with pytest.raises(DataError, match="labels"):
+            ckpt.save_entries(path, 4, bad)
+        iteration, entries = ckpt.load_entries(path)
+        assert iteration == 3
+        np.testing.assert_array_equal(entries["w"], good["w"])
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_every_truncation_raises_data_error(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        ckpt.save_entries(path, 1, {"w": np.ones((2, 2)), "t": np.array([7], dtype=np.uint64)})
+        full = path.read_bytes()
+        for cut in range(len(full)):
+            path.write_bytes(full[:cut])
+            with pytest.raises(DataError):
+                ckpt.load_entries(path)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["param/enc1/W", "running/1/mean", "running/2/init", "adam/v/enc2/gamma", "adam/t",
+         "rng/batch"],
+    )
+    def test_missing_entry_named(self, tmp_path, key):
+        path, net, adam, noise, batch = self._saved_state(tmp_path)
+        iteration, entries = ckpt.load_entries(path)
+        del entries[key]
+        ckpt.save_entries(path, iteration, entries)
+        with pytest.raises(DataError, match=key):
+            load_checkpoint(path, net, adam, noise, batch)
+
+    @pytest.mark.parametrize("key", ["param/enc1/W", "running/1/var", "adam/m/enc1/W", "rng/noise"])
+    def test_wrong_shape_entry_named(self, tmp_path, key):
+        path, net, adam, noise, batch = self._saved_state(tmp_path)
+        iteration, entries = ckpt.load_entries(path)
+        entries[key] = entries[key][:-1]
+        ckpt.save_entries(path, iteration, entries)
+        with pytest.raises(DataError, match=key):
+            load_checkpoint(path, net, adam, noise, batch)
+
+    @staticmethod
+    def _saved_state(tmp_path):
+        net = LadderNetwork(small_spec(), Rng(3))
+        adam = Adam(net.params, 0.01)
+        noise, batch = Rng(3).spawn(2)
+        path = tmp_path / "a.ckpt"
+        save_checkpoint(path, net, adam, 5, noise, batch)
+        return path, net, adam, noise, batch
 
     def test_report_files_written(self, prepared, tmp_path):
         out = tmp_path / "run"
