@@ -7,14 +7,16 @@ Layout (little-endian throughout):
     u64          training iteration counter
     u32          entry count
     entries:     u16 name length, utf-8 name,
-                 u8 dtype code (1=f32, 2=f64, 4=u64),
+                 u8 dtype code (1=f32, 2=f64, 3=u8, 4=u64),
                  u8 ndim, u32 * ndim dims,
                  raw row-major data
 
 Entries hold model parameters, running batch-norm statistics, optimizer
 moments, and the PCG64 state words of the live random streams, so loading a
-checkpoint resumes training bit-identically.  save -> load -> save is
-byte-identical because entry order is the (deterministic) insertion order.
+checkpoint resumes training bit-identically.  ``train`` also stores the loss
+curves so far and, as utf-8 JSON in a u8 entry, the settings that decide the
+trajectory.  save -> load -> save is byte-identical because entry order is
+the (deterministic) insertion order.
 """
 
 from __future__ import annotations
@@ -30,8 +32,13 @@ from .errors import DataError
 MAGIC = b"LADCKPT1"
 VERSION = 1
 
-_DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 4: np.dtype("<u8")}
-_CODE_FOR = {np.dtype(np.float32): 1, np.dtype(np.float64): 2, np.dtype(np.uint64): 4}
+_DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1"), 4: np.dtype("<u8")}
+_CODE_FOR = {
+    np.dtype(np.float32): 1,
+    np.dtype(np.float64): 2,
+    np.dtype(np.uint8): 3,
+    np.dtype(np.uint64): 4,
+}
 
 
 def save_entries(path, iteration: int, entries: dict[str, np.ndarray]) -> None:

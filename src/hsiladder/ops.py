@@ -158,9 +158,12 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-v) in log space: no overflow, and the v << 0 tail stays
-    # nonzero down to the dtype's subnormals
-    return np.exp(-np.logaddexp(0.0, -v))
+    # one exp of -|v|, which never overflows: 1 / (1 + e) for v >= 0 and
+    # e / (1 + e) below, so the v << 0 tail stays nonzero down to the
+    # dtype's subnormals (the tanh form is exactly 0 below v = -37 in f64)
+    e = np.exp(-np.abs(v))
+    r = 1.0 / (1.0 + e)
+    return np.where(v >= 0, r, e * r)
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -18,8 +18,9 @@ states so a resumed run continues bit-identically.
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -107,7 +108,8 @@ class TrainReport:
                 f.write("  " + " ".join(str(int(v)) for v in row) + "\n")
         with open(out / "losses.csv", "w") as f:
             f.write("iteration,c_super,c_recon,c_total\n")
-            for i, (s, r, t) in enumerate(zip(self.c_super, self.c_recon, self.c_total)):
+            curves = zip(self.c_super.tolist(), self.c_recon.tolist(), self.c_total.tolist())
+            for i, (s, r, t) in enumerate(curves):
                 f.write(f"{i},{s!r},{r!r},{t!r}\n")
 
 
@@ -187,7 +189,25 @@ def batch_input(patches: np.ndarray, input_shape: tuple, dtype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_entries(net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_rng: Rng):
+CURVES = ("c_super", "c_recon", "c_total")
+_RESUME_FIELDS = (
+    "seed", "precision", "mode", "batch_size", "learning_rate", "adam_beta1", "adam_beta2",
+    "adam_eps", "lr_decay", "lr_decay_fraction", "grad_clip",
+)
+
+
+def _resume_settings(config: TrainConfig) -> dict:
+    """The settings that decide a resumed trajectory, as JSON values.
+    ``iterations`` and ``checkpoint_interval`` may differ on resume."""
+    settings = {f"ladder.{k}": v for k, v in asdict(config.ladder).items()}
+    for k in _RESUME_FIELDS:
+        settings[k] = getattr(config, k)
+    return json.loads(json.dumps(settings))
+
+
+def _checkpoint_entries(
+    net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_rng: Rng, config: TrainConfig, curves
+):
     entries: dict[str, np.ndarray] = {}
     for name, p in net.params.items():
         entries[f"param/{name}"] = p.data
@@ -201,14 +221,23 @@ def _checkpoint_entries(net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_rn
     entries["adam/t"] = np.array([adam.t], dtype=np.uint64)
     entries["rng/noise"] = noise_rng.state_words()
     entries["rng/batch"] = batch_rng.state_words()
+    for name in CURVES:
+        entries[f"curve/{name}"] = np.asarray(curves[name], dtype=np.float64)
+    settings = json.dumps(_resume_settings(config), sort_keys=True).encode("utf-8")
+    entries["config"] = np.frombuffer(settings, dtype=np.uint8)
     return entries
 
 
-def save_checkpoint(path, net, adam, iteration, noise_rng, batch_rng) -> None:
-    ckpt.save_entries(path, iteration, _checkpoint_entries(net, adam, noise_rng, batch_rng))
+def save_checkpoint(path, net, adam, iteration, noise_rng, batch_rng, config, curves) -> None:
+    """``curves`` maps each name in ``CURVES`` to its first ``iteration`` values."""
+    entries = _checkpoint_entries(net, adam, noise_rng, batch_rng, config, curves)
+    ckpt.save_entries(path, iteration, entries)
 
 
-def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_rng: Rng) -> int:
+def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_rng: Rng, config):
+    """Restore ``path`` into the live objects and return ``(iteration,
+    curves)``.  Refuses, before changing anything, a checkpoint written
+    under other trajectory settings (``ConfigError`` naming the field)."""
     iteration, entries = ckpt.load_entries(path)
 
     def entry(key: str, shape: tuple) -> np.ndarray:
@@ -218,6 +247,23 @@ def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_
             raise DataError(f"checkpoint {key} has shape {entries[key].shape}, model expects {shape}")
         return entries[key]
 
+    if "config" not in entries:
+        raise DataError("checkpoint missing config")
+    try:
+        saved = json.loads(entries["config"].tobytes().decode("utf-8"))
+    except ValueError:
+        saved = None
+    if not isinstance(saved, dict):
+        raise DataError("checkpoint config is not a JSON object")
+    current = _resume_settings(config)
+    for key in sorted(set(saved) | set(current)):
+        if saved.get(key) != current.get(key):
+            raise ConfigError(
+                f"cannot resume {path}: it was written with {key} = {saved.get(key)!r}, "
+                f"this run has {key} = {current.get(key)!r}"
+            )
+
+    curves = {name: entry(f"curve/{name}", (iteration,)) for name in CURVES}
     for name, p in net.params.items():
         p.data = entry(f"param/{name}", p.data.shape).astype(p.data.dtype)
     for l, rs in net.running.items():
@@ -230,7 +276,7 @@ def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_
     adam.t = int(entry("adam/t", (1,))[0])
     noise_rng.set_state_words(entry("rng/noise", (6,)))
     batch_rng.set_state_words(entry("rng/batch", (6,)))
-    return iteration
+    return iteration, curves
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +379,23 @@ def train(
     adam = Adam(
         net.params, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps
     )
+    n_iter = config.iterations
+    curves = {name: np.zeros(n_iter) for name in CURVES}
     start_iter = 0
     if resume is not None:
-        start_iter = load_checkpoint(resume, net, adam, noise_rng, batch_rng)
+        start_iter, saved = load_checkpoint(resume, net, adam, noise_rng, batch_rng, config)
+        if start_iter > n_iter:
+            raise ConfigError(
+                f"checkpoint {resume} is at iteration {start_iter}, past iterations={n_iter}"
+            )
+        for name in CURVES:
+            curves[name][:start_iter] = saved[name]
     elif config.mode == "sdae-pretrain":
         _sdae_pretrain(net, config, x_unlabeled, pretrain_rng)
 
     use_decoder = config.mode == "ladder"
     lambdas = spec.lambdas if use_decoder else tuple(0.0 for _ in spec.lambdas)
 
-    n_iter = config.iterations
-    c_super_curve = np.zeros(n_iter)
-    c_recon_curve = np.zeros(n_iter)
-    c_total_curve = np.zeros(n_iter)
     t0 = time.perf_counter()
     last_ckpt = None
     from pathlib import Path
@@ -378,23 +428,24 @@ def train(
         if config.grad_clip is not None:
             clip_gradients(net.params, config.grad_clip)
         adam.step(lr_scale=_lr_scale(config, it))
-        c_super_curve[it] = c_super.item()
-        c_recon_curve[it] = c_recon.item()
-        c_total_curve[it] = total_val
+        curves["c_super"][it] = c_super.item()
+        curves["c_recon"][it] = c_recon.item()
+        curves["c_total"][it] = total_val
         if (
             out_dir is not None
             and config.checkpoint_interval
             and (it + 1) % config.checkpoint_interval == 0
         ):
             last_ckpt = Path(out_dir) / "last.ckpt"
-            save_checkpoint(last_ckpt, net, adam, it + 1, noise_rng, batch_rng)
+            so_far = {name: c[: it + 1] for name, c in curves.items()}
+            save_checkpoint(last_ckpt, net, adam, it + 1, noise_rng, batch_rng, config, so_far)
 
     seconds = time.perf_counter() - t0
     metrics = evaluate(net, patchset, split.test)
     report = TrainReport(
-        c_super=c_super_curve,
-        c_recon=c_recon_curve,
-        c_total=c_total_curve,
+        c_super=curves["c_super"],
+        c_recon=curves["c_recon"],
+        c_total=curves["c_total"],
         oa=metrics["oa"],
         aa=metrics["aa"],
         per_class=metrics["per_class"],
@@ -413,7 +464,8 @@ def train(
     )
     if out_dir is not None:
         report.write(out_dir)
-        save_checkpoint(Path(out_dir) / "final.ckpt", net, adam, n_iter, noise_rng, batch_rng)
+        final = Path(out_dir) / "final.ckpt"
+        save_checkpoint(final, net, adam, n_iter, noise_rng, batch_rng, config, curves)
     return net, report
 
 

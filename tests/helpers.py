@@ -38,6 +38,44 @@ def conv2d_oracle(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
+def conv2d_input_grad_oracle(gy: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Loop scatter of each output gradient onto the input pixels its
+    window read: d/dx of ``conv2d_oracle``."""
+    b, oh, ow, co = gy.shape
+    kh, kw, ci, co2 = k.shape
+    assert co == co2 and oh == h - kh + 1 and ow == w - kw + 1
+    out = np.zeros((b, h, w, ci), dtype=gy.dtype)
+    for n in range(b):
+        for i in range(oh):
+            for j in range(ow):
+                for o in range(co):
+                    for p in range(kh):
+                        for q in range(kw):
+                            for c in range(ci):
+                                out[n, i + p, j + q, c] += gy[n, i, j, o] * k[p, q, c, o]
+    return out
+
+
+def conv2d_kernel_grad_oracle(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Loop sum of input-window times output-gradient products: d/dk of
+    ``conv2d_oracle``."""
+    b, h, w, ci = x.shape
+    b2, oh, ow, co = gy.shape
+    assert b == b2 and oh == h - kh + 1 and ow == w - kw + 1
+    out = np.zeros((kh, kw, ci, co), dtype=x.dtype)
+    for p in range(kh):
+        for q in range(kw):
+            for c in range(ci):
+                for o in range(co):
+                    acc = 0.0
+                    for n in range(b):
+                        for i in range(oh):
+                            for j in range(ow):
+                                acc += x[n, i + p, j + q, c] * gy[n, i, j, o]
+                    out[p, q, c, o] = acc
+    return out
+
+
 def fd_gradcheck(build_loss, params, step=1e-5, tol=1e-4):
     """Compare tape gradients against central finite differences.
 

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from hsiladder import GradTape, GraphError, Rng, ShapeError, Tensor
-from hsiladder import ops
+from hsiladder import kernels, ops
 
-from helpers import conv2d_oracle, fd_gradcheck, matmul_oracle
+from helpers import (
+    conv2d_input_grad_oracle,
+    conv2d_kernel_grad_oracle,
+    conv2d_oracle,
+    fd_gradcheck,
+    matmul_oracle,
+)
 
 
 class TestMatmul:
@@ -67,6 +73,72 @@ class TestConv2d:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             ops.conv2d(Tensor(np.zeros((1, 5, 5, 2))), Tensor(np.zeros((3, 3, 3, 1))))
+
+
+class TestConvKernels:
+    # (b, h, w, ci, kh, kw, co): kh != kw, batch 1, ci = co = 1, 1x1 output
+    EDGE_SHAPES = [
+        (2, 6, 5, 3, 3, 2, 4),
+        (1, 5, 5, 2, 3, 3, 2),
+        (3, 4, 6, 1, 2, 3, 1),
+        (2, 3, 4, 2, 3, 4, 3),
+        (1, 1, 1, 1, 1, 1, 1),
+    ]
+
+    @staticmethod
+    def _shapes():
+        rng = np.random.default_rng(4)
+        shapes = list(TestConvKernels.EDGE_SHAPES)
+        while len(shapes) < 20:
+            b = int(rng.integers(1, 4))
+            h, w = (int(v) for v in rng.integers(1, 8, size=2))
+            kh, kw = int(rng.integers(1, min(4, h) + 1)), int(rng.integers(1, min(4, w) + 1))
+            ci, co = (int(v) for v in rng.integers(1, 5, size=2))
+            shapes.append((b, h, w, ci, kh, kw, co))
+        return shapes
+
+    def test_input_grad_against_loop_oracle(self):
+        rng = np.random.default_rng(5)
+        for b, h, w, ci, kh, kw, co in self._shapes():
+            gy = rng.standard_normal((b, h - kh + 1, w - kw + 1, co))
+            k = rng.standard_normal((kh, kw, ci, co))
+            got = kernels.conv2d_input_grad(gy, k, h, w)
+            assert got.shape == (b, h, w, ci)
+            assert np.abs(got - conv2d_input_grad_oracle(gy, k, h, w)).max() < 1e-12
+
+    def test_kernel_grad_against_loop_oracle(self):
+        rng = np.random.default_rng(6)
+        for b, h, w, ci, kh, kw, co in self._shapes():
+            x = rng.standard_normal((b, h, w, ci))
+            gy = rng.standard_normal((b, h - kh + 1, w - kw + 1, co))
+            got = kernels.conv2d_kernel_grad(x, gy, kh, kw)
+            assert got.shape == (kh, kw, ci, co)
+            assert np.abs(got - conv2d_kernel_grad_oracle(x, gy, kh, kw)).max() < 1e-12
+
+    def test_f32_operands_give_f32(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 5, 4, 3)).astype(np.float32)
+        k = rng.standard_normal((3, 2, 3, 4)).astype(np.float32)
+        gy = rng.standard_normal((2, 3, 3, 4)).astype(np.float32)
+        assert kernels.conv2d_forward(x, k).dtype == np.float32
+        assert kernels.conv2d_input_grad(gy, k, 5, 4).dtype == np.float32
+        assert kernels.conv2d_kernel_grad(x, gy, 3, 2).dtype == np.float32
+        kt = rng.standard_normal((3, 2, 4, 3)).astype(np.float32)
+        assert ops.conv2d_transpose(Tensor(gy), Tensor(kt)).data.dtype == np.float32
+
+    def test_non_contiguous_kernel_view(self):
+        # conv2d_transpose hands the kernels k.transpose(0, 1, 3, 2)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2, 5, 6, 3))
+        base = rng.standard_normal((3, 2, 4, 3))
+        k = base.transpose(0, 1, 3, 2)
+        assert not k.flags.c_contiguous
+        gy = rng.standard_normal((2, 3, 5, 4))
+        kc = np.ascontiguousarray(k)
+        got = kernels.conv2d_forward(x, k)
+        assert np.abs(got - conv2d_oracle(x, kc)).max() < 1e-12
+        got = kernels.conv2d_input_grad(gy, k, 5, 6)
+        assert np.abs(got - conv2d_input_grad_oracle(gy, kc, 5, 6)).max() < 1e-12
 
 
 class TestConv2dTranspose:
@@ -143,6 +215,25 @@ class TestActivationsAndLoss:
     def test_relu(self):
         out = ops.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+
+    def test_sigmoid_tails_symmetry_and_dtype(self):
+        # underflow to subnormals and to 0 is the intended tail; nothing
+        # may overflow or go invalid
+        with np.errstate(all="raise", under="ignore"):
+            tail = ops._sigmoid(np.array([-100.0, -745.0, -800.0]))
+            assert tail[0] == np.exp(-100.0) / (1.0 + np.exp(-100.0))
+            assert abs(tail[0] - 3.72007597602e-44) < 1e-54
+            assert tail[1] == 5e-324 and tail[2] == 0.0
+            assert ops._sigmoid(np.array([0.0]))[0] == 0.5
+            np.testing.assert_array_equal(ops._sigmoid(np.array([800.0, 745.0])), [1.0, 1.0])
+            v = np.linspace(-40.0, 40.0, 8001)
+            for dt in (np.float64, np.float32):
+                vd = v.astype(dt)
+                s = ops._sigmoid(vd) + ops._sigmoid(-vd)
+                assert s.dtype == dt
+                assert np.abs(s - 1.0).max() <= np.spacing(dt(1.0))
+            out = ops.sigmoid(Tensor(np.array([-800.0, 0.0, 3.0], dtype=np.float32)))
+            assert out.data.dtype == np.float32
 
     def test_cross_entropy_uniform_nine_classes(self):
         logits = Tensor(np.zeros((4, 9)))

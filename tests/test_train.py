@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from hsiladder import DataError, DivergenceError, LadderNetwork, LadderSpec, LayerSpec, Rng, Tensor
+from hsiladder import ConfigError, DataError, DivergenceError, LadderNetwork, LadderSpec, LayerSpec, Rng, Tensor
 from hsiladder import checkpoint as ckpt
 from hsiladder.data import prepare_dataset
 from hsiladder.synthetic import make_synthetic_cube
 from hsiladder.train import (
+    CURVES,
     Adam,
     TrainConfig,
     clip_gradients,
@@ -171,9 +172,12 @@ class TestCheckpoint:
         noise, batch = Rng(7).spawn(2)
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
-        save_checkpoint(p1, net, adam, 10, noise, batch)
-        it = load_checkpoint(p1, net, adam, noise, batch)
-        save_checkpoint(p2, net, adam, it, noise, batch)
+        curves = {name: np.arange(10.0) + i for i, name in enumerate(CURVES)}
+        save_checkpoint(p1, net, adam, 10, noise, batch, config, curves)
+        it, loaded = load_checkpoint(p1, net, adam, noise, batch, config)
+        for name in CURVES:
+            np.testing.assert_array_equal(loaded[name], curves[name])
+        save_checkpoint(p2, net, adam, it, noise, batch, config, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
@@ -194,10 +198,58 @@ class TestCheckpoint:
         net_res, rep_res = train(
             resumed_cfg, prepared.patches, prepared.split, resume=out / "final.ckpt"
         )
-        np.testing.assert_array_equal(rep_full.c_total[20:], rep_res.c_total[20:])
+        np.testing.assert_array_equal(rep_full.c_super, rep_res.c_super)
+        np.testing.assert_array_equal(rep_full.c_recon, rep_res.c_recon)
+        np.testing.assert_array_equal(rep_full.c_total, rep_res.c_total)
+        assert np.all(rep_res.c_total[:20] != 0.0)
         for name in net_full.params:
             np.testing.assert_array_equal(net_full.params[name].data, net_res.params[name].data)
         assert rep_full.oa == rep_res.oa
+
+    def test_resumed_losses_csv_has_no_zero_prefix(self, prepared, tmp_path):
+        out = tmp_path / "half"
+        train(small_config(seed=8, iterations=10), prepared.patches, prepared.split, out_dir=out)
+        res = tmp_path / "res"
+        train(
+            small_config(seed=8, iterations=15),
+            prepared.patches,
+            prepared.split,
+            out_dir=res,
+            resume=out / "final.ckpt",
+        )
+        rows = (res / "losses.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 15
+        assert all(float(r.split(",")[3]) != 0.0 for r in rows)
+
+    @pytest.mark.parametrize(
+        "field,change",
+        [("seed", {"seed": 9}), ("precision", {"precision": "f32"}), ("grad_clip", {"grad_clip": 1.0})],
+    )
+    def test_mismatched_resume_refused(self, prepared, tmp_path, field, change):
+        out = tmp_path / "run"
+        train(small_config(seed=8, iterations=5), prepared.patches, prepared.split, out_dir=out)
+        other = small_config(**{"seed": 8, "iterations": 10, **change})
+        with pytest.raises(ConfigError, match=field):
+            train(other, prepared.patches, prepared.split, resume=out / "final.ckpt")
+
+    def test_mismatched_spec_refused_before_loading(self, tmp_path):
+        path, net, adam, noise, batch = self._saved_state(tmp_path)
+        before = net.params["enc1/W"].data.copy()
+        net.params["enc1/W"].data += 1.0
+        with pytest.raises(ConfigError, match="ladder.noise_std"):
+            load_checkpoint(path, net, adam, noise, batch, small_config(seed=3, noise=0.3))
+        np.testing.assert_array_equal(net.params["enc1/W"].data, before + 1.0)
+
+    def test_resume_past_iterations_refused(self, prepared, tmp_path):
+        out = tmp_path / "run"
+        train(small_config(seed=8, iterations=6), prepared.patches, prepared.split, out_dir=out)
+        with pytest.raises(ConfigError, match="iteration 6"):
+            train(
+                small_config(seed=8, iterations=4),
+                prepared.patches,
+                prepared.split,
+                resume=out / "final.ckpt",
+            )
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         path = tmp_path / "a.ckpt"
@@ -223,7 +275,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "key",
         ["param/enc1/W", "running/1/mean", "running/2/init", "adam/v/enc2/gamma", "adam/t",
-         "rng/batch"],
+         "rng/batch", "curve/c_recon", "config"],
     )
     def test_missing_entry_named(self, tmp_path, key):
         path, net, adam, noise, batch = self._saved_state(tmp_path)
@@ -231,16 +283,18 @@ class TestCheckpoint:
         del entries[key]
         ckpt.save_entries(path, iteration, entries)
         with pytest.raises(DataError, match=key):
-            load_checkpoint(path, net, adam, noise, batch)
+            load_checkpoint(path, net, adam, noise, batch, small_config(seed=3))
 
-    @pytest.mark.parametrize("key", ["param/enc1/W", "running/1/var", "adam/m/enc1/W", "rng/noise"])
+    @pytest.mark.parametrize(
+        "key", ["param/enc1/W", "running/1/var", "adam/m/enc1/W", "rng/noise", "curve/c_super"]
+    )
     def test_wrong_shape_entry_named(self, tmp_path, key):
         path, net, adam, noise, batch = self._saved_state(tmp_path)
         iteration, entries = ckpt.load_entries(path)
         entries[key] = entries[key][:-1]
         ckpt.save_entries(path, iteration, entries)
         with pytest.raises(DataError, match=key):
-            load_checkpoint(path, net, adam, noise, batch)
+            load_checkpoint(path, net, adam, noise, batch, small_config(seed=3))
 
     @staticmethod
     def _saved_state(tmp_path):
@@ -248,7 +302,8 @@ class TestCheckpoint:
         adam = Adam(net.params, 0.01)
         noise, batch = Rng(3).spawn(2)
         path = tmp_path / "a.ckpt"
-        save_checkpoint(path, net, adam, 5, noise, batch)
+        curves = {name: np.ones(5) for name in CURVES}
+        save_checkpoint(path, net, adam, 5, noise, batch, small_config(seed=3), curves)
         return path, net, adam, noise, batch
 
     def test_report_files_written(self, prepared, tmp_path):
