@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
+from . import kernels, ops
 from .errors import ConfigError, GraphError, ShapeError
 from .ops import RunningStats
 from .rng import Rng
@@ -210,10 +210,10 @@ class LadderNetwork:
 
     # -- encoder ------------------------------------------------------------
 
-    def _check_input(self, x: Tensor) -> None:
-        if x.data.shape[1:] != self.spec.input_shape:
+    def _check_input(self, x: np.ndarray) -> None:
+        if x.shape[1:] != self.spec.input_shape:
             raise ShapeError(
-                f"input sample shape {x.data.shape[1:]} does not match "
+                f"input sample shape {x.shape[1:]} does not match "
                 f"model input {self.spec.input_shape}"
             )
 
@@ -221,17 +221,16 @@ class LadderNetwork:
         self,
         x: Tensor,
         corrupted: bool,
-        mode: str,
         rng: Rng | None = None,
         update_running: bool = False,
-        want_stats: bool = False,
     ):
-        """Shared encoder walk.
+        """Shared encoder walk; every batchnorm uses batch statistics.
 
-        Returns (z levels 0..L, per-level (mean, std) of the pre-norm linear
-        output or None, top activation, log-probabilities).
+        Returns (z levels 0..L, per-level (mean, std) of the clean pass's
+        normalized z or None on the corrupted pass, top activation,
+        log-probabilities).
         """
-        self._check_input(x)
+        self._check_input(x.data)
         spec = self.spec
         noise = spec.noise_std if corrupted else 0.0
         if corrupted:
@@ -249,13 +248,8 @@ class LadderNetwork:
             else:
                 hin = ops.flatten(h) if h.data.ndim > 2 else h
                 pre = ops.matmul(hin, self.params[f"enc{l}/W"])
-            z = ops.batchnorm(
-                pre,
-                mode,
-                running=self.running[l],
-                update_running=update_running,
-            )
-            if want_stats:
+            z = ops.batchnorm(pre, running=self.running[l], update_running=update_running)
+            if not corrupted:
                 # batch statistics of the clean representation itself; the
                 # decoded signal is standardized by these before the
                 # reconstruction distance
@@ -284,23 +278,16 @@ class LadderNetwork:
     def corrupted_encoder(self, x: Tensor, rng: Rng):
         """Noisy training pass; returns (z_tilde levels, top activation,
         corrupted log-probabilities)."""
-        zs, _, h_top, y_logp = self._encode(
-            x, corrupted=True, mode="train", rng=rng, update_running=False
-        )
+        zs, _, h_top, y_logp = self._encode(x, corrupted=True, rng=rng)
         return zs, h_top, y_logp
 
-    def clean_encoder(self, x: Tensor, mode: str = "train", update_running: bool = False):
-        """Noise-free pass; in train mode records per-level batch statistics
-        (reconstruction-target normalizers), in eval mode uses running
-        statistics and serves prediction."""
-        want_stats = mode == "train"
-        zs, stats, _, y_logp = self._encode(
-            x,
-            corrupted=False,
-            mode=mode,
-            update_running=update_running,
-            want_stats=want_stats,
-        )
+    def clean_encoder(self, x: Tensor, update_running: bool = False):
+        """Noise-free training pass, normalized by batch statistics; returns
+        (z levels, per-level (mean, std) reconstruction-target normalizers,
+        log-probabilities) and folds the batch statistics into the running
+        ones when ``update_running`` is set.  Prediction does not come here
+        (see :meth:`predict_log_probs`)."""
+        zs, stats, _, y_logp = self._encode(x, corrupted=False, update_running=update_running)
         return zs, stats, y_logp
 
     # -- decoder ------------------------------------------------------------
@@ -318,7 +305,7 @@ class LadderNetwork:
         """
         spec = self.spec
         top = len(spec.layers)
-        u = ops.batchnorm(h_top, "train", running=None)
+        u = ops.batchnorm(h_top)
         z_hat: dict[int, Tensor] = {top: combinator_g(z_tilde[top], u, self.combinator_params(top))}
         for l in range(top - 1, min_level - 1, -1):
             above = z_hat[l + 1]
@@ -331,7 +318,7 @@ class LadderNetwork:
                 target = self.level_shapes[l]
                 if len(target) == 3:
                     pre = ops.reshape(pre, (above.data.shape[0], *target))
-            u = ops.batchnorm(pre, "train", running=None)
+            u = ops.batchnorm(pre)
             z_hat[l] = combinator_g(z_tilde[l], u, self.combinator_params(l))
         return z_hat
 
@@ -401,7 +388,7 @@ class LadderNetwork:
         lambdas = spec.lambdas if lambdas is None else tuple(float(v) for v in lambdas)
         x = Tensor(batch, dtype=self.dtype)
         z_tilde, h_top, y_tilde = self.corrupted_encoder(x, rng)
-        z_clean, stats, _ = self.clean_encoder(x, mode="train", update_running=True)
+        z_clean, stats, _ = self.clean_encoder(x, update_running=True)
         y_lab = ops.slice_rows(y_tilde, labeled_count)
         c_super = self.supervised_cost(y_lab, targets)
         active = [l for l, lam in enumerate(lambdas) if lam > 0.0]
@@ -417,14 +404,40 @@ class LadderNetwork:
     # -- inference ----------------------------------------------------------
 
     def predict_log_probs(self, x: np.ndarray, chunk: int = 512) -> np.ndarray:
-        """Clean-encoder eval-mode log-probabilities (deterministic)."""
+        """Clean-encoder log-probabilities under the running batch-norm
+        statistics (deterministic), ``chunk`` samples at a time.
+
+        A plain numpy walk without a tape: each level's linear output is
+        normalized by the running statistics, shifted by beta, scaled by
+        gamma and rectified in place.  These are the float operations of
+        ``ops.conv2d``/``ops.matmul``, ``ops.add``, ``ops.mul``, ``ops.relu``
+        and ``ops.log_softmax`` in the same order, so the result is
+        bit-identical to composing those ops on a tape.
+        """
         self.assert_finite_params()
-        out = []
+        if chunk < 1:
+            raise ConfigError(f"chunk must be >= 1, got {chunk}")
+        x = np.asarray(x)
+        self._check_input(x)
+        out = np.empty((len(x), self.spec.num_classes), dtype=self.dtype)
         for i in range(0, len(x), chunk):
-            xt = Tensor(x[i : i + chunk], dtype=self.dtype)
-            _, _, y_logp = self.clean_encoder(xt, mode="eval")
-            out.append(y_logp.data)
-        return np.concatenate(out, axis=0)
+            h = x[i : i + chunk].astype(self.dtype, copy=False)
+            for l, layer in enumerate(self.spec.layers, start=1):
+                w = self.params[f"enc{l}/W"].data
+                if layer.kind == CONV3X3:
+                    z = kernels.conv2d_forward(h, w)
+                else:
+                    z = h.reshape(len(h), -1) @ w
+                z -= self.running[l].mean
+                z *= 1.0 / np.sqrt(self.running[l].var + ops.BN_EPS)
+                z += self.params[f"enc{l}/beta"].data
+                z *= self.params[f"enc{l}/gamma"].data
+                if layer.kind == SOFTMAX_HEAD:
+                    out[i : i + chunk] = ops._log_softmax(z)
+                elif layer.activation == "relu":
+                    np.maximum(z, 0, out=z)
+                h = z
+        return out
 
     def predict(self, x: np.ndarray, chunk: int = 512) -> np.ndarray:
         """Class indices via the clean encoder (no noise anywhere)."""

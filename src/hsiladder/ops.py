@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, GraphError, ShapeError
+from .errors import ConfigError, ShapeError
 from .rng import Rng
 from .tensor import GradTape, Tensor, active_tape
 
@@ -356,7 +356,7 @@ def reduce_mean(x: Tensor, axes: tuple, keepdims: bool = True) -> Tensor:
 
 @dataclass
 class RunningStats:
-    """Exponential-average feature statistics for eval-mode normalization."""
+    """Exponential-average feature statistics; prediction normalizes by them."""
 
     mean: np.ndarray
     var: np.ndarray
@@ -368,8 +368,8 @@ class RunningStats:
 
     def update(self, mean: np.ndarray, var: np.ndarray, momentum: float = BN_MOMENTUM) -> None:
         if not self.initialized:
-            # first batch seeds the averages so early eval is not pulled
-            # toward the arbitrary (0, 1) prior
+            # first batch seeds the averages so early predictions are not
+            # pulled toward the arbitrary (0, 1) prior
             self.mean = mean.astype(self.mean.dtype)
             self.var = var.astype(self.var.dtype)
             self.initialized = True
@@ -378,74 +378,63 @@ class RunningStats:
         self.var = momentum * self.var + (1.0 - momentum) * var
 
 
-def _bn_axes(x: np.ndarray) -> tuple:
-    if x.ndim == 2:
-        return (0,)
-    if x.ndim == 4:
-        return (0, 1, 2)
-    raise ShapeError(f"batchnorm expects 2-d or 4-d input, got shape {x.shape}")
+def _bn_rows(x: np.ndarray) -> np.ndarray:
+    """(rows, features) view: one row per sample (2-d) or per pixel (4-d NHWC)."""
+    if x.ndim not in (2, 4):
+        raise ShapeError(f"batchnorm expects 2-d or 4-d input, got shape {x.shape}")
+    return x.reshape(-1, x.shape[-1])
+
+
+def _bn_normalize(x2: np.ndarray, eps: float):
+    """Standardize the columns of ``x2`` by their batch statistics; returns
+    (xhat, mean, var, 1/sqrt(var + eps))."""
+    n = x2.shape[0]
+    mu = x2.sum(axis=0) / n
+    xhat = x2 - mu
+    var = np.einsum("ij,ij->j", xhat, xhat) / n
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    return xhat, mu, var, inv_std
 
 
 def batchnorm(
     x: Tensor,
-    mode: str,
     running: RunningStats | None = None,
     eps: float = BN_EPS,
     update_running: bool = True,
 ) -> Tensor:
-    """Per-feature standardization.
+    """Per-feature standardization by batch statistics.
 
-    ``train`` normalizes by batch statistics (and folds them into ``running``
-    when given); ``eval`` normalizes by the running statistics.  Statistics
-    are per feature for 2-d input and per channel over batch x height x width
-    for 4-d input.  The backward pass differentiates through the batch
-    statistics (full batchnorm gradient).
+    Statistics are per feature for 2-d input and per channel over batch x
+    height x width for 4-d input; they are folded into ``running`` when it
+    is given and ``update_running`` is set.  The backward pass
+    differentiates through the batch statistics (full batchnorm gradient).
+    Prediction normalizes by the running statistics without this op
+    (:meth:`~hsiladder.ladder.LadderNetwork.predict_log_probs`).
     """
-    axes = _bn_axes(x.data)
-    if mode == "train":
-        n = int(np.prod([x.data.shape[a] for a in axes]))
-        if n < 2:
-            raise ShapeError("batchnorm in train mode needs a batch of at least 2")
+    x2 = _bn_rows(x.data)
+    n = x2.shape[0]
+    if n < 2:
+        raise ShapeError("batchnorm needs a batch of at least 2")
+    xhat, mu, var, inv_std = _bn_normalize(x2, eps)
+    if running is not None and update_running:
+        running.update(mu, var)
+    shape = x.data.shape
+    out = Tensor(xhat.reshape(shape), requires_grad=x.requires_grad)
 
-        def compute():
-            mu = x.data.mean(axis=axes, keepdims=True)
-            var = x.data.var(axis=axes, keepdims=True)
-            return (x.data - mu) * (1.0 / np.sqrt(var + eps))
+    def backward(g):
+        # inv_std * ((g - mean(g)) - xhat * mean(g * xhat)), updated in place
+        # in this order, which keeps every bit of the gradient
+        g2 = g.reshape(xhat.shape)
+        gx = g2 - g2.sum(axis=0) / n
+        gx -= xhat * (np.einsum("ij,ij->j", g2, xhat) / n)
+        gx *= inv_std
+        return (gx.reshape(shape),)
 
-        mu = x.data.mean(axis=axes, keepdims=True)
-        var = x.data.var(axis=axes, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mu) * inv_std
-        if running is not None and update_running:
-            running.update(mu.reshape(-1), var.reshape(-1))
-        out = Tensor(xhat, requires_grad=x.requires_grad)
+    def compute():
+        return _bn_normalize(_bn_rows(x.data), eps)[0].reshape(shape)
 
-        def backward(g):
-            gm = g.mean(axis=axes, keepdims=True)
-            gxh = (g * xhat).mean(axis=axes, keepdims=True)
-            return (inv_std * (g - gm - xhat * gxh),)
-
-        return _record("batchnorm", (x,), out, backward, compute)
-
-    if mode == "eval":
-        if running is None:
-            raise GraphError("batchnorm eval mode requires running statistics")
-        shape = [1] * x.data.ndim
-        shape[-1] = -1
-        mu = running.mean.reshape(shape)
-        inv_std = 1.0 / np.sqrt(running.var.reshape(shape) + eps)
-
-        def compute():
-            return (x.data - mu) * inv_std
-
-        out = Tensor(compute(), requires_grad=x.requires_grad)
-
-        def backward(g):
-            return (g * inv_std,)
-
-        return _record("batchnorm", (x,), out, backward, compute)
-
-    raise ConfigError(f"batchnorm mode must be 'train' or 'eval', got {mode!r}")
+    return _record("batchnorm", (x,), out, backward, compute)
 
 
 # ---------------------------------------------------------------------------

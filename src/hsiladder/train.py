@@ -198,10 +198,13 @@ _RESUME_FIELDS = (
 
 def _resume_settings(config: TrainConfig) -> dict:
     """The settings that decide a resumed trajectory, as JSON values.
-    ``iterations`` and ``checkpoint_interval`` may differ on resume."""
+    ``checkpoint_interval`` may differ on resume, and so may ``iterations``
+    unless a linear LR decay places its start by it."""
     settings = {f"ladder.{k}": v for k, v in asdict(config.ladder).items()}
     for k in _RESUME_FIELDS:
         settings[k] = getattr(config, k)
+    if config.lr_decay == "linear":
+        settings["iterations"] = config.iterations
     return json.loads(json.dumps(settings))
 
 
@@ -256,7 +259,9 @@ def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_
     if not isinstance(saved, dict):
         raise DataError("checkpoint config is not a JSON object")
     current = _resume_settings(config)
-    for key in sorted(set(saved) | set(current)):
+    # in the order of ``_resume_settings``, so a changed ``lr_decay`` is
+    # named before the ``iterations`` it brings in
+    for key in [*current, *sorted(set(saved) - set(current))]:
         if saved.get(key) != current.get(key):
             raise ConfigError(
                 f"cannot resume {path}: it was written with {key} = {saved.get(key)!r}, "

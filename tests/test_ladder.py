@@ -16,7 +16,7 @@ from hsiladder import (
 from hsiladder import ops
 from hsiladder.ladder import COMBINATOR_PARAM_NAMES, combinator_g
 
-from helpers import fd_gradcheck
+from helpers import conv2d_oracle, fd_gradcheck, matmul_oracle
 
 
 def fc_spec(widths, classes, bands, noise=0.3, lambdas=None):
@@ -95,7 +95,7 @@ class TestEncoderShapes:
         )
         net = LadderNetwork(spec, Rng(0))
         x = Tensor(Rng(1).normal(1.0, (4, 7, 7, 15)))
-        z, _, _ = net.clean_encoder(x, mode="train")
+        z, _, _ = net.clean_encoder(x)
         shapes = [t.data.shape for t in z]
         assert shapes == [
             (4, 7, 7, 15),
@@ -120,7 +120,7 @@ class TestEncoderShapes:
         spec = fc_spec([5], classes=3, bands=4)
         net = LadderNetwork(spec, Rng(0))
         with pytest.raises(ShapeError):
-            net.clean_encoder(Tensor(np.zeros((6, 7))), mode="train")
+            net.clean_encoder(Tensor(np.zeros((6, 7))))
 
 
 class TestZeroNoiseCollapse:
@@ -143,9 +143,54 @@ class TestZeroNoiseCollapse:
             x = Tensor(Rng(1).normal(1.0, (6, 5, 5, 2)))
         net = LadderNetwork(spec, Rng(0))
         z_tilde, _, _ = net.corrupted_encoder(x, Rng(2))
-        z_clean, _, _ = net.clean_encoder(x, mode="train")
+        z_clean, _, _ = net.clean_encoder(x)
         for zt, zc in zip(z_tilde, z_clean):
             assert np.abs(zt.data - zc.data).max() < 1e-12
+
+
+def tiny_net(arch, dtype=np.float64):
+    """A small FC or conv ladder with nonzero gammas/betas, and a batch for it."""
+    if arch == "fc":
+        spec = fc_spec([6, 4], classes=3, bands=5)
+        x = Rng(1).normal(1.0, (7, 5))
+    else:
+        spec = LadderSpec(
+            (
+                LayerSpec("conv3x3", 4),
+                LayerSpec("fc", 5, activation="none"),
+                LayerSpec("softmax_head", 3, activation="none"),
+            ),
+            0.3,
+            (0.1, 0.1, 0.1, 0.1),
+            (5, 4, 2),
+        )
+        x = Rng(1).normal(1.0, (6, 5, 4, 2))
+    net = LadderNetwork(spec, Rng(0), dtype=dtype)
+    rng = np.random.default_rng(3)
+    for l in range(1, len(spec.layers) + 1):
+        for name, base in (("gamma", 1.0), ("beta", 0.0)):
+            p = net.params[f"enc{l}/{name}"]
+            p.data = (base + 0.5 * rng.standard_normal(p.data.shape)).astype(dtype)
+    return net, x
+
+
+def predict_oracle(net, x):
+    """Clean encoder by running statistics, from the loop oracles:
+    gamma * ((Wx - mean) / sqrt(var + eps) + beta), relu, log-softmax."""
+    h = np.asarray(x, dtype=np.float64)
+    for l, layer in enumerate(net.spec.layers, start=1):
+        w = net.params[f"enc{l}/W"].data.astype(np.float64)
+        if layer.kind == "conv3x3":
+            z = conv2d_oracle(h, w)
+        else:
+            z = matmul_oracle(h.reshape(len(h), -1), w)
+        rs = net.running[l]
+        z = (z - rs.mean) / np.sqrt(rs.var + ops.BN_EPS)
+        z = net.params[f"enc{l}/gamma"].data * (z + net.params[f"enc{l}/beta"].data)
+        if layer.kind == "softmax_head":
+            z = z - z.max(axis=1, keepdims=True)
+            return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
 
 
 class TestEvalMode:
@@ -154,16 +199,17 @@ class TestEvalMode:
         net = LadderNetwork(spec, Rng(0))
         # one training pass to populate running statistics
         x = Rng(1).normal(1.0, (12, 5))
-        net.clean_encoder(Tensor(x), mode="train", update_running=True)
-        _, _, y_logp = net.clean_encoder(Tensor(x[:1]), mode="eval")
-        total = np.exp(y_logp.data).sum()
+        net.clean_encoder(Tensor(x), update_running=True)
+        y_logp = net.predict_log_probs(x[:1])
+        assert y_logp.shape == (1, 4)
+        total = np.exp(y_logp).sum()
         assert abs(total - 1.0) < 1e-9
 
     def test_prediction_deterministic_and_shift_invariant(self):
         spec = fc_spec([6], classes=4, bands=5)
         net = LadderNetwork(spec, Rng(0))
         x = Rng(1).normal(1.0, (12, 5))
-        net.clean_encoder(Tensor(x), mode="train", update_running=True)
+        net.clean_encoder(Tensor(x), update_running=True)
         p1 = net.predict(x)
         p2 = net.predict(x)
         np.testing.assert_array_equal(p1, p2)
@@ -178,6 +224,55 @@ class TestEvalMode:
 
         with pytest.raises(GraphError):
             net.predict(np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_predict_matches_oracle(self, arch):
+        net, x = tiny_net(arch)
+        # two passes, so the running averages differ from any one batch
+        net.clean_encoder(Tensor(x), update_running=True)
+        net.clean_encoder(Tensor(x[::-1] * 0.5 + 0.2), update_running=True)
+        for sample in (x, x[:1]):
+            np.testing.assert_allclose(
+                net.predict_log_probs(sample), predict_oracle(net, sample), rtol=1e-12, atol=0
+            )
+
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_chunk_sizes_agree(self, arch):
+        net, x = tiny_net(arch)
+        net.clean_encoder(Tensor(x), update_running=True)
+        whole = net.predict_log_probs(x, chunk=512)
+        for chunk in (1, 3):
+            # BLAS may round a one-row product differently from a many-row one
+            got = net.predict_log_probs(x, chunk=chunk)
+            np.testing.assert_allclose(got, whole, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(net.predict(x, chunk=3), np.argmax(whole, axis=1))
+
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_f32_in_f32_out(self, arch):
+        net, x = tiny_net(arch, dtype=np.float32)
+        net.clean_encoder(Tensor(x, dtype=np.float32), update_running=True)
+        for sample in (x, x.astype(np.float32)):
+            out = net.predict_log_probs(sample)
+            assert out.dtype == np.float32
+            np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, rtol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_input_gives_empty_result(self, dtype):
+        net, x = tiny_net("conv", dtype=dtype)
+        out = net.predict_log_probs(x[:0])
+        assert out.shape == (0, net.spec.num_classes)
+        assert out.dtype == dtype
+        assert net.predict(x[:0]).shape == (0,)
+
+    def test_bad_chunk_and_shape_rejected(self):
+        net, x = tiny_net("fc")
+        for chunk in (0, -2):
+            with pytest.raises(ConfigError, match="chunk"):
+                net.predict_log_probs(x, chunk=chunk)
+        with pytest.raises(ShapeError):
+            net.predict_log_probs(np.zeros((3, 6)))
+        with pytest.raises(ShapeError):
+            net.predict_log_probs(np.zeros(5))
 
 
 class TestCombinator:
@@ -321,7 +416,7 @@ class TestCosts:
         net = self._net()
         x = Tensor(Rng(1).normal(1.0, (5, 4)))
         z_tilde, h_top, _ = net.corrupted_encoder(x, Rng(2))
-        z_clean, stats, _ = net.clean_encoder(x, mode="train")
+        z_clean, stats, _ = net.clean_encoder(x)
         z_hat = net.decoder(z_tilde, h_top)
         cost = net.reconstruction_cost(z_clean, stats, z_hat, lambdas=(0.0, 0.0, 0.0))
         assert cost.item() == 0.0
@@ -336,7 +431,7 @@ class TestCosts:
         )
         net = LadderNetwork(spec, Rng(0))
         x = Tensor(Rng(1).normal(1.0, (5, 4)))
-        z_clean, stats, _ = net.clean_encoder(x, mode="train")
+        z_clean, stats, _ = net.clean_encoder(x)
         z_hat = {0: z_clean[0], 1: z_clean[1]}
         cost = net.reconstruction_cost(z_clean, stats, z_hat)
         assert cost.item() == 0.0
@@ -359,7 +454,7 @@ class TestCosts:
     def test_lambda_length_mismatch(self):
         net = self._net()
         x = Tensor(Rng(1).normal(1.0, (5, 4)))
-        z_clean, stats, _ = net.clean_encoder(x, mode="train")
+        z_clean, stats, _ = net.clean_encoder(x)
         with pytest.raises(ShapeError):
             net.reconstruction_cost(z_clean, stats, {}, lambdas=(0.0,))
 
@@ -367,7 +462,7 @@ class TestCosts:
         net = self._net()
         x = Tensor(Rng(1).normal(1.0, (5, 4)))
         z_tilde, h_top, _ = net.corrupted_encoder(x, Rng(2))
-        z_clean, _, _ = net.clean_encoder(x, mode="train")
+        z_clean, _, _ = net.clean_encoder(x)
         z_hat = net.decoder(z_tilde, h_top)
         from hsiladder import GraphError
 

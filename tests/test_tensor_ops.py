@@ -162,53 +162,71 @@ class TestConv2dTranspose:
 class TestBatchnorm:
     def test_two_point_column(self):
         x = Tensor(np.array([[2.0], [4.0]]))
-        out = ops.batchnorm(x, "train")
+        out = ops.batchnorm(x)
         np.testing.assert_allclose(out.data[:, 0], [-1.0, 1.0], atol=1e-5)
 
     def test_constant_column_guarded_by_eps(self):
         x = Tensor(np.full((3, 1), 5.0))
-        out = ops.batchnorm(x, "train")
+        out = ops.batchnorm(x)
         np.testing.assert_array_equal(out.data, np.zeros((3, 1)))
 
     def test_random_batch_standardized(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((8, 4)) * 3.0 + 1.0)
-        out = ops.batchnorm(x, "train").data
+        out = ops.batchnorm(x).data
         assert np.abs(out.mean(axis=0)).max() < 1e-10
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
 
     def test_conv_input_per_channel(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((4, 3, 3, 2)) * 2.0 + 0.5)
-        out = ops.batchnorm(x, "train").data
+        out = ops.batchnorm(x).data
         assert np.abs(out.mean(axis=(0, 1, 2))).max() < 1e-10
         assert np.abs(out.var(axis=(0, 1, 2)) - 1.0).max() < 1e-6
 
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 4, 2, 5)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_axis_formula_bit_for_bit(self, shape, dtype):
+        # the (rows, channels) forward and the in-place backward round
+        # exactly like the textbook formula over the batch axes
+        rng = np.random.default_rng(7)
+        x = Tensor((rng.standard_normal(shape) * 2.0 + 0.5).astype(dtype), requires_grad=True)
+        g = rng.standard_normal(shape).astype(dtype)
+        axes = tuple(range(len(shape) - 1))
+        mu = x.data.mean(axis=axes, keepdims=True)
+        inv_std = 1.0 / np.sqrt(x.data.var(axis=axes, keepdims=True) + ops.BN_EPS)
+        xhat = (x.data - mu) * inv_std
+        gm = g.mean(axis=axes, keepdims=True)
+        gxh = (g * xhat).mean(axis=axes, keepdims=True)
+        with GradTape() as tape:
+            out = ops.batchnorm(x)
+        np.testing.assert_array_equal(out.data, xhat)
+        np.testing.assert_array_equal(tape.nodes[0].backward_fn(g)[0], inv_std * (g - gm - xhat * gxh))
+        assert tape.verify_replay()
+
     def test_batch_of_one_rejected_in_train(self):
         with pytest.raises(ShapeError):
-            ops.batchnorm(Tensor(np.zeros((1, 3))), "train")
+            ops.batchnorm(Tensor(np.zeros((1, 3))))
 
-    def test_running_stats_and_eval(self):
+    def test_running_stats_update(self):
+        # prediction normalizes by these averages (tests/test_ladder.py,
+        # TestEvalMode::test_predict_matches_oracle)
         rng = np.random.default_rng(6)
         running = ops.RunningStats.for_features(3)
         x1 = rng.standard_normal((16, 3)) * 2.0 + 1.0
-        ops.batchnorm(Tensor(x1), "train", running=running)
+        ops.batchnorm(Tensor(x1), running=running)
         # first batch seeds the averages
         np.testing.assert_allclose(running.mean, x1.mean(axis=0))
+        np.testing.assert_allclose(running.var, x1.var(axis=0))
         x2 = rng.standard_normal((16, 3))
-        ops.batchnorm(Tensor(x2), "train", running=running)
+        ops.batchnorm(Tensor(x2), running=running)
         expect = 0.99 * x1.mean(axis=0) + 0.01 * x2.mean(axis=0)
         np.testing.assert_allclose(running.mean, expect)
-        # eval on a batch of one is allowed and uses the running stats
-        single = Tensor(x1[:1])
-        out = ops.batchnorm(single, "eval", running=running)
-        np.testing.assert_allclose(
-            out.data, (x1[:1] - running.mean) / np.sqrt(running.var + ops.BN_EPS)
-        )
-
-    def test_eval_without_running_stats_rejected(self):
-        with pytest.raises(GraphError):
-            ops.batchnorm(Tensor(np.zeros((2, 3))), "eval")
+        expect = 0.99 * x1.var(axis=0) + 0.01 * x2.var(axis=0)
+        np.testing.assert_allclose(running.var, expect)
+        # update_running=False leaves them alone
+        ops.batchnorm(Tensor(x1), running=running, update_running=False)
+        np.testing.assert_allclose(running.var, expect)
 
 
 class TestActivationsAndLoss:
@@ -333,7 +351,7 @@ class TestBackwardSemantics:
     def test_replay_reproduces_outputs(self):
         x = Tensor(np.random.default_rng(10).standard_normal((4, 3)), requires_grad=True)
         with GradTape() as tape:
-            h = ops.relu(ops.batchnorm(x, "train"))
+            h = ops.relu(ops.batchnorm(x))
             noisy = ops.add_gaussian_noise(h, 0.3, Rng(5))
             ops.sum_all(ops.square(noisy))
         assert tape.verify_replay()
@@ -382,14 +400,14 @@ class TestFiniteDifferences:
         n, f = int(rng.integers(3, 7)), int(rng.integers(1, 5))
         x = Tensor(rng.standard_normal((n, f)) * 2.0 + 1.0, requires_grad=True)
         c = _proj((n, f), seed + 100)
-        fd_gradcheck(lambda: ops.sum_all(ops.mul(ops.batchnorm(x, "train"), c)), [x])
+        fd_gradcheck(lambda: ops.sum_all(ops.mul(ops.batchnorm(x), c)), [x])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batchnorm_train_conv(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((3, 3, 2, 2)) + 0.5, requires_grad=True)
         c = _proj((3, 3, 2, 2), seed + 100)
-        fd_gradcheck(lambda: ops.sum_all(ops.mul(ops.batchnorm(x, "train"), c)), [x])
+        fd_gradcheck(lambda: ops.sum_all(ops.mul(ops.batchnorm(x), c)), [x])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_elementwise_broadcasting(self, seed):

@@ -229,7 +229,32 @@ class TestCheckpoint:
         out = tmp_path / "run"
         train(small_config(seed=8, iterations=5), prepared.patches, prepared.split, out_dir=out)
         other = small_config(**{"seed": 8, "iterations": 10, **change})
-        with pytest.raises(ConfigError, match=field):
+        # the test's tmp_path holds the field name too, so match the message
+        with pytest.raises(ConfigError, match=f"written with {field} ="):
+            train(other, prepared.patches, prepared.split, resume=out / "final.ckpt")
+
+    def test_linear_decay_resume_needs_same_iterations(self, prepared, tmp_path):
+        # the decay starts at iterations * (1 - lr_decay_fraction), so another
+        # iterations would move the schedule of the remaining steps
+        out = tmp_path / "run"
+        full = small_config(seed=8, iterations=8, lr_decay="linear", checkpoint_interval=5)
+        net_full, rep_full = train(full, prepared.patches, prepared.split, out_dir=out)
+        for iterations in (6, 12):
+            other = small_config(seed=8, iterations=iterations, lr_decay="linear")
+            with pytest.raises(ConfigError, match="written with iterations = 8,"):
+                train(other, prepared.patches, prepared.split, resume=out / "last.ckpt")
+        same = small_config(seed=8, iterations=8, lr_decay="linear")
+        assert ckpt.load_entries(out / "last.ckpt")[0] == 5
+        net_res, rep_res = train(same, prepared.patches, prepared.split, resume=out / "last.ckpt")
+        np.testing.assert_array_equal(rep_full.c_total, rep_res.c_total)
+        for name in net_full.params:
+            np.testing.assert_array_equal(net_full.params[name].data, net_res.params[name].data)
+
+    def test_changed_lr_decay_named_first(self, prepared, tmp_path):
+        out = tmp_path / "run"
+        train(small_config(seed=8, iterations=5), prepared.patches, prepared.split, out_dir=out)
+        other = small_config(seed=8, iterations=10, lr_decay="linear")
+        with pytest.raises(ConfigError, match="written with lr_decay = 'none'"):
             train(other, prepared.patches, prepared.split, resume=out / "final.ckpt")
 
     def test_mismatched_spec_refused_before_loading(self, tmp_path):
