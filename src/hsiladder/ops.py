@@ -30,6 +30,8 @@ def _record(name, inputs, out, backward_fn, forward_fn):
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -98,7 +100,12 @@ def div(a: Tensor, b) -> Tensor:
 
     def backward(g):
         ga = _unbroadcast(g / b.data, a.data.shape) if na else None
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if nb else None
+        gb = None
+        if nb:
+            t = -g
+            t *= a.data
+            t /= b.data * b.data
+            gb = _unbroadcast(t, b.data.shape)
         return ga, gb
 
     return _record("div", (a, b), out, backward, lambda: a.data / b.data)
@@ -108,7 +115,9 @@ def square(x: Tensor) -> Tensor:
     out = Tensor(x.data * x.data, requires_grad=x.requires_grad)
 
     def backward(g):
-        return (2.0 * x.data * g,)
+        t = 2.0 * x.data
+        t *= g
+        return (t,)
 
     return _record("square", (x,), out, backward, lambda: x.data * x.data)
 
@@ -158,12 +167,24 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # one exp of -|v|, which never overflows: 1 / (1 + e) for v >= 0 and
-    # e / (1 + e) below, so the v << 0 tail stays nonzero down to the
-    # dtype's subnormals (the tanh form is exactly 0 below v = -37 in f64)
-    e = np.exp(-np.abs(v))
-    r = 1.0 / (1.0 + e)
-    return np.where(v >= 0, r, e * r)
+    """Logistic function from one exp of -|v|, which never overflows.
+
+    With ``e = exp(-|v|)`` and ``r = 1 / (1 + e)`` the result is ``r`` for
+    v >= 0 and ``e * r`` below, so the v << 0 tail stays nonzero down to the
+    dtype's subnormals (the tanh form is exactly 0 below v = -37 in f64).
+    The branch is a multiply by ``max(e, v >= 0)``, exactly 1.0 or ``e``,
+    rather than a select: a select on a sign mask that is random in practice
+    costs more than all the arithmetic, and this form gives the select's
+    bits (NaN included) with two fresh arrays.
+    """
+    e = np.abs(v, out=np.empty_like(v))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    r = np.add(e, 1.0, out=np.empty_like(e))
+    np.divide(1.0, r, out=r)
+    np.maximum(e, v >= 0, out=e)
+    r *= e
+    return r
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -171,7 +192,9 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(s, requires_grad=x.requires_grad)
 
     def backward(g):
-        return (g * s * (1.0 - s),)
+        t = g * s
+        t *= 1.0 - s
+        return (t,)
 
     return _record("sigmoid", (x,), out, backward, lambda: _sigmoid(x.data))
 
@@ -190,10 +213,6 @@ def log_softmax(x: Tensor) -> Tensor:
         return (g - np.exp(ls) * g.sum(axis=-1, keepdims=True),)
 
     return _record("log_softmax", (x,), out, backward, lambda: _log_softmax(x.data))
-
-
-def softmax(x: Tensor) -> Tensor:
-    return exp(log_softmax(x))
 
 
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
@@ -219,11 +238,6 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
         return (gl,)
 
     return _record("nll_loss", (log_probs,), out, backward, compute)
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean NLL of targets under softmax(logits)."""
-    return nll_loss(log_softmax(logits), targets)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ class Rng:
         return [Rng(self.seed, _ss=child) for child in self._ss.spawn(n)]
 
     def normal(self, std: float, shape, dtype=np.float64) -> np.ndarray:
-        out = self.gen.standard_normal(size=shape, dtype=np.float64) * std
+        out = self.gen.standard_normal(size=shape, dtype=np.float64)
+        out *= std
         return out.astype(dtype, copy=False)
 
     def integers(self, low: int, high: int, size=None) -> np.ndarray:

@@ -114,35 +114,75 @@ class TrainReport:
 
 
 class Adam:
-    """Bias-corrected adaptive-moment optimizer over named parameters."""
+    """Bias-corrected adaptive-moment optimizer over named parameters.
+
+    The first and second moments of all parameters live in two flat buffers,
+    ``flat_m`` and ``flat_v``, in parameter order; ``m[name]`` and
+    ``v[name]`` are reshaped views of them, so code that reads or writes a
+    moment by name (checkpoints) must write into the view, never rebind it.
+    A step gathers every gradient into one work buffer (``None`` counts as
+    zeros), checks it for finiteness as a whole and only then updates, so a
+    step that raises ``DivergenceError`` leaves the parameters, the moments
+    and ``t`` as they were.  The update is the per-parameter formula applied
+    once to the whole buffer, with the same operations in the same order per
+    element.  All parameters must share one dtype.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
+        dtypes = {p.data.dtype for p in params.values()}
+        if len(dtypes) != 1:
+            raise ConfigError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        (dtype,) = dtypes
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # (name, parameter, start, stop) of each parameter's slice
+        self._spans = []
+        start = 0
+        for name, p in params.items():
+            self._spans.append((name, p, start, start + p.data.size))
+            start += p.data.size
+        self.flat_m = np.zeros(start, dtype=dtype)
+        self.flat_v = np.zeros(start, dtype=dtype)
+        self.m = {n: self.flat_m[a:b].reshape(p.data.shape) for n, p, a, b in self._spans}
+        self.v = {n: self.flat_v[a:b].reshape(p.data.shape) for n, p, a, b in self._spans}
+        self._grad = np.empty(start, dtype=dtype)
+        self._upd = np.empty(start, dtype=dtype)
+        self._zero = np.zeros((), dtype=dtype)
 
     def step(self, lr_scale: float = 1.0) -> None:
+        g, upd = self._grad, self._upd
+        parts = [
+            np.broadcast_to(self._zero, b - a) if p.grad is None else p.grad.reshape(-1)
+            for _, p, a, b in self._spans
+        ]
+        np.concatenate(parts, out=g)
+        if not np.isfinite(g).all():
+            for name, _, a, b in self._spans:
+                if not np.isfinite(g[a:b]).all():
+                    raise DivergenceError(f"non-finite gradient for parameter {name}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = 0.0
-            elif not np.all(np.isfinite(g)):
-                raise DivergenceError(f"non-finite gradient for parameter {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g if isinstance(g, np.ndarray) else 0.0)
-            update = (self.lr * lr_scale) * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= update
+        m, v = self.flat_m, self.flat_v
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=upd)
+        m += upd
+        v *= b2
+        np.multiply(g, g, out=g)
+        g *= 1.0 - b2
+        v += g
+        # upd = (lr * lr_scale) * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        np.divide(m, bc1, out=upd)
+        upd *= self.lr * lr_scale
+        upd /= g
+        for _, p, a, b in self._spans:
+            p.data -= upd[a:b].reshape(p.data.shape)
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -276,8 +316,9 @@ def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_
         rs.var = entry(f"running/{l}/var", rs.var.shape).astype(rs.var.dtype)
         rs.initialized = bool(entry(f"running/{l}/init", (1,))[0])
     for name in net.params:
-        adam.m[name] = entry(f"adam/m/{name}", adam.m[name].shape).astype(adam.m[name].dtype)
-        adam.v[name] = entry(f"adam/v/{name}", adam.v[name].shape).astype(adam.v[name].dtype)
+        # write into the views of Adam's flat buffers, never rebind them
+        adam.m[name][...] = entry(f"adam/m/{name}", adam.m[name].shape)
+        adam.v[name][...] = entry(f"adam/v/{name}", adam.v[name].shape)
     adam.t = int(entry("adam/t", (1,))[0])
     noise_rng.set_state_words(entry("rng/noise", (6,)))
     batch_rng.set_state_words(entry("rng/batch", (6,)))
@@ -481,11 +522,11 @@ def evaluate(net: LadderNetwork, patchset, test_indices) -> dict:
         raise DataError("empty test set")
     x = batch_input(patchset.patches[test_indices], net.spec.input_shape, net.dtype)
     y_true = patchset.labels[test_indices]
-    y_pred = net.predict(x)
     k = net.spec.num_classes
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        confusion[t, p] += 1
+    if y_true.min() < 0 or y_true.max() >= k:
+        raise DataError(f"test labels {y_true.min()}..{y_true.max()} out of range [0, {k})")
+    y_pred = net.predict(x)
+    confusion = np.bincount(y_true * k + y_pred, minlength=k * k).reshape(k, k)
     return metrics_from_confusion(confusion)
 
 

@@ -76,6 +76,51 @@ def conv2d_kernel_grad_oracle(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -
     return out
 
 
+def sigmoid_oracle(v: np.ndarray) -> np.ndarray:
+    """The where-form logistic: ``r = 1 / (1 + exp(-|v|))`` where v >= 0,
+    ``exp(-|v|) * r`` below, chosen by a select on the sign."""
+    e = np.exp(-np.abs(v))
+    r = 1.0 / (1.0 + e)
+    return np.where(v >= 0, r, e * r)
+
+
+class AdamOracle:
+    """Adam as a loop over the parameters, each with its own moment arrays
+    (a ``None`` gradient counts as zero)."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, lr_scale=1.0):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for name, p in self.params.items():
+            g = 0.0 if p.grad is None else p.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            update = (self.lr * lr_scale) * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= update
+
+
+def confusion_oracle(y_true, y_pred, k: int) -> np.ndarray:
+    """Confusion counts by a loop over the (true, predicted) pairs."""
+    confusion = np.zeros((k, k), dtype=np.int64)
+    for t, p in zip(y_true, y_pred):
+        confusion[t, p] += 1
+    return confusion
+
+
 def fd_gradcheck(build_loss, params, step=1e-5, tol=1e-4):
     """Compare tape gradients against central finite differences.
 

@@ -12,6 +12,7 @@ from helpers import (
     conv2d_oracle,
     fd_gradcheck,
     matmul_oracle,
+    sigmoid_oracle,
 )
 
 
@@ -253,23 +254,37 @@ class TestActivationsAndLoss:
             out = ops.sigmoid(Tensor(np.array([-800.0, 0.0, 3.0], dtype=np.float32)))
             assert out.data.dtype == np.float32
 
-    def test_cross_entropy_uniform_nine_classes(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_bit_equal_to_where_form(self, dtype):
+        rng = np.random.default_rng(9)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 800.0, -800.0, -100.0, -1e300]
+        with np.errstate(over="ignore"):  # -1e300 is -inf in f32
+            v = np.concatenate(
+                [edges] + [rng.standard_normal(4004) * s for s in (0.1, 1.0, 10.0, 100.0)]
+            ).astype(dtype)
+        with np.errstate(all="raise", under="ignore"):
+            for x in (v, v.reshape(-1, 11)[:, ::2], v[9:10].reshape(())):
+                out = ops._sigmoid(x)
+                assert out.dtype == dtype and out.shape == np.shape(x)
+                assert np.array_equal(out, sigmoid_oracle(x), equal_nan=True)
+
+    def test_nll_of_log_softmax_uniform_nine_classes(self):
         logits = Tensor(np.zeros((4, 9)))
-        loss = ops.cross_entropy(logits, np.array([0, 3, 5, 8]))
+        loss = ops.nll_loss(ops.log_softmax(logits), np.array([0, 3, 5, 8]))
         assert abs(loss.item() - np.log(9.0)) < 1e-12
 
-    def test_softmax_huge_logits_no_overflow(self):
-        out = ops.softmax(Tensor([[1000.0, 1000.0]]))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]])
+    def test_log_softmax_huge_logits_no_overflow(self):
+        out = ops.log_softmax(Tensor([[1000.0, 1000.0]]))
+        np.testing.assert_allclose(out.data, [[np.log(0.5), np.log(0.5)]])
 
-    def test_softmax_rows_sum_to_one(self):
+    def test_log_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
-        out = ops.softmax(Tensor(rng.standard_normal((6, 5)) * 10.0))
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(6), atol=1e-9)
+        out = ops.log_softmax(Tensor(rng.standard_normal((6, 5)) * 10.0))
+        np.testing.assert_allclose(np.exp(out.data).sum(axis=1), np.ones(6), atol=1e-9)
 
     def test_target_out_of_range(self):
         with pytest.raises(ShapeError):
-            ops.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+            ops.nll_loss(ops.log_softmax(Tensor(np.zeros((2, 3)))), np.array([0, 3]))
 
     def test_nll_hand_example(self):
         # two rows with probability 0.5 and 0.25 on the true class
@@ -447,7 +462,7 @@ class TestFiniteDifferences:
         n, c = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         x = Tensor(rng.standard_normal((n, c)), requires_grad=True)
         targets = rng.integers(0, c, size=n)
-        fd_gradcheck(lambda: ops.cross_entropy(x, targets), [x])
+        fd_gradcheck(lambda: ops.nll_loss(ops.log_softmax(x), targets), [x])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reductions_and_shapes(self, seed):

@@ -1,5 +1,7 @@
 """Training loop: Adam, determinism, mode equivalence, checkpoints, metrics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from hsiladder.train import (
     supervised_equivalent,
     train,
 )
+
+from helpers import AdamOracle, confusion_oracle
 
 
 def small_spec(noise=0.5, lambdas=(0.1, 0.1, 0.1, 0.1), widths=(16, 8), bands=8, classes=3):
@@ -94,6 +98,58 @@ class TestAdam:
             opt.step()
         assert "enc1/W" in str(e.value)
 
+    def test_failed_step_changes_nothing(self):
+        rng = np.random.default_rng(2)
+        params = {n: Tensor(rng.standard_normal(s), requires_grad=True)
+                  for n, s in (("a", (3, 2)), ("b", (4,)), ("c", (2, 2)))}
+        opt = Adam(params, lr=0.1)
+        for p in params.values():
+            p.grad = rng.standard_normal(p.data.shape)
+        opt.step()
+        before = {n: (p.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, p in params.items()}
+        for p in params.values():
+            p.grad = rng.standard_normal(p.data.shape)
+        params["b"].grad[2] = np.nan
+        with pytest.raises(DivergenceError, match="parameter b"):
+            opt.step()
+        assert opt.t == 1
+        for n, (data, m, v) in before.items():
+            np.testing.assert_array_equal(params[n].data, data)
+            np.testing.assert_array_equal(opt.m[n], m)
+            np.testing.assert_array_equal(opt.v[n], v)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_per_parameter_oracle(self, dtype):
+        rng = np.random.default_rng(3)
+        shapes = {"enc1/W": (5, 4), "enc1/gamma": (4,), "dec1/V": (4, 5), "dec1/a": (3, 1, 5)}
+        init = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+        ours = {n: Tensor(x.copy(), requires_grad=True) for n, x in init.items()}
+        theirs = {n: Tensor(x.copy(), requires_grad=True) for n, x in init.items()}
+        opt, ref = Adam(ours, 0.03), AdamOracle(theirs, 0.03)
+        for step in range(20):
+            for n, s in shapes.items():
+                # dec1/V never gets a gradient, dec1/a only on even steps
+                none = n == "dec1/V" or (n == "dec1/a" and step % 2)
+                g = None if none else (rng.standard_normal(s) * 10.0 ** (step % 3)).astype(dtype)
+                ours[n].grad = g
+                theirs[n].grad = None if g is None else g.copy()
+            scale = 0.5 if step % 4 == 3 else 1.0
+            opt.step(lr_scale=scale)
+            ref.step(lr_scale=scale)
+            for n in shapes:
+                assert ours[n].data.dtype == dtype
+                assert np.array_equal(ours[n].data, theirs[n].data), (step, n)
+                assert np.array_equal(opt.m[n], ref.m[n]) and np.array_equal(opt.v[n], ref.v[n])
+        assert opt.t == ref.t == 20
+
+    def test_mixed_dtypes_rejected(self):
+        params = {
+            "a": Tensor(np.zeros(2), requires_grad=True),
+            "b": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True),
+        }
+        with pytest.raises(ConfigError, match="one dtype"):
+            Adam(params, lr=0.1)
+
     def test_grad_clip(self):
         p = Tensor(np.zeros(4), requires_grad=True)
         p.grad = np.full(4, 10.0)
@@ -125,6 +181,25 @@ class TestMetrics:
         net, report = train(config, prepared.patches, prepared.split)
         recomputed = np.trace(report.confusion) / report.confusion.sum()
         assert abs(report.oa - recomputed) < 1e-15
+
+    def test_confusion_matches_loop(self):
+        rng = np.random.default_rng(4)
+        k, n = 6, 500
+        y_true = rng.integers(0, k - 1, n)  # class k - 1 never occurs
+        y_pred = rng.integers(0, k, n)
+        patchset = SimpleNamespace(patches=np.zeros((n, 1, 1, 2)), labels=y_true)
+        net = SimpleNamespace(
+            spec=SimpleNamespace(input_shape=(2,), num_classes=k),
+            dtype=np.float64,
+            predict=lambda x: y_pred[: len(x)],
+        )
+        m = evaluate(net, patchset, np.arange(n))
+        expect = confusion_oracle(y_true, y_pred, k)
+        np.testing.assert_array_equal(m["confusion"], expect)
+        assert m["confusion"].dtype == np.int64 and not m["confusion"][k - 1].any()
+        patchset.labels = np.where(y_true == 2, k, y_true)
+        with pytest.raises(DataError, match="out of range"):
+            evaluate(net, patchset, np.arange(n))
 
     def test_empty_test_set_rejected(self, prepared):
         from hsiladder import DataError
@@ -179,6 +254,28 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded[name], curves[name])
         save_checkpoint(p2, net, adam, it, noise, batch, config, loaded)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_loaded_moments_stay_views_of_flat_buffers(self, tmp_path):
+        config = small_config(seed=3)
+        net = LadderNetwork(small_spec(), Rng(3))
+        adam = Adam(net.params, 0.01)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            for p in net.params.values():
+                p.grad = rng.standard_normal(p.data.shape)
+            adam.step()
+        noise, batch = Rng(3).spawn(2)
+        path = tmp_path / "a.ckpt"
+        curves = {name: np.ones(3) for name in CURVES}
+        save_checkpoint(path, net, adam, 3, noise, batch, config, curves)
+        fresh = Adam(net.params, 0.01)
+        load_checkpoint(path, net, fresh, noise, batch, config)
+        assert fresh.t == 3
+        for name in net.params:
+            assert np.shares_memory(fresh.m[name], fresh.flat_m)
+            assert np.shares_memory(fresh.v[name], fresh.flat_v)
+        np.testing.assert_array_equal(fresh.flat_m, adam.flat_m)
+        np.testing.assert_array_equal(fresh.flat_v, adam.flat_v)
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_resume_is_bit_identical_continuation(self, prepared, tmp_path, precision):
