@@ -208,10 +208,6 @@ def pca_transform(model: PcaModel, spectra: np.ndarray) -> np.ndarray:
     return (spectra - model.mean) @ model.components
 
 
-def pca_inverse(model: PcaModel, reduced: np.ndarray) -> np.ndarray:
-    return reduced @ model.components.T + model.mean
-
-
 def pca_reduce_cube(cube: HsiCube, model: PcaModel) -> HsiCube:
     h, w, c = cube.reflectance.shape
     flat = cube.reflectance.reshape(-1, c)
@@ -289,32 +285,6 @@ def make_split(
         test=np.sort(np.concatenate(test_parts)),
         seed=int(seed),
     )
-
-
-def balance_labels(indices: np.ndarray, labels: np.ndarray, strategy: str, rng: Rng) -> np.ndarray:
-    """Resample an index set so every class occurs equally often.
-
-    upsample: with replacement up to the majority count; downsample: without
-    replacement down to the minority count.  Used for full-label runs;
-    n-per-class splits are balanced by construction.
-    """
-    if strategy not in ("upsample", "downsample"):
-        raise ConfigError(f"strategy must be 'upsample' or 'downsample', got {strategy!r}")
-    indices = np.asarray(indices)
-    lab = labels[indices]
-    classes = np.unique(lab)
-    counts = {c: int((lab == c).sum()) for c in classes}
-    target = max(counts.values()) if strategy == "upsample" else min(counts.values())
-    out = []
-    for c in classes:
-        pool = indices[lab == c]
-        if len(pool) == target:
-            out.append(pool)
-        elif strategy == "upsample":
-            out.append(rng.choice(pool, size=target, replace=True))
-        else:
-            out.append(rng.choice(pool, size=target, replace=False))
-    return np.concatenate(out)
 
 
 def export_split_csv(path, patchset: PatchSet, split: SemiSplit) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import HsiCube
+from .errors import ConfigError
 from .rng import Rng
 
 
@@ -24,13 +25,26 @@ def make_synthetic_cube(
     noise: float = 0.35,
     brightness_jitter: float = 0.45,
 ) -> HsiCube:
+    for name, value in (
+        ("height", height),
+        ("width", width),
+        ("bands", bands),
+        ("classes", classes),
+        ("block", block),
+    ):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    for name, value in (("noise", noise), ("brightness_jitter", brightness_jitter)):
+        if not value >= 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
     rng = Rng(seed)
     bh = (height + block - 1) // block
     bw = (width + block - 1) // block
     n_blocks = bh * bw
     if n_blocks < classes:
-        raise ValueError(
-            f"{n_blocks} blocks cannot host {classes} classes; shrink the block size"
+        raise ConfigError(
+            f"{n_blocks} blocks of block={block} cannot host classes={classes}; "
+            "shrink the block size"
         )
     # cycle the classes over the blocks, then shuffle: every class appears
     flat = (np.arange(n_blocks) % classes) + 1

@@ -3,10 +3,13 @@
 A forward pass executed inside a ``with GradTape() as tape:`` block records
 one node per differentiable operation, in execution order.  ``tape.backward``
 walks that record once in reverse, accumulating gradients; tensors used in
-several places sum their contributions.  Each node also keeps a pure
-re-computation closure so a recorded graph can be replayed and checked
-bit-exactly against the recorded outputs (stochastic ops capture their drawn
-noise, which makes the replay deterministic).
+several places sum their contributions.  Each node's output gradient is
+released as soon as that node's backward has read it, so after backward only
+leaf tensors (parameters and inputs, which no node produces) keep ``.grad``
+and the intermediate gradients of a step are never all alive at once.  Each
+node also keeps a pure re-computation closure so a recorded graph can be
+replayed and checked bit-exactly against the recorded outputs (stochastic ops
+capture their drawn noise, which makes the replay deterministic).
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ class Tensor:
 
         Backward functions may return ``g`` itself or a view of it (``add``,
         ``sub`` and ``reshape`` do), so several tensors can hold the same
-        array: a gradient is only ever rebound, never written in place.
+        array: a gradient is only ever rebound, never written in place.  That
+        is what lets ``GradTape.backward`` drop a node output's gradient once
+        read while an alias of it lives on in an input's ``.grad``.
         """
         self.grad = np.asarray(g) if self.grad is None else self.grad + g
 
@@ -100,11 +105,18 @@ class GradTape:
         self.nodes.append(TapeNode(name, inputs, output, backward_fn, forward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d loss / d t into ``t.grad`` for every tensor on the tape.
+        """Accumulate d loss / d t into ``t.grad`` for every leaf tensor.
 
         The traversal visits nodes exactly once, in reverse execution order,
         so every consumer of a tensor has contributed before that tensor's
-        own producer runs.
+        own producer runs.  Nothing adds to a node output's gradient after
+        its producer has read it, so the walk sets that ``.grad`` to None
+        right there; the array itself lives on only while an input's
+        ``.grad`` aliases it (``accumulate_grad`` never writes in place).
+        Afterwards only leaf tensors, the ones no node produced, hold a
+        gradient.  The nodes and their closures stay until the tape dies:
+        freeing them during the walk too saves little more memory and makes
+        the step slower.
         """
         if loss.data.size != 1:
             raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -116,6 +128,7 @@ class GradTape:
             g = node.output.grad
             if g is None:
                 continue
+            node.output.grad = None
             input_grads = node.backward_fn(g)
             for t, gi in zip(node.inputs, input_grads):
                 if gi is None:

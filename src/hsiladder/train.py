@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -541,8 +541,3 @@ def metrics_from_confusion(confusion: np.ndarray) -> dict:
     per_class[present] = confusion.diagonal()[present] / row_sums[present]
     aa = float(per_class[present].mean())
     return {"oa": oa, "aa": aa, "per_class": per_class, "confusion": confusion}
-
-
-def supervised_equivalent(config: TrainConfig) -> TrainConfig:
-    """The supervised-only twin of a ladder config (same seed and schedule)."""
-    return replace(config, mode="supervised-only")

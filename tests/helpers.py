@@ -121,6 +121,25 @@ def confusion_oracle(y_true, y_pred, k: int) -> np.ndarray:
     return confusion
 
 
+def pca_inverse(model, reduced: np.ndarray) -> np.ndarray:
+    """Map PCA scores back to band space: the inverse of ``pca_transform``
+    at full rank, the least-squares reconstruction below it."""
+    return reduced @ model.components.T + model.mean
+
+
+def reference_backward(tape: GradTape, loss) -> None:
+    """The reverse walk of ``GradTape.backward`` without releasing anything:
+    every tensor on the tape, intermediate or leaf, keeps its ``.grad``."""
+    loss.accumulate_grad(np.ones_like(loss.data))
+    for node in reversed(tape.nodes):
+        g = node.output.grad
+        if g is None:
+            continue
+        for t, gi in zip(node.inputs, node.backward_fn(g)):
+            if gi is not None:
+                t.accumulate_grad(gi)
+
+
 def fd_gradcheck(build_loss, params, step=1e-5, tol=1e-4):
     """Compare tape gradients against central finite differences.
 

@@ -1,25 +1,25 @@
-"""Data pipeline: file format, patches, PCA, splits, balancing, leakage."""
+"""Data pipeline: file format, patches, PCA, splits, leakage, synthetic scenes."""
 
 import numpy as np
 import pytest
 
-from hsiladder import ConfigError, DataError, Rng
+from hsiladder import ConfigError, DataError
 from hsiladder import cube_io
 from hsiladder.data import (
     HsiCube,
-    balance_labels,
     export_split_csv,
     extract_patches,
     load_cube,
     make_split,
     pca_fit,
-    pca_inverse,
     pca_reduce_cube,
     pca_transform,
     prepare_dataset,
     scale_bands,
 )
 from hsiladder.synthetic import make_synthetic_cube
+
+from helpers import pca_inverse
 
 
 class TestCubeFile:
@@ -286,26 +286,6 @@ class TestSplit:
         assert len(split.labeled_train) + len(split.test) == 60
 
 
-class TestBalance:
-    def test_upsample(self):
-        labels = np.array([0, 0, 1, 1, 1, 1])
-        idx = np.arange(6)
-        out = balance_labels(idx, labels, "upsample", Rng(0))
-        lab = labels[out]
-        assert (lab == 0).sum() == 4 and (lab == 1).sum() == 4
-
-    def test_downsample(self):
-        labels = np.array([0, 0, 1, 1, 1, 1])
-        out = balance_labels(np.arange(6), labels, "downsample", Rng(0))
-        lab = labels[out]
-        assert (lab == 0).sum() == 2 and (lab == 1).sum() == 2
-
-    def test_balanced_input_unchanged_multiset(self):
-        labels = np.array([0, 0, 1, 1])
-        out = balance_labels(np.arange(4), labels, "downsample", Rng(0))
-        assert sorted(out.tolist()) == [0, 1, 2, 3]
-
-
 class TestPipeline:
     def test_prepare_dataset_deterministic_and_leak_free(self):
         cube = make_synthetic_cube(3)
@@ -339,3 +319,23 @@ class TestSynthetic:
         np.testing.assert_array_equal(a.reflectance, b.reflectance)
         c = make_synthetic_cube(6)
         assert not np.array_equal(a.reflectance, c.reflectance)
+
+    def test_too_few_blocks_for_the_classes_rejected(self):
+        with pytest.raises(ConfigError, match="classes=5"):
+            make_synthetic_cube(0, height=8, width=8, classes=5, block=4)
+
+    @pytest.mark.parametrize(
+        "arg, value",
+        [
+            ("block", 0),
+            ("noise", -1.0),
+            ("height", 0),
+            ("width", -3),
+            ("bands", 0),
+            ("classes", 0),
+            ("brightness_jitter", -0.1),
+        ],
+    )
+    def test_bad_argument_rejected_by_name(self, arg, value):
+        with pytest.raises(ConfigError, match=arg):
+            make_synthetic_cube(0, **{arg: value})

@@ -1,4 +1,6 @@
-"""Ladder model: collapse identities, combinator oracle, shapes, costs."""
+"""Ladder model: collapse identities, combinator oracle, shapes, costs, backward."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hsiladder import (
 from hsiladder import ops
 from hsiladder.ladder import COMBINATOR_PARAM_NAMES, combinator_g
 
-from helpers import conv2d_oracle, fd_gradcheck, matmul_oracle
+from helpers import conv2d_oracle, fd_gradcheck, matmul_oracle, reference_backward
 
 
 def fc_spec(widths, classes, bands, noise=0.3, lambdas=None):
@@ -548,3 +550,65 @@ class TestEndToEndGradient:
             return c_total
 
         fd_gradcheck(loss, list(net.params.values()))
+
+
+def small_conv_step(dtype, backward):
+    """One ladder-mode step of a small conv ladder (7x7x5 input, conv 12,
+    conv 6, fc 8, 3 classes, batch 20+20, every lambda > 0): the forward,
+    then ``backward(tape, c_total)``.  Returns the network and the tape."""
+    spec = LadderSpec(
+        (
+            LayerSpec("conv3x3", 12),
+            LayerSpec("conv3x3", 6),
+            LayerSpec("fc", 8),
+            LayerSpec("softmax_head", 3, activation="none"),
+        ),
+        0.3,
+        (1.0, 0.5, 0.3, 0.2, 0.1),
+        (7, 7, 5),
+    )
+    net = LadderNetwork(spec, Rng(0), dtype=dtype)
+    batch = Rng(1).normal(1.0, (40, 7, 7, 5), dtype=dtype)
+    targets = np.arange(20) % 3
+    with GradTape() as tape:
+        c_total, *_ = net.training_loss(batch, 20, targets, Rng(2))
+    backward(tape, c_total)
+    return net, tape
+
+
+class TestBackwardRelease:
+    """``GradTape.backward`` drops each intermediate gradient once read;
+    ``reference_backward`` keeps every one and serves as the oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_parameter_gradients_bit_equal_to_keep_everything_walk(self, dtype):
+        net, _ = small_conv_step(dtype, GradTape.backward)
+        ref, _ = small_conv_step(dtype, reference_backward)
+        for name, p in net.params.items():
+            assert p.grad is not None, name
+            assert p.grad.dtype == dtype, name
+            assert np.array_equal(p.grad, ref.params[name].grad), name
+
+    def test_only_leaves_keep_a_gradient(self):
+        net, tape = small_conv_step(np.float64, GradTape.backward)
+        assert all(node.output.grad is None for node in tape.nodes)
+        assert all(p.grad is not None for p in net.params.values())
+
+    def test_backward_peak_memory_below_keep_everything_walk(self):
+        def traced_peak(backward):
+            peaks = []
+
+            def traced(tape, loss):
+                tracemalloc.start()
+                try:
+                    backward(tape, loss)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
+            small_conv_step(np.float64, traced)
+            return peaks[0]
+
+        peak = traced_peak(GradTape.backward)
+        ref_peak = traced_peak(reference_backward)
+        assert peak < 0.8 * ref_peak, (peak, ref_peak)

@@ -1,5 +1,6 @@
 """Training loop: Adam, determinism, mode equivalence, checkpoints, metrics."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,6 @@ from hsiladder.train import (
     load_checkpoint,
     metrics_from_confusion,
     save_checkpoint,
-    supervised_equivalent,
     train,
 )
 
@@ -223,7 +223,7 @@ class TestDeterminism:
 
     def test_lambda_zero_matches_supervised_only_trajectory(self, prepared):
         ladder_cfg = small_config(seed=6, iterations=25, lambdas=(0.0, 0.0, 0.0, 0.0))
-        sup_cfg = supervised_equivalent(ladder_cfg)
+        sup_cfg = dataclasses.replace(ladder_cfg, mode="supervised-only")
         net1, rep1 = train(ladder_cfg, prepared.patches, prepared.split)
         net2, rep2 = train(sup_cfg, prepared.patches, prepared.split)
         np.testing.assert_array_equal(rep1.c_total, rep2.c_total)
