@@ -15,6 +15,7 @@ declared dims and dtype.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -27,28 +28,52 @@ MAGIC = b"HSICUBE1"
 
 _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1")}
 _CODE_FOR = {np.dtype(np.float32): 1, np.dtype(np.float64): 2, np.dtype(np.uint8): 3}
+_MAX_NDIM = 8
+_MAX_DIM = 2**32 - 1  # a u32
 
 
 def write_array(path, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr)
+    """Write ``arr`` atomically (``.tmp`` then rename).
+
+    Everything the header cannot hold or :func:`read_array` would reject
+    (ndim outside 1..8, a dim above 2**32 - 1, an unsupported dtype) is
+    rejected before any file is created.  The data is written straight from
+    the array's buffer, without a bytes copy.
+    """
+    arr = np.asarray(arr)
+    if not 1 <= arr.ndim <= _MAX_NDIM:
+        raise DataError(f"HSICUBE1 stores 1 to {_MAX_NDIM} dimensions, got a {arr.ndim}-d array")
+    if max(arr.shape) > _MAX_DIM:
+        raise DataError(f"HSICUBE1 stores dims up to {_MAX_DIM}, got shape {arr.shape}")
     code = _CODE_FOR.get(arr.dtype)
     if code is None:
         raise DataError(
             f"unsupported dtype {arr.dtype}; HSICUBE1 stores float32, float64 or uint8"
         )
+    arr = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<I", arr.ndim))
-        for d in arr.shape:
-            f.write(struct.pack("<I", d))
-        f.write(struct.pack("<B", code))
-        f.write(arr.astype(_DTYPE_CODES[code], copy=False).tobytes(order="C"))
+        f.write(struct.pack(f"<I{arr.ndim}IB", arr.ndim, *arr.shape, code))
+        f.write(memoryview(arr))
     os.replace(tmp, path)
 
 
+def _read_header(f, fmt: str, path, field: str) -> tuple:
+    size = struct.calcsize(fmt)
+    raw = f.read(size)
+    if len(raw) != size:
+        raise DataError(f"{path}: truncated header, {field} needs {size} bytes, got {len(raw)}")
+    return struct.unpack(fmt, raw)
+
+
 def read_array(path) -> np.ndarray:
+    """Read an HSICUBE1 file into a fresh array.
+
+    The data length is checked against the file size before the array is
+    allocated, and the data is read straight into it, without a bytes copy.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -56,20 +81,23 @@ def read_array(path) -> np.ndarray:
         magic = f.read(8)
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (ndim,) = struct.unpack("<I", f.read(4))
-        if ndim == 0 or ndim > 8:
+        (ndim,) = _read_header(f, "<I", path, "ndim")
+        if ndim == 0 or ndim > _MAX_NDIM:
             raise DataError(f"{path}: implausible ndim {ndim}")
-        dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-        (code,) = struct.unpack("<B", f.read(1))
+        dims = _read_header(f, f"<{ndim}I", path, "dims")
+        (code,) = _read_header(f, "<B", path, "dtype code")
         dtype = _DTYPE_CODES.get(code)
         if dtype is None:
             raise DataError(f"{path}: unknown dtype code {code}")
-        count = int(np.prod(dims))
-        raw = f.read()
-    expected = count * dtype.itemsize
-    if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} data bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+        expected = math.prod(dims) * dtype.itemsize
+        available = os.fstat(f.fileno()).st_size - f.tell()
+        if available != expected:
+            raise DataError(f"{path}: expected {expected} data bytes, got {available}")
+        out = np.empty(dims, dtype=dtype)
+        got = f.readinto(memoryview(out))
+    if got != expected:
+        raise DataError(f"{path}: expected {expected} data bytes, got {got}")
+    return out
 
 
 _NAME_TO_DTYPE = {

@@ -142,8 +142,10 @@ def scale_bands(cube: HsiCube, fit_coords: tuple[np.ndarray, np.ndarray] | None 
     lo = fit.min(axis=tuple(range(fit.ndim - 1)))
     hi = fit.max(axis=tuple(range(fit.ndim - 1)))
     span = np.where(hi > lo, hi - lo, 1.0)
-    scaled = (r - lo) / span
-    scaled = np.clip(scaled, -0.5, 1.5)
+    # one full-size array, scaled in place (the dtype of ``(r - lo) / span``)
+    scaled = np.subtract(r, lo, dtype=np.result_type(r, span))
+    scaled /= span
+    np.clip(scaled, -0.5, 1.5, out=scaled)
     return HsiCube(scaled, cube.ground_truth, cube.num_classes)
 
 
@@ -168,7 +170,8 @@ def extract_patches(cube: HsiCube, window: int) -> PatchSet:
     else:
         padded = cube.reflectance
     win = sliding_window_view(padded, (window, window), axis=(0, 1))  # (h, w, c, win, win)
-    patches = win[rows, cols].transpose(0, 2, 3, 1).copy()  # (n, win, win, c)
+    # the advanced index gathers a fresh C-contiguous (n, win, win, c) array
+    patches = win.transpose(0, 1, 3, 4, 2)[rows, cols]
     labels = cube.ground_truth[rows, cols].astype(np.int64) - 1
     centers = np.stack([rows, cols], axis=1).astype(np.int64)
     return PatchSet(patches, labels, centers, cube.num_classes)
@@ -250,6 +253,8 @@ def make_split(
     uses every non-test point as labeled (full-label runs).
     """
     labels = patchset.labels if hasattr(patchset, "labels") else np.asarray(patchset)
+    if n_per_class is not None and n_per_class < 1:
+        raise ConfigError(f"n_per_class must be >= 1 or None, got {n_per_class}")
     if not (0.0 < test_fraction < 1.0):
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     classes = np.unique(labels)

@@ -1,6 +1,9 @@
 """Shared test utilities: brute-force oracles and finite-difference checks."""
 
+import struct
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hsiladder import GradTape
 
@@ -125,6 +128,38 @@ def pca_inverse(model, reduced: np.ndarray) -> np.ndarray:
     """Map PCA scores back to band space: the inverse of ``pca_transform``
     at full rank, the least-squares reconstruction below it."""
     return reduced @ model.components.T + model.mean
+
+
+def scale_bands_oracle(reflectance: np.ndarray, fit_coords=None) -> np.ndarray:
+    """Out-of-place band scaling: ``clip((r - lo) / span)``, one full-size
+    temporary per step."""
+    fit = reflectance if fit_coords is None else reflectance[fit_coords]
+    lo = fit.min(axis=tuple(range(fit.ndim - 1)))
+    hi = fit.max(axis=tuple(range(fit.ndim - 1)))
+    span = np.where(hi > lo, hi - lo, 1.0)
+    return np.clip((reflectance - lo) / span, -0.5, 1.5)
+
+
+def extract_patches_oracle(reflectance: np.ndarray, rows, cols, window: int) -> np.ndarray:
+    """Two-copy patch gather: index the (h, w, c, win, win) window view, then
+    copy its transpose into (n, win, win, c)."""
+    pad = window // 2
+    padded = np.pad(reflectance, ((pad, pad), (pad, pad), (0, 0)), mode="symmetric")
+    win = sliding_window_view(padded, (window, window), axis=(0, 1))
+    return win[rows, cols].transpose(0, 2, 3, 1).copy()
+
+
+def read_array_oracle(path) -> np.ndarray:
+    """Bytes-based HSICUBE1 reader: read the whole data section into bytes,
+    then copy it out of a ``frombuffer`` view."""
+    codes = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1")}
+    with open(path, "rb") as f:
+        assert f.read(8) == b"HSICUBE1"
+        (ndim,) = struct.unpack("<I", f.read(4))
+        dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+        (code,) = struct.unpack("<B", f.read(1))
+        raw = f.read()
+    return np.frombuffer(raw, dtype=codes[code]).reshape(dims).copy()
 
 
 def reference_backward(tape: GradTape, loss) -> None:

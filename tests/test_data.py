@@ -1,5 +1,8 @@
 """Data pipeline: file format, patches, PCA, splits, leakage, synthetic scenes."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from hsiladder.data import (
 )
 from hsiladder.synthetic import make_synthetic_cube
 
-from helpers import pca_inverse
+from helpers import extract_patches_oracle, pca_inverse, read_array_oracle, scale_bands_oracle
 
 
 class TestCubeFile:
@@ -53,6 +56,55 @@ class TestCubeFile:
         p.write_bytes(raw[:-8])
         with pytest.raises(DataError):
             cube_io.read_array(p)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"HSICUBE1\x02\x00", b"HSICUBE1", b"HSICUBE1" + struct.pack("<3I", 2, 4, 4)],
+        ids=["ten-bytes", "magic-only", "no-dtype-byte"],
+    )
+    def test_truncated_header_rejected_naming_the_file(self, tmp_path, header):
+        p = tmp_path / "short.hsicube"
+        p.write_bytes(header)
+        with pytest.raises(DataError, match="short.hsicube: truncated header"):
+            cube_io.read_array(p)
+
+    def test_huge_dims_on_a_tiny_file_rejected_without_allocating(self, tmp_path):
+        p = tmp_path / "huge.hsicube"
+        p.write_bytes(b"HSICUBE1" + struct.pack("<4IB", 3, 1024, 1024, 128, 2) + bytes(16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="expected 1073741824 data bytes, got 16"):
+                cube_io.read_array(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the 1 GiB the header claims is never allocated
+
+    @pytest.mark.parametrize(
+        "shape, why",
+        [((), "1 to 8 dimensions"), ((1,) * 9, "1 to 8 dimensions"), ((0, 2**32), "dims up to")],
+        ids=["0-d", "9-d", "dim-above-u32"],
+    )
+    def test_unwritable_shape_rejected_before_any_file(self, tmp_path, shape, why):
+        with pytest.raises(DataError, match=why):
+            cube_io.write_array(tmp_path / "cube.hsicube", np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype, code", [(np.float32, 1), (np.float64, 2), (np.uint8, 3)])
+    def test_bytes_and_read_match_the_bytes_based_reader(self, tmp_path, dtype, code):
+        arr = np.random.default_rng(6).uniform(0, 200, size=(7, 5, 3)).astype(dtype)
+        p = tmp_path / "cube.hsicube"
+        cube_io.write_array(p, arr.transpose(1, 0, 2))  # not contiguous
+        header = b"HSICUBE1" + struct.pack("<4IB", 3, 5, 7, 3, code)
+        assert p.read_bytes() == header + np.ascontiguousarray(arr.transpose(1, 0, 2)).tobytes()
+        got, expect = cube_io.read_array(p), read_array_oracle(p)
+        assert got.dtype == expect.dtype and got.flags.c_contiguous and got.flags.owndata
+        np.testing.assert_array_equal(got, expect)
+
+    def test_zero_size_round_trip(self, tmp_path):
+        p = tmp_path / "empty.hsicube"
+        cube_io.write_array(p, np.zeros((0, 3)))
+        assert cube_io.read_array(p).shape == (0, 3)
 
 
 class TestConvert:
@@ -135,6 +187,22 @@ class TestScaleBands:
         np.testing.assert_allclose(scaled.reflectance[0, 1, 0], 1.0)
         np.testing.assert_allclose(scaled.reflectance[1, 1, 0], 1.5)  # clipped
 
+    @pytest.mark.parametrize(
+        "dtype, scaled_dtype",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)],
+    )
+    @pytest.mark.parametrize("fit_on_corner", [False, True])
+    def test_matches_out_of_place_scaling(self, dtype, scaled_dtype, fit_on_corner):
+        refl = (np.random.default_rng(7).standard_normal((12, 10, 5)) * 20).astype(dtype)
+        cube = HsiCube(refl, np.ones((12, 10), dtype=np.int64), 1)
+        fit = (np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])) if fit_on_corner else None
+        got = scale_bands(cube, fit_coords=fit).reflectance
+        expect = scale_bands_oracle(refl, fit)
+        assert got.dtype == expect.dtype == scaled_dtype
+        np.testing.assert_array_equal(got, expect)
+        if fit_on_corner:
+            assert (expect == -0.5).any() and (expect == 1.5).any()
+
 
 class TestPatches:
     def test_window_one_equals_spectra(self):
@@ -164,6 +232,30 @@ class TestPatches:
         np.testing.assert_array_equal(corner, expect)
         center = ps.patches[4, :, :, 0]  # center (1, 1): no padding involved
         np.testing.assert_array_equal(center, vals)
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_matches_two_copy_gather(self, window):
+        cube = make_synthetic_cube(8, height=9, width=11, bands=4, block=3)
+        gt = cube.ground_truth.copy()
+        gt[4, 5] = 0
+        cube = HsiCube(cube.reflectance, gt, cube.num_classes)
+        rows, cols = cube.labeled_coords()
+        assert {0, 8} <= set(rows) and {0, 10} <= set(cols)  # border pixels included
+        ps = extract_patches(cube, window)
+        assert ps.patches.flags.c_contiguous and ps.patches.flags.owndata
+        np.testing.assert_array_equal(
+            ps.patches, extract_patches_oracle(cube.reflectance, rows, cols, window)
+        )
+
+    def test_gather_peak_memory_is_one_copy(self):
+        cube = make_synthetic_cube(9, height=40, width=40, bands=10, block=4)
+        tracemalloc.start()
+        try:
+            ps = extract_patches(cube, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * ps.patches.nbytes  # the gather is the only full-size copy
 
     def test_even_window_rejected(self):
         cube = make_synthetic_cube(2, height=6, width=6, bands=2, block=2)
@@ -279,6 +371,11 @@ class TestSplit:
             make_split(labels, 10, seed=13)
         assert "class 2" in str(e.value)
 
+    @pytest.mark.parametrize("n", [-1, 0])
+    def test_budget_below_one_rejected_by_name(self, n):
+        with pytest.raises(ConfigError, match="n_per_class"):
+            make_split(self._labels([30, 30]), n, seed=17)
+
     def test_full_label_split(self):
         labels = self._labels([30, 30])
         split = make_split(labels, None, seed=15)
@@ -296,6 +393,29 @@ class TestPipeline:
         np.testing.assert_array_equal(a.pca.components, b.pca.components)
         assert np.intersect1d(a.split.train_indices(), a.split.test).size == 0
         assert a.patches.patches.shape[1:] == (3, 3, 4)
+
+    @pytest.mark.parametrize("pca_components", [None, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_one_stage_at_a_time_oracles(self, tmp_path, dtype, pca_components):
+        scene = make_synthetic_cube(10, height=20, width=16, bands=6, block=4)
+        dp, gp = tmp_path / "data.hsicube", tmp_path / "gt.hsicube"
+        cube_io.write_array(dp, scene.reflectance.astype(dtype))
+        cube_io.write_array(gp, scene.ground_truth.astype(np.uint8))
+        cube = load_cube(dp, gp, scale=False)
+        np.testing.assert_array_equal(cube.reflectance, read_array_oracle(dp).astype(np.float64))
+        rows, cols = cube.labeled_coords()
+        for window in (1, 3, 7):
+            prep = prepare_dataset(cube, window, pca_components, n_per_class=5, seed=21)
+            train = prep.split.train_indices()
+            refl = scale_bands_oracle(cube.reflectance, (rows[train], cols[train]))
+            if pca_components is not None:
+                pca = pca_fit(refl[rows[train], cols[train]], pca_components)
+                np.testing.assert_array_equal(prep.pca.components, pca.components)
+                reduced = pca_reduce_cube(HsiCube(refl, cube.ground_truth, cube.num_classes), pca)
+                refl = reduced.reflectance
+            np.testing.assert_array_equal(
+                prep.patches.patches, extract_patches_oracle(refl, rows, cols, window)
+            )
 
     def test_export_split_csv(self, tmp_path):
         cube = make_synthetic_cube(4, height=12, width=12, block=4)
