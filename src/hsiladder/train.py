@@ -224,6 +224,29 @@ def batch_input(patches: np.ndarray, input_shape: tuple, dtype) -> np.ndarray:
     return patches.astype(dtype, copy=False)
 
 
+# Source bytes that ``gather_input`` gathers and casts per step: small enough
+# that the temporary stays in cache and far below the size of a pool.
+GATHER_CHUNK_BYTES = 256 << 10
+
+
+def gather_input(patches: np.ndarray, indices, input_shape: tuple, dtype) -> np.ndarray:
+    """``batch_input(patches[indices], input_shape, dtype)`` for integer row
+    ``indices``, gathered straight into ``dtype``: when the patches are in
+    another dtype the rows are gathered and cast a chunk at a time, so an
+    f32 pool from f64 patches never holds a full-size f64 copy.  The values
+    are the same."""
+    indices = np.asarray(indices)
+    dtype = np.dtype(dtype)
+    if patches.dtype == dtype:
+        return batch_input(patches[indices], input_shape, dtype)
+    out = np.empty((len(indices), *patches.shape[1:]), dtype=dtype)
+    row_bytes = patches.itemsize * int(np.prod(patches.shape[1:]))
+    rows = max(1, GATHER_CHUNK_BYTES // max(1, row_bytes))
+    for i in range(0, len(indices), rows):
+        out[i : i + rows] = patches[indices[i : i + rows]]
+    return batch_input(out, input_shape, dtype)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint plumbing
 # ---------------------------------------------------------------------------
@@ -418,9 +441,9 @@ def train(
     unlabeled = split.unlabeled_train if len(split.unlabeled_train) else split.labeled_train
     if len(labeled) == 0:
         raise DataError("split has no labeled training points")
-    x_labeled = batch_input(patchset.patches[labeled], spec.input_shape, dtype)
+    x_labeled = gather_input(patchset.patches, labeled, spec.input_shape, dtype)
     y_labeled = patchset.labels[labeled]
-    x_unlabeled = batch_input(patchset.patches[unlabeled], spec.input_shape, dtype)
+    x_unlabeled = gather_input(patchset.patches, unlabeled, spec.input_shape, dtype)
 
     adam = Adam(
         net.params, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps
@@ -520,7 +543,7 @@ def evaluate(net: LadderNetwork, patchset, test_indices) -> dict:
     test_indices = np.asarray(test_indices)
     if test_indices.size == 0:
         raise DataError("empty test set")
-    x = batch_input(patchset.patches[test_indices], net.spec.input_shape, net.dtype)
+    x = gather_input(patchset.patches, test_indices, net.spec.input_shape, net.dtype)
     y_true = patchset.labels[test_indices]
     k = net.spec.num_classes
     if y_true.min() < 0 or y_true.max() >= k:

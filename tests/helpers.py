@@ -6,6 +6,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hsiladder import GradTape
+from hsiladder.train import batch_input
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,6 +123,12 @@ def confusion_oracle(y_true, y_pred, k: int) -> np.ndarray:
     for t, p in zip(y_true, y_pred):
         confusion[t, p] += 1
     return confusion
+
+
+def gather_input_oracle(patches: np.ndarray, indices, input_shape, dtype) -> np.ndarray:
+    """Gather-then-cast input pool: index the patches in their own dtype,
+    then cast the whole gathered copy to the net's dtype."""
+    return batch_input(patches[indices], input_shape, dtype)
 
 
 def pca_inverse(model, reduced: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ from hsiladder import (
     ShapeError,
     Tensor,
 )
-from hsiladder import ops
+from hsiladder import kernels, ops
+from hsiladder import ladder as ladder_mod
+from hsiladder.kernels import conv2d_forward
 from hsiladder.ladder import COMBINATOR_PARAM_NAMES, combinator_g
 
 from helpers import conv2d_oracle, fd_gradcheck, matmul_oracle, reference_backward
@@ -150,6 +152,22 @@ class TestZeroNoiseCollapse:
             assert np.abs(zt.data - zc.data).max() < 1e-12
 
 
+def paper_conv_spec():
+    """7x7x15 patches -> conv 90 -> conv 30 -> conv 15 -> fc 30 -> 9."""
+    return LadderSpec(
+        (
+            LayerSpec("conv3x3", 90),
+            LayerSpec("conv3x3", 30),
+            LayerSpec("conv3x3", 15),
+            LayerSpec("fc", 30),
+            LayerSpec("softmax_head", 9, activation="none"),
+        ),
+        0.3,
+        (1.0, 0.1, 0.1, 0.1, 0.1, 0.1),
+        (7, 7, 15),
+    )
+
+
 def tiny_net(arch, dtype=np.float64):
     """A small FC or conv ladder with nonzero gammas/betas, and a batch for it."""
     if arch == "fc":
@@ -239,15 +257,62 @@ class TestEvalMode:
             )
 
     @pytest.mark.parametrize("arch", ["fc", "conv"])
-    def test_chunk_sizes_agree(self, arch):
+    def test_chunk_sizes_agree(self, arch, monkeypatch):
         net, x = tiny_net(arch)
         net.clean_encoder(Tensor(x), update_running=True)
         whole = net.predict_log_probs(x, chunk=512)
-        for chunk in (1, 3):
+        # the default chunk holds the whole tiny batch; with a 1-byte budget
+        # it falls to one row
+        default = net.predict_log_probs(x)
+        with monkeypatch.context() as m:
+            m.setattr(ladder_mod, "PREDICT_CHUNK_BYTES", 1)
+            one_byte = net.predict_log_probs(x)
+        for got in (default, one_byte, *(net.predict_log_probs(x, chunk=c) for c in (1, 3))):
             # BLAS may round a one-row product differently from a many-row one
-            got = net.predict_log_probs(x, chunk=chunk)
             np.testing.assert_allclose(got, whole, rtol=1e-12, atol=1e-14)
         np.testing.assert_array_equal(net.predict(x, chunk=3), np.argmax(whole, axis=1))
+        np.testing.assert_array_equal(net.predict(x), np.argmax(whole, axis=1))
+        net32, _ = tiny_net(arch, dtype=np.float32)
+        net32.clean_encoder(Tensor(x, dtype=np.float32), update_running=True)
+        want = predict_oracle(net32, x)
+        for chunk in (None, 1, 3, 512):
+            got = net32.predict_log_probs(x, chunk=chunk)
+            assert got.dtype == np.float32
+            # f32 rounding (eps 1.2e-7) accumulated over a few layers
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_default_chunk_sized_by_bytes(self, dtype, monkeypatch):
+        net = LadderNetwork(paper_conv_spec(), Rng(0), dtype=dtype)
+        x = np.zeros((300, 7, 7, 15), dtype=dtype)
+        rows = []
+
+        def spy(h, w):
+            if h.shape[1:] == (7, 7, 15):
+                rows.append(len(h))
+            return conv2d_forward(h, w)
+
+        monkeypatch.setattr(kernels, "conv2d_forward", spy)
+        net.predict_log_probs(x)
+        # the widest per-row intermediate is conv2's im2col row: 3x3
+        # windows of 3x3x90 values
+        per_chunk = ladder_mod.PREDICT_CHUNK_BYTES // (3 * 3 * 3 * 3 * 90 * x.itemsize)
+        assert per_chunk == (143 if dtype == np.float64 else 287)
+        assert rows == [per_chunk] * (300 // per_chunk) + [300 % per_chunk]
+
+    def test_default_chunk_bounds_prediction_memory(self):
+        net = LadderNetwork(paper_conv_spec(), Rng(0))
+        x = Rng(1).normal(1.0, (2048, 7, 7, 15))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = net.predict_log_probs(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2048, 9)
+        # ~11 MiB with 143-row chunks; 512-row chunks took ~38 MiB
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize("arch", ["fc", "conv"])
     def test_f32_in_f32_out(self, arch):

@@ -1,13 +1,25 @@
 """Training loop: Adam, determinism, mode equivalence, checkpoints, metrics."""
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hsiladder import ConfigError, DataError, DivergenceError, LadderNetwork, LadderSpec, LayerSpec, Rng, Tensor
+from hsiladder import (
+    ConfigError,
+    DataError,
+    DivergenceError,
+    LadderNetwork,
+    LadderSpec,
+    LayerSpec,
+    Rng,
+    ShapeError,
+    Tensor,
+)
 from hsiladder import checkpoint as ckpt
+from hsiladder import train as train_mod
 from hsiladder.data import prepare_dataset
 from hsiladder.synthetic import make_synthetic_cube
 from hsiladder.train import (
@@ -16,13 +28,14 @@ from hsiladder.train import (
     TrainConfig,
     clip_gradients,
     evaluate,
+    gather_input,
     load_checkpoint,
     metrics_from_confusion,
     save_checkpoint,
     train,
 )
 
-from helpers import AdamOracle, confusion_oracle
+from helpers import AdamOracle, confusion_oracle, gather_input_oracle
 
 
 def small_spec(noise=0.5, lambdas=(0.1, 0.1, 0.1, 0.1), widths=(16, 8), bands=8, classes=3):
@@ -208,6 +221,46 @@ class TestMetrics:
         net, _ = train(config, prepared.patches, prepared.split)
         with pytest.raises(DataError):
             evaluate(net, prepared.patches, np.array([], dtype=int))
+
+
+class TestGatherInput:
+    @pytest.mark.parametrize(
+        "src, dst", [(np.float64, np.float32), (np.float32, np.float64), (np.float64, np.float64)]
+    )
+    @pytest.mark.parametrize("input_shape", [(7, 7, 3), (147,)], ids=["conv", "flat"])
+    @pytest.mark.parametrize("chunk_bytes", [None, 4096], ids=["default", "4KiB"])
+    def test_matches_gather_then_cast(self, src, dst, input_shape, chunk_bytes, monkeypatch):
+        if chunk_bytes is not None:
+            # 3 f64 or 6 f32 rows of 7x7x3 per chunk, the last one partial
+            monkeypatch.setattr(train_mod, "GATHER_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(8)
+        patches = rng.standard_normal((300, 7, 7, 3)).astype(src)
+        idx = rng.integers(0, len(patches), 250)  # with repeats
+        for rows in (idx, idx[:1], idx[:0]):
+            got = gather_input(patches, rows, input_shape, dst)
+            want = gather_input_oracle(patches, rows, input_shape, dst)
+            assert got.dtype == want.dtype == dst and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_f32_pool_from_f64_patches_peaks_at_one_copy(self):
+        patches = np.random.default_rng(9).standard_normal((3000, 7, 7, 15))
+        idx = np.arange(len(patches))[::-1].copy()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = gather_input(patches, idx, (7, 7, 15), np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # gather-then-cast holds the f64 gather beside the f32 result (3x)
+        assert peak < 1.25 * out.nbytes
+
+    def test_shape_mismatch_rejected(self):
+        patches = np.zeros((4, 3, 3, 2))
+        with pytest.raises(ShapeError):
+            gather_input(patches, np.arange(4), (3, 3, 5), np.float32)
+        with pytest.raises(ShapeError):
+            gather_input(patches, np.arange(4), (17,), np.float32)
 
 
 class TestDeterminism:
