@@ -29,8 +29,9 @@ SOFTMAX_HEAD = "softmax_head"
 _KINDS = (FC, CONV3X3, SOFTMAX_HEAD)
 
 # Default prediction chunk: as many samples as keep the largest per-sample
-# intermediate (a conv level's im2col row) within this many bytes.  Chosen by
-# a sweep of 1-64 MiB on the benchmark's conv and FC ladders (see CHANGES.md).
+# intermediate (a conv level's im2col or output row, a dense level's wider
+# side) within this many bytes.  Chosen by a sweep of 1-64 MiB on the
+# benchmark's conv and FC ladders (see CHANGES.md).
 PREDICT_CHUNK_BYTES = 8 << 20
 
 COMBINATOR_PARAM_NAMES = tuple(f"a{i}" for i in range(1, 11))
@@ -432,8 +433,9 @@ class LadderNetwork:
 
         By default (``chunk=None``) a chunk holds as many samples as keep the
         largest per-sample intermediate within :data:`PREDICT_CHUNK_BYTES`:
-        the im2col row of a conv level (``oh*ow*kh*kw*ci`` values) or the
-        wider side of a dense level, in the network's dtype.  That keeps the
+        the wider of a conv level's im2col row (``oh*ow*kh*kw*ci`` values)
+        and output row (``oh*ow*co``), or the wider side of a dense level,
+        in the network's dtype.  That keeps the
         working set near the CPU caches instead of growing with the batch.
         """
         self.assert_finite_params()
@@ -450,8 +452,9 @@ class LadderNetwork:
             t = gamma * (self.params[f"enc{l}/beta"].data - self.running[l].mean / std)
             folded.append((layer, w * (gamma / std), t))
             if layer.kind == CONV3X3:
-                oh, ow, _ = self.level_shapes[l]
-                widest = max(widest, oh * ow * int(np.prod(w.shape[:3])))
+                # the im2col row or the output row, whichever is wider
+                oh, ow, co = self.level_shapes[l]
+                widest = max(widest, oh * ow * max(int(np.prod(w.shape[:3])), co))
             else:
                 widest = max(widest, *w.shape)
         if chunk is None:

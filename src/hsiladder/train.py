@@ -224,21 +224,18 @@ def batch_input(patches: np.ndarray, input_shape: tuple, dtype) -> np.ndarray:
     return patches.astype(dtype, copy=False)
 
 
-# Source bytes that ``gather_input`` gathers and casts per step: small enough
-# that the temporary stays in cache and far below the size of a pool.
+# Source bytes that ``gather_input`` gathers and casts per step.  A sweep of
+# 64 KiB-8 MiB on the benchmark's input pools was fastest at 256 KiB (8 MiB
+# took 10-55% longer); see CHANGES.md.
 GATHER_CHUNK_BYTES = 256 << 10
 
 
 def gather_input(patches: np.ndarray, indices, input_shape: tuple, dtype) -> np.ndarray:
     """``batch_input(patches[indices], input_shape, dtype)`` for integer row
-    ``indices``, gathered straight into ``dtype``: when the patches are in
-    another dtype the rows are gathered and cast a chunk at a time, so an
-    f32 pool from f64 patches never holds a full-size f64 copy.  The values
-    are the same."""
+    ``indices``, gathered straight into ``dtype`` a chunk at a time, so an f32
+    pool from f64 patches never holds a full-size f64 copy.  The values are
+    the same."""
     indices = np.asarray(indices)
-    dtype = np.dtype(dtype)
-    if patches.dtype == dtype:
-        return batch_input(patches[indices], input_shape, dtype)
     out = np.empty((len(indices), *patches.shape[1:]), dtype=dtype)
     row_bytes = patches.itemsize * int(np.prod(patches.shape[1:]))
     rows = max(1, GATHER_CHUNK_BYTES // max(1, row_bytes))

@@ -32,6 +32,22 @@ def fc_spec(widths, classes, bands, noise=0.3, lambdas=None):
     return LadderSpec(tuple(layers), noise, tuple(lambdas), (bands,))
 
 
+def paper_conv_spec():
+    """7x7x15 patches -> conv 90 -> conv 30 -> conv 15 -> fc 30 -> 9."""
+    return LadderSpec(
+        (
+            LayerSpec("conv3x3", 90),
+            LayerSpec("conv3x3", 30),
+            LayerSpec("conv3x3", 15),
+            LayerSpec("fc", 30),
+            LayerSpec("softmax_head", 9, activation="none"),
+        ),
+        0.3,
+        (1.0, 0.1, 0.1, 0.1, 0.1, 0.1),
+        (7, 7, 15),
+    )
+
+
 def comb_params(feat, **overrides):
     base = dict(a1=0.0, a2=1.0, a3=0.0, a4=0.0, a5=0.0, a6=0.0, a7=1.0, a8=0.0, a9=0.0, a10=1.0)
     base.update(overrides)
@@ -85,19 +101,7 @@ class TestEncoderShapes:
         ]
 
     def test_conv_architecture_level_shapes(self):
-        spec = LadderSpec(
-            (
-                LayerSpec("conv3x3", 90),
-                LayerSpec("conv3x3", 30),
-                LayerSpec("conv3x3", 15),
-                LayerSpec("fc", 30),
-                LayerSpec("softmax_head", 9, activation="none"),
-            ),
-            0.5,
-            (0, 0, 0, 0, 0, 0.42),
-            (7, 7, 15),
-        )
-        net = LadderNetwork(spec, Rng(0))
+        net = LadderNetwork(paper_conv_spec(), Rng(0))
         x = Tensor(Rng(1).normal(1.0, (4, 7, 7, 15)))
         z, _, _ = net.clean_encoder(x)
         shapes = [t.data.shape for t in z]
@@ -150,22 +154,6 @@ class TestZeroNoiseCollapse:
         z_clean, _, _ = net.clean_encoder(x)
         for zt, zc in zip(z_tilde, z_clean):
             assert np.abs(zt.data - zc.data).max() < 1e-12
-
-
-def paper_conv_spec():
-    """7x7x15 patches -> conv 90 -> conv 30 -> conv 15 -> fc 30 -> 9."""
-    return LadderSpec(
-        (
-            LayerSpec("conv3x3", 90),
-            LayerSpec("conv3x3", 30),
-            LayerSpec("conv3x3", 15),
-            LayerSpec("fc", 30),
-            LayerSpec("softmax_head", 9, activation="none"),
-        ),
-        0.3,
-        (1.0, 0.1, 0.1, 0.1, 0.1, 0.1),
-        (7, 7, 15),
-    )
 
 
 def tiny_net(arch, dtype=np.float64):
@@ -281,24 +269,42 @@ class TestEvalMode:
             # f32 rounding (eps 1.2e-7) accumulated over a few layers
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_default_chunk_sized_by_bytes(self, dtype, monkeypatch):
-        net = LadderNetwork(paper_conv_spec(), Rng(0), dtype=dtype)
-        x = np.zeros((300, 7, 7, 15), dtype=dtype)
+    @pytest.mark.parametrize(
+        "arch, dtype, per_chunk",
+        [
+            ("paper", np.float64, 143),
+            ("paper", np.float32, 287),
+            ("wide-output", np.float64, 466),
+            ("wide-output", np.float32, 932),
+        ],
+    )
+    def test_default_chunk_sized_by_bytes(self, arch, dtype, per_chunk, monkeypatch):
+        if arch == "paper":
+            spec = paper_conv_spec()
+            # conv2's im2col row: 3x3 windows of 3x3x90 values
+            widest = 3 * 3 * 3 * 3 * 90
+        else:
+            # a conv wider than its im2col row (90 > 3x3x2): its 5x5x90 output row
+            spec = LadderSpec(
+                (LayerSpec("conv3x3", 90), LayerSpec("softmax_head", 3, activation="none")),
+                0.3,
+                (1.0, 0.1, 0.1),
+                (7, 7, 2),
+            )
+            widest = 5 * 5 * 90
+        net = LadderNetwork(spec, Rng(0), dtype=dtype)
+        x = np.zeros((1000, *spec.input_shape), dtype=dtype)
         rows = []
 
         def spy(h, w):
-            if h.shape[1:] == (7, 7, 15):
+            if h.shape[1:] == spec.input_shape:
                 rows.append(len(h))
             return conv2d_forward(h, w)
 
         monkeypatch.setattr(kernels, "conv2d_forward", spy)
         net.predict_log_probs(x)
-        # the widest per-row intermediate is conv2's im2col row: 3x3
-        # windows of 3x3x90 values
-        per_chunk = ladder_mod.PREDICT_CHUNK_BYTES // (3 * 3 * 3 * 3 * 90 * x.itemsize)
-        assert per_chunk == (143 if dtype == np.float64 else 287)
-        assert rows == [per_chunk] * (300 // per_chunk) + [300 % per_chunk]
+        assert per_chunk == ladder_mod.PREDICT_CHUNK_BYTES // (widest * x.itemsize)
+        assert rows == [min(per_chunk, len(x) - i) for i in range(0, len(x), per_chunk)]
 
     def test_default_chunk_bounds_prediction_memory(self):
         net = LadderNetwork(paper_conv_spec(), Rng(0))
