@@ -8,7 +8,6 @@ test index sets partition the labeled pixels.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,18 +45,6 @@ class HsiCube:
                 f"{self.num_classes} classes are declared"
             )
 
-    @property
-    def height(self) -> int:
-        return self.reflectance.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.reflectance.shape[1]
-
-    @property
-    def bands(self) -> int:
-        return self.reflectance.shape[2]
-
     def labeled_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of all pixels with a nonzero label, row-major order."""
         return np.nonzero(self.ground_truth)
@@ -74,10 +61,6 @@ class PatchSet:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @property
-    def window(self) -> int:
-        return self.patches.shape[1]
 
 
 @dataclass
@@ -290,24 +273,6 @@ def make_split(
         test=np.sort(np.concatenate(test_parts)),
         seed=int(seed),
     )
-
-
-def export_split_csv(path, patchset: PatchSet, split: SemiSplit) -> None:
-    """Write (index, row, col, class, role) rows for external auditing."""
-    roles = {}
-    for name, idx in (
-        ("labeled", split.labeled_train),
-        ("unlabeled", split.unlabeled_train),
-        ("test", split.test),
-    ):
-        for i in idx:
-            roles[int(i)] = name
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "row", "col", "class", "role"])
-        for i in range(len(patchset)):
-            r, c = patchset.centers[i]
-            w.writerow([i, int(r), int(c), int(patchset.labels[i]) + 1, roles[i]])
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,18 @@ COMBINATOR_PARAM_NAMES = tuple(f"a{i}" for i in range(1, 11))
 COMBINATOR_INIT = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
 
 
+def transposed(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``shape`` with its last two axes swapped: the weight that maps a
+    layer's output back to its input."""
+    return (*shape[:-2], shape[-1], shape[-2])
+
+
+def he_weight(rng: Rng, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """N(0, 2 / fan_in) weights with ``fan_in = prod(shape[:-1])``, the inputs
+    that feed one output unit (He et al. 2015, arXiv 1502.01852)."""
+    return rng.normal(math.sqrt(2.0 / math.prod(shape[:-1])), shape, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     kind: str
@@ -156,36 +168,18 @@ class LadderNetwork:
 
     def _init_params(self, rng: Rng) -> None:
         spec = self.spec
-        shapes = self.level_shapes
-        for l, layer in enumerate(spec.layers, start=1):
-            fan_in_shape = shapes[l - 1]
-            if layer.kind == CONV3X3:
-                c_in = fan_in_shape[2]
-                w_shape = (3, 3, c_in, layer.width)
-                fan_in = 9 * c_in
-            else:
-                fan_in = int(np.prod(fan_in_shape))
-                w_shape = (fan_in, layer.width)
-            std = math.sqrt(2.0 / fan_in)
+        for l in range(1, spec.num_levels):
             self.params[f"enc{l}/W"] = Tensor(
-                rng.normal(std, w_shape, dtype=self.dtype), requires_grad=True
+                he_weight(rng, self.weight_shape(l), self.dtype), requires_grad=True
             )
             feat = self._level_features(l)
             self.params[f"enc{l}/gamma"] = Tensor(np.ones(feat, dtype=self.dtype), requires_grad=True)
             self.params[f"enc{l}/beta"] = Tensor(np.zeros(feat, dtype=self.dtype), requires_grad=True)
             self.running[l] = RunningStats.for_features(feat, dtype=self.dtype)
-        for l, layer in enumerate(spec.layers, start=1):
+        for l in range(1, spec.num_levels):
             # dec{l}/V maps level l back to level l-1
-            below = shapes[l - 1]
-            if layer.kind == CONV3X3:
-                v_shape = (3, 3, layer.width, below[2])
-                fan_in = 9 * layer.width
-            else:
-                v_shape = (layer.width, int(np.prod(below)))
-                fan_in = layer.width
-            std = math.sqrt(2.0 / fan_in)
             self.params[f"dec{l}/V"] = Tensor(
-                rng.normal(std, v_shape, dtype=self.dtype), requires_grad=True
+                he_weight(rng, transposed(self.weight_shape(l)), self.dtype), requires_grad=True
             )
         for l in range(spec.num_levels):
             feat = self._level_features(l)
@@ -198,6 +192,37 @@ class LadderNetwork:
         """Trailing (per-unit) dimension at level l: channels for conv
         levels, units for dense levels."""
         return self.level_shapes[l][-1]
+
+    # -- one definition per layer kind ----------------------------------------
+
+    def weight_shape(self, l: int) -> tuple[int, ...]:
+        """Shape of ``enc{l}/W``: ``(3, 3, c_in, width)`` for a conv layer,
+        ``(fan_in, width)`` over the flattened level l-1 otherwise."""
+        layer = self.spec.layers[l - 1]
+        below = self.level_shapes[l - 1]
+        if layer.kind == CONV3X3:
+            return (3, 3, below[2], layer.width)
+        return (math.prod(below), layer.width)
+
+    def layer_map(self, l: int, h: Tensor) -> Tensor:
+        """Level l-1 to layer l's pre-activation: a valid 3x3 convolution by
+        ``enc{l}/W``, or a matmul by it after flattening a spatial input."""
+        w = self.params[f"enc{l}/W"]
+        if self.spec.layers[l - 1].kind == CONV3X3:
+            return ops.conv2d(h, w)
+        return ops.matmul(ops.flatten(h) if h.data.ndim > 2 else h, w)
+
+    def layer_transpose(self, l: int, h: Tensor, v: Tensor) -> Tensor:
+        """Level l back to level l-1 through ``v``, a weight of shape
+        ``transposed(weight_shape(l))``: a transposed 3x3 convolution, or a
+        matmul reshaped to level l-1 when that level is spatial."""
+        if self.spec.layers[l - 1].kind == CONV3X3:
+            return ops.conv2d_transpose(h, v)
+        out = ops.matmul(h, v)
+        below = self.level_shapes[l - 1]
+        if len(below) == 3:
+            out = ops.reshape(out, (h.data.shape[0], *below))
+        return out
 
     def combinator_params(self, l: int) -> dict[str, Tensor]:
         return {name: self.params[f"comb{l}/{name}"] for name in COMBINATOR_PARAM_NAMES}
@@ -249,12 +274,9 @@ class LadderNetwork:
         stats: list[tuple[Tensor, Tensor] | None] = [None]
         y_logp: Tensor | None = None
         for l, layer in enumerate(spec.layers, start=1):
-            if layer.kind == CONV3X3:
-                pre = ops.conv2d(h, self.params[f"enc{l}/W"])
-            else:
-                hin = ops.flatten(h) if h.data.ndim > 2 else h
-                pre = ops.matmul(hin, self.params[f"enc{l}/W"])
-            z = ops.batchnorm(pre, running=self.running[l], update_running=update_running)
+            z = ops.batchnorm(
+                self.layer_map(l, h), running=self.running[l], update_running=update_running
+            )
             if not corrupted:
                 # batch statistics of the clean representation itself; the
                 # decoded signal is standardized by these before the
@@ -309,22 +331,13 @@ class LadderNetwork:
         Returns decoded levels L down to ``min_level`` (levels below the
         lowest one with a nonzero cost multiplier can be skipped).
         """
-        spec = self.spec
-        top = len(spec.layers)
+        top = len(self.spec.layers)
         u = ops.batchnorm(h_top)
         z_hat: dict[int, Tensor] = {top: combinator_g(z_tilde[top], u, self.combinator_params(top))}
         for l in range(top - 1, min_level - 1, -1):
-            above = z_hat[l + 1]
-            layer_above = spec.layers[l]  # layer index l+1, list index l
-            v = self.params[f"dec{l + 1}/V"]
-            if layer_above.kind == CONV3X3:
-                pre = ops.conv2d_transpose(above, v)
-            else:
-                pre = ops.matmul(above, v)
-                target = self.level_shapes[l]
-                if len(target) == 3:
-                    pre = ops.reshape(pre, (above.data.shape[0], *target))
-            u = ops.batchnorm(pre)
+            u = ops.batchnorm(
+                self.layer_transpose(l + 1, z_hat[l + 1], self.params[f"dec{l + 1}/V"])
+            )
             z_hat[l] = combinator_g(z_tilde[l], u, self.combinator_params(l))
         return z_hat
 

@@ -9,7 +9,8 @@ reconstruction cost sees the whole batch.  Modes:
     ladder           joint objective (the default)
     supervised-only  zero reconstruction weight, decoder skipped
     sdae-pretrain    greedy layer-wise denoising-autoencoder pretraining on
-                     unlabeled data, then supervised fine-tuning of the stack
+                     unlabeled data, then supervised fine-tuning of the stack;
+                     each autoencoder runs the ladder's own layer maps
 
 Runs are bit-reproducible from (config, data, seed) in double precision, and
 checkpoints capture params, optimizer moments, running statistics and RNG
@@ -27,11 +28,14 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import ops
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .ladder import CONV3X3, SOFTMAX_HEAD, LadderNetwork, LadderSpec
+from .ladder import SOFTMAX_HEAD, LadderNetwork, LadderSpec, he_weight, transposed
 from .rng import Rng
 from .tensor import GradTape, Tensor
 
 MODES = ("ladder", "supervised-only", "sdae-pretrain")
+# Under ``lr_decay="linear"`` the learning rate falls linearly to 0 over this
+# final fraction of the iterations.
+LR_DECAY_FRACTION = 0.25
 
 
 @dataclass
@@ -41,11 +45,7 @@ class TrainConfig:
     iterations: int
     seed: int
     batch_size: int = 100
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     lr_decay: str = "none"  # "none" | "linear"
-    lr_decay_fraction: float = 0.25
     mode: str = "ladder"
     precision: str = "f64"  # "f64" | "f32"
     grad_clip: float | None = None
@@ -203,7 +203,7 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 def _lr_scale(config: TrainConfig, iteration: int) -> float:
     if config.lr_decay == "none":
         return 1.0
-    start = int(config.iterations * (1.0 - config.lr_decay_fraction))
+    start = int(config.iterations * (1.0 - LR_DECAY_FRACTION))
     if iteration < start:
         return 1.0
     return (config.iterations - iteration) / max(1, config.iterations - start)
@@ -250,10 +250,7 @@ def gather_input(patches: np.ndarray, indices, input_shape: tuple, dtype) -> np.
 
 
 CURVES = ("c_super", "c_recon", "c_total")
-_RESUME_FIELDS = (
-    "seed", "precision", "mode", "batch_size", "learning_rate", "adam_beta1", "adam_beta2",
-    "adam_eps", "lr_decay", "lr_decay_fraction", "grad_clip",
-)
+_RESUME_FIELDS = ("seed", "precision", "mode", "batch_size", "learning_rate", "lr_decay", "grad_clip")
 
 
 def _resume_settings(config: TrainConfig) -> dict:
@@ -353,61 +350,30 @@ def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_
 def _sdae_pretrain(net: LadderNetwork, config: TrainConfig, unlabeled: np.ndarray, rng: Rng):
     """Greedy layer-wise pretraining of the encoder weights on unlabeled data.
 
-    Each non-head layer is trained as a denoising autoencoder (corrupt the
-    layer input, encode, decode with a throwaway mirror weight, minimize the
-    squared reconstruction error); the learned weights seed the encoder for
-    the supervised fine-tuning stage.
+    Each non-head layer is trained as a denoising autoencoder: corrupt the
+    layer input, encode with :meth:`LadderNetwork.layer_map` and a relu,
+    decode with :meth:`LadderNetwork.layer_transpose` through a throwaway
+    mirror weight, and minimize the squared reconstruction error.  The learned
+    weights seed the encoder for the supervised fine-tuning stage.
     """
-    spec = net.spec
     dtype = net.dtype
-
-    def stack_forward(x: np.ndarray, depth: int) -> np.ndarray:
-        h = Tensor(x, dtype=dtype)
-        for l in range(1, depth + 1):
-            layer = spec.layers[l - 1]
-            w = net.params[f"enc{l}/W"]
-            if layer.kind == CONV3X3:
-                h = ops.relu(ops.conv2d(h, w))
-            else:
-                hin = ops.flatten(h) if h.data.ndim > 2 else h
-                h = ops.relu(ops.matmul(hin, w))
-        return h.data
-
-    for depth, layer in enumerate(spec.layers, start=1):
+    for depth, layer in enumerate(net.spec.layers, start=1):
         if layer.kind == SOFTMAX_HEAD:
             break
         w = net.params[f"enc{depth}/W"]
-        if layer.kind == CONV3X3:
-            dec_shape = (3, 3, layer.width, w.data.shape[2])
-            fan = 9 * layer.width
-        else:
-            dec_shape = (layer.width, w.data.shape[0])
-            fan = layer.width
-        w_dec = Tensor(rng.normal(np.sqrt(2.0 / fan), dec_shape, dtype=dtype), requires_grad=True)
-        opt = Adam(
-            {"w": w, "w_dec": w_dec},
-            config.learning_rate,
-            config.adam_beta1,
-            config.adam_beta2,
-            config.adam_eps,
-        )
+        w_dec = Tensor(he_weight(rng, transposed(w.data.shape), dtype), requires_grad=True)
+        opt = Adam({"w": w, "w_dec": w_dec}, config.learning_rate)
         for _ in range(config.pretrain_iterations):
             idx = rng.integers(0, len(unlabeled), config.batch_size)
-            x = stack_forward(unlabeled[idx], depth - 1)
+            h = Tensor(unlabeled[idx], dtype=dtype)
+            for l in range(1, depth):
+                h = ops.relu(net.layer_map(l, h))
+            x = Tensor(h.data)  # a constant: this layer's input, off the tape
             with GradTape() as tape:
-                xt = Tensor(x, dtype=dtype)
-                noisy = ops.add_gaussian_noise(xt, spec.noise_std, rng)
-                if layer.kind == CONV3X3:
-                    enc = ops.relu(ops.conv2d(noisy, w))
-                    dec = ops.conv2d_transpose(enc, w_dec)
-                else:
-                    hin = ops.flatten(noisy) if noisy.data.ndim > 2 else noisy
-                    enc = ops.relu(ops.matmul(hin, w))
-                    dec = ops.matmul(enc, w_dec)
-                    if x.ndim > 2:
-                        dec = ops.reshape(dec, x.shape)
-                diff = ops.sub(dec, xt)
-                loss = ops.scale(ops.sum_all(ops.square(diff)), 1.0 / x.size)
+                noisy = ops.add_gaussian_noise(x, net.spec.noise_std, rng)
+                enc = ops.relu(net.layer_map(depth, noisy))
+                diff = ops.sub(net.layer_transpose(depth, enc, w_dec), x)
+                loss = ops.scale(ops.sum_all(ops.square(diff)), 1.0 / x.data.size)
             if not np.isfinite(loss.item()):
                 raise DivergenceError(f"SDAE pretraining diverged at layer {depth}")
             w.zero_grad()
@@ -442,9 +408,7 @@ def train(
     y_labeled = patchset.labels[labeled]
     x_unlabeled = gather_input(patchset.patches, unlabeled, spec.input_shape, dtype)
 
-    adam = Adam(
-        net.params, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps
-    )
+    adam = Adam(net.params, config.learning_rate)
     n_iter = config.iterations
     curves = {name: np.zeros(n_iter) for name in CURVES}
     start_iter = 0

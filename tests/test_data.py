@@ -10,7 +10,6 @@ from hsiladder import ConfigError, DataError
 from hsiladder import cube_io
 from hsiladder.data import (
     HsiCube,
-    export_split_csv,
     extract_patches,
     load_cube,
     make_split,
@@ -416,18 +415,6 @@ class TestPipeline:
             np.testing.assert_array_equal(
                 prep.patches.patches, extract_patches_oracle(refl, rows, cols, window)
             )
-
-    def test_export_split_csv(self, tmp_path):
-        cube = make_synthetic_cube(4, height=12, width=12, block=4)
-        prep = prepare_dataset(cube, window=1, pca_components=None, n_per_class=5, seed=19)
-        path = tmp_path / "split.csv"
-        export_split_csv(path, prep.patches, prep.split)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "index,row,col,class,role"
-        assert len(lines) == len(prep.patches) + 1
-        roles = [ln.split(",")[4] for ln in lines[1:]]
-        assert roles.count("labeled") == len(prep.split.labeled_train)
-        assert roles.count("test") == len(prep.split.test)
 
 
 class TestSynthetic:

@@ -131,6 +131,39 @@ class TestEncoderShapes:
             net.clean_encoder(Tensor(np.zeros((6, 7))))
 
 
+class TestLayerMaps:
+    def test_weight_shapes(self):
+        net = LadderNetwork(paper_conv_spec(), Rng(0))
+        shapes = [net.weight_shape(l) for l in range(1, 6)]
+        assert shapes == [(3, 3, 15, 90), (3, 3, 90, 30), (3, 3, 30, 15), (15, 30), (30, 9)]
+        for l, shape in enumerate(shapes, start=1):
+            assert net.params[f"enc{l}/W"].data.shape == shape
+            assert net.params[f"dec{l}/V"].data.shape == ladder_mod.transposed(shape)
+
+    def test_he_weight_std_from_fan_in(self):
+        w = ladder_mod.he_weight(Rng(2), (3, 3, 4, 5), np.float32)
+        np.testing.assert_array_equal(w, Rng(2).normal(np.sqrt(2.0 / 36), (3, 3, 4, 5), np.float32))
+        wide = ladder_mod.he_weight(Rng(3), (200, 500), np.float64)
+        assert abs(wide.std() / np.sqrt(2.0 / 200) - 1.0) < 0.02
+
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_transpose_is_the_adjoint_of_the_map(self, arch):
+        # <map(x), y> = <x, transpose(y, W^T)>, level by level; the dense
+        # layer over the conv stack's 1x1x15 output must come back spatial
+        spec = paper_conv_spec() if arch == "conv" else fc_spec([6, 5], classes=3, bands=4)
+        net = LadderNetwork(spec, Rng(0))
+        rng = np.random.default_rng(1)
+        shapes = net.level_shapes
+        for l, (below, above) in enumerate(zip(shapes, shapes[1:]), start=1):
+            x = rng.standard_normal((3, *below))
+            y = rng.standard_normal((3, *above))
+            v = Tensor(np.swapaxes(net.params[f"enc{l}/W"].data, -1, -2))
+            mapped = net.layer_map(l, Tensor(x)).data
+            back = net.layer_transpose(l, Tensor(y), v).data
+            assert mapped.shape == y.shape and back.shape == x.shape
+            np.testing.assert_allclose(np.vdot(mapped, y), np.vdot(x, back), rtol=1e-12)
+
+
 class TestZeroNoiseCollapse:
     @pytest.mark.parametrize("arch", ["fc", "conv"])
     def test_corrupted_equals_clean(self, arch):

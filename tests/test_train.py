@@ -1,6 +1,7 @@
 """Training loop: Adam, determinism, mode equivalence, checkpoints, metrics."""
 
 import dataclasses
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -384,7 +385,7 @@ class TestCheckpoint:
             train(other, prepared.patches, prepared.split, resume=out / "final.ckpt")
 
     def test_linear_decay_resume_needs_same_iterations(self, prepared, tmp_path):
-        # the decay starts at iterations * (1 - lr_decay_fraction), so another
+        # the decay starts at iterations * (1 - LR_DECAY_FRACTION), so another
         # iterations would move the schedule of the remaining steps
         out = tmp_path / "run"
         full = small_config(seed=8, iterations=8, lr_decay="linear", checkpoint_interval=5)
@@ -406,6 +407,18 @@ class TestCheckpoint:
         other = small_config(seed=8, iterations=10, lr_decay="linear")
         with pytest.raises(ConfigError, match="written with lr_decay = 'none'"):
             train(other, prepared.patches, prepared.split, resume=out / "final.ckpt")
+
+    def test_dropped_settings_refused_by_name(self, tmp_path):
+        # a checkpoint from before the Adam and decay-fraction settings left
+        # TrainConfig still carries them in its config entry
+        path, net, adam, noise, batch = self._saved_state(tmp_path)
+        iteration, entries = ckpt.load_entries(path)
+        saved = json.loads(entries["config"].tobytes().decode("utf-8"))
+        saved.update(adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8, lr_decay_fraction=0.25)
+        entries["config"] = np.frombuffer(json.dumps(saved).encode("utf-8"), dtype=np.uint8)
+        ckpt.save_entries(path, iteration, entries)
+        with pytest.raises(ConfigError, match="written with adam_beta1 = 0.9, this run has"):
+            load_checkpoint(path, net, adam, noise, batch, small_config(seed=3))
 
     def test_mismatched_spec_refused_before_loading(self, tmp_path):
         path, net, adam, noise, batch = self._saved_state(tmp_path)
@@ -525,3 +538,42 @@ class TestSdae:
         reference = LadderNetwork(config.ladder, init_rng)
         net, _ = train(config, prepared.patches, prepared.split)
         assert not np.array_equal(net.params["enc1/W"].data, reference.params["enc1/W"].data)
+
+    @staticmethod
+    def _conv_net_and_config(dtype):
+        layers = (
+            LayerSpec("conv3x3", 4),
+            LayerSpec("conv3x3", 3),
+            LayerSpec("fc", 6),
+            LayerSpec("softmax_head", 3, activation="none"),
+        )
+        spec = LadderSpec(layers, 0.3, (0.1,) * 5, (5, 5, 3))
+        config = TrainConfig(
+            ladder=spec, learning_rate=0.01, iterations=1, seed=14, batch_size=8,
+            mode="sdae-pretrain", precision="f64" if dtype == np.float64 else "f32",
+            pretrain_iterations=4,
+        )
+        return LadderNetwork(spec, Rng(14), dtype=dtype), config
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_conv_pretraining_moves_only_the_stack_weights(self, dtype):
+        unlabeled = np.random.default_rng(15).standard_normal((40, 5, 5, 3)).astype(dtype)
+        runs = []
+        for _ in range(2):
+            net, config = self._conv_net_and_config(dtype)
+            train_mod._sdae_pretrain(net, config, unlabeled, Rng(16))
+            runs.append(net)
+        fresh, _ = self._conv_net_and_config(dtype)
+        net = runs[0]
+        moved = {"enc1/W", "enc2/W", "enc3/W"}
+        for name, p in net.params.items():
+            np.testing.assert_array_equal(p.data, runs[1].params[name].data)
+            assert p.data.dtype == dtype
+            if name in moved:
+                assert not np.array_equal(p.data, fresh.params[name].data), name
+                assert np.all(np.isfinite(p.data)), name
+            else:  # the head W, every dec V, gamma, beta and comb param
+                np.testing.assert_array_equal(p.data, fresh.params[name].data)
+        for l, rs in net.running.items():
+            np.testing.assert_array_equal(rs.mean, fresh.running[l].mean)
+            np.testing.assert_array_equal(rs.var, fresh.running[l].var)
