@@ -1,12 +1,13 @@
-"""HSICUBE1 binary array format: reader, writer, raw-dump converter.
+"""Array records on disk, shared by HSICUBE1 files and LADCKPT1 checkpoints.
 
-Layout (all integers little-endian):
+A record is one array (all integers little-endian):
 
-    bytes 0..7    magic ``HSICUBE1``
-    u32           ndim
+    u32           ndim (1..8)
     u32 * ndim    dims (row-major / C order)
-    u8            dtype code: 1 = float32, 2 = float64, 3 = uint8
+    u8            dtype code: 1 = float32, 2 = float64, 3 = uint8, 4 = uint64
     raw data      dims product * itemsize bytes, row-major
+
+An HSICUBE1 file is the magic ``HSICUBE1`` followed by exactly one record.
 
 The converter turns a headerless raw dump (e.g. exported from a scientific
 array tool) into this format after validating the byte length against the
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,41 +28,38 @@ from .errors import DataError
 
 MAGIC = b"HSICUBE1"
 
-_DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1")}
-_CODE_FOR = {np.dtype(np.float32): 1, np.dtype(np.float64): 2, np.dtype(np.uint8): 3}
+_DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1"), 4: np.dtype("<u8")}
+_CODE_FOR = {dtype: code for code, dtype in _DTYPE_CODES.items()}
 _MAX_NDIM = 8
 _MAX_DIM = 2**32 - 1  # a u32
 
 
-def write_array(path, arr: np.ndarray) -> None:
-    """Write ``arr`` atomically (``.tmp`` then rename).
-
-    Everything the header cannot hold or :func:`read_array` would reject
-    (ndim outside 1..8, a dim above 2**32 - 1, an unsupported dtype) is
-    rejected before any file is created.  The data is written straight from
-    the array's buffer, without a bytes copy.
-    """
+def storable(arr, what: str) -> np.ndarray:
+    """``arr`` as a C-contiguous array for :func:`write_record`.  What a
+    record cannot hold (ndim outside 1..8, a dim above 2**32 - 1, another
+    dtype) raises ``DataError`` naming ``what``, before any file is opened."""
     arr = np.asarray(arr)
     if not 1 <= arr.ndim <= _MAX_NDIM:
-        raise DataError(f"HSICUBE1 stores 1 to {_MAX_NDIM} dimensions, got a {arr.ndim}-d array")
-    if max(arr.shape) > _MAX_DIM:
-        raise DataError(f"HSICUBE1 stores dims up to {_MAX_DIM}, got shape {arr.shape}")
-    code = _CODE_FOR.get(arr.dtype)
-    if code is None:
         raise DataError(
-            f"unsupported dtype {arr.dtype}; HSICUBE1 stores float32, float64 or uint8"
+            f"{what}: records store 1 to {_MAX_NDIM} dimensions, got a {arr.ndim}-d array"
         )
-    arr = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack(f"<I{arr.ndim}IB", arr.ndim, *arr.shape, code))
-        f.write(memoryview(arr))
-    os.replace(tmp, path)
+    if max(arr.shape) > _MAX_DIM:
+        raise DataError(f"{what}: records store dims up to {_MAX_DIM}, got shape {arr.shape}")
+    if arr.dtype not in _CODE_FOR:
+        raise DataError(f"{what}: unsupported dtype {arr.dtype}; records store f32, f64, u8 or u64")
+    return np.ascontiguousarray(arr)
 
 
-def _read_header(f, fmt: str, path, field: str) -> tuple:
+def write_record(f, arr: np.ndarray) -> None:
+    """Write a :func:`storable` array as one record, straight from its
+    buffer, without a bytes copy."""
+    f.write(struct.pack(f"<I{arr.ndim}IB", arr.ndim, *arr.shape, _CODE_FOR[arr.dtype]))
+    f.write(memoryview(arr))
+
+
+def read_header(f, fmt: str, path, field: str) -> tuple:
+    """``struct.unpack(fmt, ...)`` of the next bytes of ``f``; a short read
+    raises ``DataError`` naming ``path`` and ``field``."""
     size = struct.calcsize(fmt)
     raw = f.read(size)
     if len(raw) != size:
@@ -68,36 +67,66 @@ def _read_header(f, fmt: str, path, field: str) -> tuple:
     return struct.unpack(fmt, raw)
 
 
-def read_array(path) -> np.ndarray:
-    """Read an HSICUBE1 file into a fresh array.
-
-    The data length is checked against the file size before the array is
-    allocated, and the data is read straight into it, without a bytes copy.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (ndim,) = _read_header(f, "<I", path, "ndim")
-        if ndim == 0 or ndim > _MAX_NDIM:
-            raise DataError(f"{path}: implausible ndim {ndim}")
-        dims = _read_header(f, f"<{ndim}I", path, "dims")
-        (code,) = _read_header(f, "<B", path, "dtype code")
-        dtype = _DTYPE_CODES.get(code)
-        if dtype is None:
-            raise DataError(f"{path}: unknown dtype code {code}")
-        expected = math.prod(dims) * dtype.itemsize
-        available = os.fstat(f.fileno()).st_size - f.tell()
-        if available != expected:
-            raise DataError(f"{path}: expected {expected} data bytes, got {available}")
-        out = np.empty(dims, dtype=dtype)
-        got = f.readinto(memoryview(out))
+def read_record(f, path) -> np.ndarray:
+    """Read one record from ``f`` into a fresh array (``path`` names it in
+    errors).  The data length is checked against the bytes left in the file
+    before the array is allocated, and the data is read straight into it."""
+    (ndim,) = read_header(f, "<I", path, "ndim")
+    if not 1 <= ndim <= _MAX_NDIM:
+        raise DataError(f"{path}: implausible ndim {ndim}")
+    *dims, code = read_header(f, f"<{ndim}IB", path, "dims and dtype code")
+    dtype = _DTYPE_CODES.get(code)
+    if dtype is None:
+        raise DataError(f"{path}: unknown dtype code {code}")
+    expected = math.prod(dims) * dtype.itemsize
+    available = os.fstat(f.fileno()).st_size - f.tell()
+    if expected > available:
+        raise DataError(f"{path}: expected {expected} data bytes, got {available}")
+    out = np.empty(dims, dtype=dtype)
+    got = f.readinto(memoryview(out))
     if got != expected:
         raise DataError(f"{path}: expected {expected} data bytes, got {got}")
     return out
+
+
+@contextmanager
+def atomic_write(path):
+    """Yield a binary file that replaces ``path`` only once the ``with``
+    body completes (``.tmp`` then rename)."""
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    with open(tmp, "wb") as f:
+        yield f
+    os.replace(tmp, path)
+
+
+@contextmanager
+def open_records(path, magic: bytes):
+    """Yield ``path`` opened just past its ``magic``; a byte the ``with``
+    body leaves unread raises ``DataError``."""
+    if not Path(path).exists():
+        raise DataError(f"no such file: {path}")
+    with open(path, "rb") as f:
+        got = f.read(len(magic))
+        if got != magic:
+            raise DataError(f"{path}: bad magic {got!r}, expected {magic!r}")
+        yield f
+        if f.read(1):
+            raise DataError(f"{path}: trailing bytes after the last record")
+
+
+def write_array(path, arr: np.ndarray) -> None:
+    """Write ``arr`` as an HSICUBE1 file atomically; an array that
+    :func:`storable` rejects is rejected before any file is created."""
+    arr = storable(arr, str(path))
+    with atomic_write(path) as f:
+        f.write(MAGIC)
+        write_record(f, arr)
+
+
+def read_array(path) -> np.ndarray:
+    """Read an HSICUBE1 file into a fresh array (see :func:`read_record`)."""
+    with open_records(path, MAGIC) as f:
+        return read_record(f, path)
 
 
 _NAME_TO_DTYPE = {

@@ -223,7 +223,7 @@ def _stratified_test_counts(class_counts: np.ndarray, fraction: float) -> np.nda
 
 
 def make_split(
-    patchset,
+    labels: np.ndarray,
     n_per_class: int | None,
     test_fraction: float = 0.25,
     seed: int = 0,
@@ -235,7 +235,7 @@ def make_split(
     ``n_per_class`` under one seed share a test set.  ``n_per_class=None``
     uses every non-test point as labeled (full-label runs).
     """
-    labels = patchset.labels if hasattr(patchset, "labels") else np.asarray(patchset)
+    labels = np.asarray(labels)
     if n_per_class is not None and n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1 or None, got {n_per_class}")
     if not (0.0 < test_fraction < 1.0):

@@ -227,9 +227,6 @@ class LadderNetwork:
     def combinator_params(self, l: int) -> dict[str, Tensor]:
         return {name: self.params[f"comb{l}/{name}"] for name in COMBINATOR_PARAM_NAMES}
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def zero_grads(self) -> None:
         for t in self.params.values():
             t.zero_grad()
@@ -422,9 +419,9 @@ class LadderNetwork:
 
     # -- inference ----------------------------------------------------------
 
-    def predict_log_probs(self, x: np.ndarray, chunk: int | None = None) -> np.ndarray:
+    def predict_log_probs(self, x: np.ndarray) -> np.ndarray:
         """Clean-encoder log-probabilities under the running batch-norm
-        statistics (deterministic), ``chunk`` samples at a time.
+        statistics (deterministic), a chunk of samples at a time.
 
         A plain numpy walk without a tape.  Under fixed running statistics
         each level's batch-norm, beta shift and gamma scale is one per-unit
@@ -444,16 +441,14 @@ class LadderNetwork:
         composition by at most 1.1e-13 in f64 and 5.3e-5 in f32, with the
         same argmax.
 
-        By default (``chunk=None``) a chunk holds as many samples as keep the
-        largest per-sample intermediate within :data:`PREDICT_CHUNK_BYTES`:
-        the wider of a conv level's im2col row (``oh*ow*kh*kw*ci`` values)
-        and output row (``oh*ow*co``), or the wider side of a dense level,
-        in the network's dtype.  That keeps the
-        working set near the CPU caches instead of growing with the batch.
+        A chunk holds as many samples as keep the largest per-sample
+        intermediate within :data:`PREDICT_CHUNK_BYTES`: the wider of a conv
+        level's im2col row (``oh*ow*kh*kw*ci`` values) and output row
+        (``oh*ow*co``), or the wider side of a dense level, in the network's
+        dtype.  That keeps the working set near the CPU caches instead of
+        growing with the batch.
         """
         self.assert_finite_params()
-        if chunk is not None and chunk < 1:
-            raise ConfigError(f"chunk must be >= 1, got {chunk}")
         x = np.asarray(x)
         self._check_input(x)
         folded = []
@@ -470,8 +465,7 @@ class LadderNetwork:
                 widest = max(widest, oh * ow * max(int(np.prod(w.shape[:3])), co))
             else:
                 widest = max(widest, *w.shape)
-        if chunk is None:
-            chunk = max(1, PREDICT_CHUNK_BYTES // (widest * self.dtype.itemsize))
+        chunk = max(1, PREDICT_CHUNK_BYTES // (widest * self.dtype.itemsize))
         out = np.empty((len(x), self.spec.num_classes), dtype=self.dtype)
         for i in range(0, len(x), chunk):
             h = x[i : i + chunk].astype(self.dtype, copy=False)
@@ -488,7 +482,7 @@ class LadderNetwork:
                 h = z
         return out
 
-    def predict(self, x: np.ndarray, chunk: int | None = None) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Class indices via the clean encoder (no noise anywhere); the
         folded walk and chunk sizing of :meth:`predict_log_probs`."""
-        return np.argmax(self.predict_log_probs(x, chunk=chunk), axis=1)
+        return np.argmax(self.predict_log_probs(x), axis=1)

@@ -117,15 +117,13 @@ class Adam:
     """Bias-corrected adaptive-moment optimizer over named parameters.
 
     The first and second moments of all parameters live in two flat buffers,
-    ``flat_m`` and ``flat_v``, in parameter order; ``m[name]`` and
-    ``v[name]`` are reshaped views of them, so code that reads or writes a
-    moment by name (checkpoints) must write into the view, never rebind it.
-    A step gathers every gradient into one work buffer (``None`` counts as
-    zeros), checks it for finiteness as a whole and only then updates, so a
-    step that raises ``DivergenceError`` leaves the parameters, the moments
-    and ``t`` as they were.  The update is the per-parameter formula applied
-    once to the whole buffer, with the same operations in the same order per
-    element.  All parameters must share one dtype.
+    ``flat_m`` and ``flat_v``, in parameter order.  A step gathers every
+    gradient into one work buffer (``None`` counts as zeros), checks it for
+    finiteness as a whole and only then updates, so a step that raises
+    ``DivergenceError`` leaves the parameters, the moments and ``t`` as they
+    were.  The update is the per-parameter formula applied once to the whole
+    buffer, with the same operations in the same order per element.  All
+    parameters must share one dtype.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -144,8 +142,6 @@ class Adam:
             start += p.data.size
         self.flat_m = np.zeros(start, dtype=dtype)
         self.flat_v = np.zeros(start, dtype=dtype)
-        self.m = {n: self.flat_m[a:b].reshape(p.data.shape) for n, p, a, b in self._spans}
-        self.v = {n: self.flat_v[a:b].reshape(p.data.shape) for n, p, a, b in self._spans}
         self._grad = np.empty(start, dtype=dtype)
         self._upd = np.empty(start, dtype=dtype)
         self._zero = np.zeros((), dtype=dtype)
@@ -275,9 +271,8 @@ def _checkpoint_entries(
         entries[f"running/{l}/mean"] = rs.mean
         entries[f"running/{l}/var"] = rs.var
         entries[f"running/{l}/init"] = np.array([1 if rs.initialized else 0], dtype=np.uint64)
-    for name in net.params:
-        entries[f"adam/m/{name}"] = adam.m[name]
-        entries[f"adam/v/{name}"] = adam.v[name]
+    entries["adam/m"] = adam.flat_m
+    entries["adam/v"] = adam.flat_v
     entries["adam/t"] = np.array([adam.t], dtype=np.uint64)
     entries["rng/noise"] = noise_rng.state_words()
     entries["rng/batch"] = batch_rng.state_words()
@@ -332,10 +327,8 @@ def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_
         rs.mean = entry(f"running/{l}/mean", rs.mean.shape).astype(rs.mean.dtype)
         rs.var = entry(f"running/{l}/var", rs.var.shape).astype(rs.var.dtype)
         rs.initialized = bool(entry(f"running/{l}/init", (1,))[0])
-    for name in net.params:
-        # write into the views of Adam's flat buffers, never rebind them
-        adam.m[name][...] = entry(f"adam/m/{name}", adam.m[name].shape)
-        adam.v[name][...] = entry(f"adam/v/{name}", adam.v[name].shape)
+    adam.flat_m[...] = entry("adam/m", adam.flat_m.shape)
+    adam.flat_v[...] = entry("adam/v", adam.flat_v.shape)
     adam.t = int(entry("adam/t", (1,))[0])
     noise_rng.set_state_words(entry("rng/noise", (6,)))
     batch_rng.set_state_words(entry("rng/batch", (6,)))

@@ -281,26 +281,34 @@ class TestEvalMode:
     def test_chunk_sizes_agree(self, arch, monkeypatch):
         net, x = tiny_net(arch)
         net.clean_encoder(Tensor(x), update_running=True)
-        whole = net.predict_log_probs(x, chunk=512)
-        # the default chunk holds the whole tiny batch; with a 1-byte budget
-        # it falls to one row
-        default = net.predict_log_probs(x)
-        with monkeypatch.context() as m:
-            m.setattr(ladder_mod, "PREDICT_CHUNK_BYTES", 1)
-            one_byte = net.predict_log_probs(x)
-        for got in (default, one_byte, *(net.predict_log_probs(x, chunk=c) for c in (1, 3))):
-            # BLAS may round a one-row product differently from a many-row one
-            np.testing.assert_allclose(got, whole, rtol=1e-12, atol=1e-14)
-        np.testing.assert_array_equal(net.predict(x, chunk=3), np.argmax(whole, axis=1))
-        np.testing.assert_array_equal(net.predict(x), np.argmax(whole, axis=1))
         net32, _ = tiny_net(arch, dtype=np.float32)
         net32.clean_encoder(Tensor(x, dtype=np.float32), update_running=True)
+        # values in the widest per-sample intermediate: the conv level's
+        # im2col row (3x2 positions of 3x3x2 windows) or the 6-unit fc level
+        widest = 3 * 2 * 3 * 3 * 2 if arch == "conv" else 6
+        # the default budget holds the whole tiny batch in one chunk
+        whole = net.predict_log_probs(x)
+        got, got32, predicted = [], [net32.predict_log_probs(x)], []
+        for rows in (1, 3):
+            monkeypatch.setattr(ladder_mod, "PREDICT_CHUNK_BYTES", rows * widest * 8)
+            got.append(net.predict_log_probs(x))
+            predicted.append(net.predict(x))
+            monkeypatch.setattr(ladder_mod, "PREDICT_CHUNK_BYTES", rows * widest * 4)
+            got32.append(net32.predict_log_probs(x))
+        # a 1-byte budget falls to one row
+        monkeypatch.setattr(ladder_mod, "PREDICT_CHUNK_BYTES", 1)
+        got.append(net.predict_log_probs(x))
+        predicted.append(net.predict(x))
+        for log_probs in got:
+            # BLAS may round a one-row product differently from a many-row one
+            np.testing.assert_allclose(log_probs, whole, rtol=1e-12, atol=1e-14)
+        for labels in predicted:
+            np.testing.assert_array_equal(labels, np.argmax(whole, axis=1))
         want = predict_oracle(net32, x)
-        for chunk in (None, 1, 3, 512):
-            got = net32.predict_log_probs(x, chunk=chunk)
-            assert got.dtype == np.float32
+        for log_probs in got32:
+            assert log_probs.dtype == np.float32
             # f32 rounding (eps 1.2e-7) accumulated over a few layers
-            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+            np.testing.assert_allclose(log_probs, want, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize(
         "arch, dtype, per_chunk",
@@ -370,11 +378,8 @@ class TestEvalMode:
         assert out.dtype == dtype
         assert net.predict(x[:0]).shape == (0,)
 
-    def test_bad_chunk_and_shape_rejected(self):
-        net, x = tiny_net("fc")
-        for chunk in (0, -2):
-            with pytest.raises(ConfigError, match="chunk"):
-                net.predict_log_probs(x, chunk=chunk)
+    def test_bad_shape_rejected(self):
+        net, _ = tiny_net("fc")
         with pytest.raises(ShapeError):
             net.predict_log_probs(np.zeros((3, 6)))
         with pytest.raises(ShapeError):
