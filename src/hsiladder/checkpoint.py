@@ -32,19 +32,39 @@ from .errors import DataError
 
 MAGIC = b"LADCKPT1"
 VERSION = 2
+_MAX_NAME_BYTES = 2**16 - 1  # a u16
+_MAX_ITERATION = 2**64 - 1  # a u64
+
+
+def _name_bytes(name: str) -> bytes:
+    """The utf-8 bytes of an entry name; one that a u16 length cannot
+    describe raises ``DataError`` naming the entry."""
+    try:
+        raw = name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"checkpoint entry {name[:40]!r}: name is not encodable as utf-8") from None
+    if len(raw) > _MAX_NAME_BYTES:
+        raise DataError(
+            f"checkpoint entry {name[:40]!r}...: name is {len(raw)} utf-8 bytes, "
+            f"at most {_MAX_NAME_BYTES} fit"
+        )
+    return raw
 
 
 def save_entries(path, iteration: int, entries: dict[str, np.ndarray]) -> None:
-    """Write ``entries`` to ``path`` atomically: every entry is checked
-    before the file is opened, and the file only replaces an existing
-    checkpoint once it is complete."""
-    arrays = {
-        name: cube_io.storable(arr, f"checkpoint entry {name!r}") for name, arr in entries.items()
-    }
+    """Write ``entries`` to ``path`` atomically: the iteration and every
+    entry name and array are checked before the file is opened, and the
+    file only replaces an existing checkpoint once it is complete."""
+    iteration = int(iteration)
+    if not 0 <= iteration <= _MAX_ITERATION:
+        raise DataError(f"checkpoint iteration {iteration} is outside 0..{_MAX_ITERATION}")
+    records = [
+        (_name_bytes(name), cube_io.storable(arr, f"checkpoint entry {name!r}"))
+        for name, arr in entries.items()
+    ]
     with cube_io.atomic_write(path) as f:
-        f.write(MAGIC + struct.pack("<IQI", VERSION, int(iteration), len(arrays)))
-        for name, arr in arrays.items():
-            raw = name.encode("utf-8")
+        f.write(MAGIC + struct.pack("<IQI", VERSION, iteration, len(records)))
+        for raw, arr in records:
             f.write(struct.pack("<H", len(raw)) + raw)
             cube_io.write_record(f, arr)
 

@@ -92,11 +92,16 @@ def read_record(f, path) -> np.ndarray:
 @contextmanager
 def atomic_write(path):
     """Yield a binary file that replaces ``path`` only once the ``with``
-    body completes (``.tmp`` then rename)."""
+    body completes (``.tmp`` then rename); if the body raises, the ``.tmp``
+    is deleted and ``path`` is left as it was."""
     tmp = Path(path).with_name(Path(path).name + ".tmp")
-    with open(tmp, "wb") as f:
-        yield f
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @contextmanager

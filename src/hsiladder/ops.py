@@ -4,6 +4,13 @@ Every op computes its result eagerly in numpy (convolutions go through
 :mod:`~hsiladder.kernels`) and, when a tape is active and the result requires a
 gradient, records a node with an analytic backward closure.  All backward
 formulas are checked against central finite differences in the test suite.
+
+A backward closure captures arrays, never tensors, and only those its
+formula reads: an operand of a product, quotient or convolution only when
+the other input's gradient needs it, the input of ``square``, the op's own
+output for ``relu``, ``sigmoid``, ``exp``, ``sqrt``, ``log_softmax`` and
+``batchnorm``, and shapes alone for the rest.  Anything else a forward makes
+is freed as soon as the forward drops it; nothing is kept to replay one.
 """
 
 from __future__ import annotations
@@ -21,10 +28,10 @@ BN_EPS = 1e-6
 BN_MOMENTUM = 0.99
 
 
-def _record(name, inputs, out, backward_fn, forward_fn):
+def _record(name, inputs, out, backward_fn):
     tape = active_tape()
     if tape is not None and out.requires_grad:
-        tape.record(name, inputs, out, backward_fn, forward_fn)
+        tape.record(name, inputs, out, backward_fn, None)
     return out
 
 
@@ -55,71 +62,81 @@ def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
     na, nb = a.requires_grad, b.requires_grad
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
         return (
-            _unbroadcast(g, a.data.shape) if na else None,
-            _unbroadcast(g, b.data.shape) if nb else None,
+            _unbroadcast(g, sa) if na else None,
+            _unbroadcast(g, sb) if nb else None,
         )
 
-    return _record("add", (a, b), out, backward, lambda: a.data + b.data)
+    return _record("add", (a, b), out, backward)
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = Tensor(a.data - b.data, requires_grad=a.requires_grad or b.requires_grad)
     na, nb = a.requires_grad, b.requires_grad
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
         return (
-            _unbroadcast(g, a.data.shape) if na else None,
-            _unbroadcast(-g, b.data.shape) if nb else None,
+            _unbroadcast(g, sa) if na else None,
+            _unbroadcast(-g, sb) if nb else None,
         )
 
-    return _record("sub", (a, b), out, backward, lambda: a.data - b.data)
+    return _record("sub", (a, b), out, backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
     na, nb = a.requires_grad, b.requires_grad
+    sa, sb = a.data.shape, b.data.shape
+    # each operand is kept only for the other's gradient
+    ad = a.data if nb else None
+    bd = b.data if na else None
 
     def backward(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape) if na else None,
-            _unbroadcast(g * a.data, b.data.shape) if nb else None,
+            _unbroadcast(g * bd, sa) if na else None,
+            _unbroadcast(g * ad, sb) if nb else None,
         )
 
-    return _record("mul", (a, b), out, backward, lambda: a.data * b.data)
+    return _record("mul", (a, b), out, backward)
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     out = Tensor(a.data / b.data, requires_grad=a.requires_grad or b.requires_grad)
     na, nb = a.requires_grad, b.requires_grad
+    sa, sb = a.data.shape, b.data.shape
+    ad = a.data if nb else None
+    bd = b.data
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.data.shape) if na else None
+        ga = _unbroadcast(g / bd, sa) if na else None
         gb = None
         if nb:
             t = -g
-            t *= a.data
-            t /= b.data * b.data
-            gb = _unbroadcast(t, b.data.shape)
+            t *= ad
+            t /= bd * bd
+            gb = _unbroadcast(t, sb)
         return ga, gb
 
-    return _record("div", (a, b), out, backward, lambda: a.data / b.data)
+    return _record("div", (a, b), out, backward)
 
 
 def square(x: Tensor) -> Tensor:
-    out = Tensor(x.data * x.data, requires_grad=x.requires_grad)
+    xd = x.data
+    out = Tensor(xd * xd, requires_grad=x.requires_grad)
 
     def backward(g):
-        t = 2.0 * x.data
+        t = 2.0 * xd
         t *= g
         return (t,)
 
-    return _record("square", (x,), out, backward, lambda: x.data * x.data)
+    return _record("square", (x,), out, backward)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -129,7 +146,7 @@ def sqrt(x: Tensor) -> Tensor:
     def backward(g):
         return (g * 0.5 / out_data,)
 
-    return _record("sqrt", (x,), out, backward, lambda: np.sqrt(x.data))
+    return _record("sqrt", (x,), out, backward)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -139,7 +156,7 @@ def exp(x: Tensor) -> Tensor:
     def backward(g):
         return (g * out_data,)
 
-    return _record("exp", (x,), out, backward, lambda: np.exp(x.data))
+    return _record("exp", (x,), out, backward)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -149,7 +166,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     def backward(g):
         return (g * c,)
 
-    return _record("scale", (x,), out, backward, lambda: x.data * c)
+    return _record("scale", (x,), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +176,14 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad)
+    out_data = out.data
 
     def backward(g):
-        return (g * (x.data > 0),)
+        # max(x, 0) > 0 exactly where x > 0 (NaN and -0.0 included), so the
+        # output gives the input's mask
+        return (g * (out_data > 0),)
 
-    return _record("relu", (x,), out, backward, lambda: np.maximum(x.data, 0))
+    return _record("relu", (x,), out, backward)
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -196,7 +216,7 @@ def sigmoid(x: Tensor) -> Tensor:
         t *= 1.0 - s
         return (t,)
 
-    return _record("sigmoid", (x,), out, backward, lambda: _sigmoid(x.data))
+    return _record("sigmoid", (x,), out, backward)
 
 
 def _log_softmax(v: np.ndarray) -> np.ndarray:
@@ -212,7 +232,7 @@ def log_softmax(x: Tensor) -> Tensor:
     def backward(g):
         return (g - np.exp(ls) * g.sum(axis=-1, keepdims=True),)
 
-    return _record("log_softmax", (x,), out, backward, lambda: _log_softmax(x.data))
+    return _record("log_softmax", (x,), out, backward)
 
 
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
@@ -226,18 +246,18 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     if targets.min() < 0 or targets.max() >= c:
         raise ShapeError(f"target index out of range [0, {c}): {targets.min()}..{targets.max()}")
     rows = np.arange(n)
-
-    def compute():
-        return np.asarray(-log_probs.data[rows, targets].mean(), dtype=log_probs.dtype)
-
-    out = Tensor(compute(), requires_grad=log_probs.requires_grad)
+    dtype = log_probs.dtype
+    out = Tensor(
+        np.asarray(-log_probs.data[rows, targets].mean(), dtype=dtype),
+        requires_grad=log_probs.requires_grad,
+    )
 
     def backward(g):
-        gl = np.zeros_like(log_probs.data)
+        gl = np.zeros((n, c), dtype=dtype)
         gl[rows, targets] = -g / n
         return (gl,)
 
-    return _record("nll_loss", (log_probs,), out, backward, compute)
+    return _record("nll_loss", (log_probs,), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +270,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
     out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
     na, nb = a.requires_grad, b.requires_grad
+    ad = a.data if nb else None
+    bd = b.data if na else None
 
     def backward(g):
-        ga = g @ b.data.T if na else None
-        gb = a.data.T @ g if nb else None
+        ga = g @ bd.T if na else None
+        gb = ad.T @ g if nb else None
         return ga, gb
 
-    return _record("matmul", (a, b), out, backward, lambda: a.data @ b.data)
+    return _record("matmul", (a, b), out, backward)
 
 
 def conv2d(x: Tensor, k: Tensor) -> Tensor:
@@ -266,13 +288,15 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
     nx, nk = x.requires_grad, k.requires_grad
     _, h, w, _ = x.data.shape
     kh, kw = k.data.shape[0], k.data.shape[1]
+    xd = x.data if nk else None
+    kd = k.data if nx else None
 
     def backward(g):
-        gx = kernels.conv2d_input_grad(g, k.data, h, w) if nx else None
-        gk = kernels.conv2d_kernel_grad(x.data, g, kh, kw) if nk else None
+        gx = kernels.conv2d_input_grad(g, kd, h, w) if nx else None
+        gk = kernels.conv2d_kernel_grad(xd, g, kh, kw) if nk else None
         return gx, gk
 
-    return _record("conv2d", (x, k), out, backward, lambda: kernels.conv2d_forward(x.data, k.data))
+    return _record("conv2d", (x, k), out, backward)
 
 
 def conv2d_transpose(x: Tensor, k: Tensor) -> Tensor:
@@ -287,19 +311,18 @@ def conv2d_transpose(x: Tensor, k: Tensor) -> Tensor:
     _, h, w, _ = x.data.shape
     kh, kw = k.data.shape[0], k.data.shape[1]
     oh, ow = h + kh - 1, w + kw - 1
-
-    def compute():
-        return kernels.conv2d_input_grad(x.data, k.data.transpose(0, 1, 3, 2), oh, ow)
-
-    out = Tensor(compute(), requires_grad=x.requires_grad or k.requires_grad)
+    y = kernels.conv2d_input_grad(x.data, k.data.transpose(0, 1, 3, 2), oh, ow)
+    out = Tensor(y, requires_grad=x.requires_grad or k.requires_grad)
     nx, nk = x.requires_grad, k.requires_grad
+    xd = x.data if nk else None
+    kd = k.data if nx else None
 
     def backward(g):
-        gx = kernels.conv2d_forward(g, k.data.transpose(0, 1, 3, 2)) if nx else None
-        gk = kernels.conv2d_kernel_grad(g, x.data, kh, kw).transpose(0, 1, 3, 2) if nk else None
+        gx = kernels.conv2d_forward(g, kd.transpose(0, 1, 3, 2)) if nx else None
+        gk = kernels.conv2d_kernel_grad(g, xd, kh, kw).transpose(0, 1, 3, 2) if nk else None
         return gx, gk
 
-    return _record("conv2d_transpose", (x, k), out, backward, compute)
+    return _record("conv2d_transpose", (x, k), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +331,13 @@ def conv2d_transpose(x: Tensor, k: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    out = Tensor(x.data.reshape(shape), requires_grad=x.requires_grad)
+    in_shape = x.data.shape
+    out = Tensor(x.data.reshape(tuple(shape)), requires_grad=x.requires_grad)
 
     def backward(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(in_shape),)
 
-    return _record("reshape", (x,), out, backward, lambda: x.data.reshape(shape))
+    return _record("reshape", (x,), out, backward)
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -325,13 +348,14 @@ def flatten(x: Tensor) -> Tensor:
 def slice_rows(x: Tensor, stop: int) -> Tensor:
     """First ``stop`` rows along the batch axis."""
     out = Tensor(x.data[:stop].copy(), requires_grad=x.requires_grad)
+    shape, dtype = x.data.shape, x.dtype
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         gx[:stop] = g
         return (gx,)
 
-    return _record("slice_rows", (x,), out, backward, lambda: x.data[:stop].copy())
+    return _record("slice_rows", (x,), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -340,27 +364,27 @@ def slice_rows(x: Tensor, stop: int) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.dtype), requires_grad=x.requires_grad)
+    shape, dtype = x.data.shape, x.dtype
+    out = Tensor(np.asarray(x.data.sum(), dtype=dtype), requires_grad=x.requires_grad)
 
     def backward(g):
-        return (np.broadcast_to(g, x.data.shape).astype(x.dtype, copy=False),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
-    return _record("sum_all", (x,), out, backward, lambda: np.asarray(x.data.sum(), dtype=x.dtype))
+    return _record("sum_all", (x,), out, backward)
 
 
 def reduce_mean(x: Tensor, axes: tuple, keepdims: bool = True) -> Tensor:
     axes = tuple(axes)
     out = Tensor(x.data.mean(axis=axes, keepdims=keepdims), requires_grad=x.requires_grad)
-    count = int(np.prod([x.data.shape[a] for a in axes]))
+    shape = x.data.shape
+    count = int(np.prod([shape[a] for a in axes]))
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x.data.shape) / count,)
+        return (np.broadcast_to(g, shape) / count,)
 
-    return _record(
-        "reduce_mean", (x,), out, backward, lambda: x.data.mean(axis=axes, keepdims=keepdims)
-    )
+    return _record("reduce_mean", (x,), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +469,7 @@ def batchnorm(
         gx *= inv_std
         return (gx.reshape(shape),)
 
-    def compute():
-        return _bn_normalize(_bn_rows(x.data), eps)[0].reshape(shape)
-
-    return _record("batchnorm", (x,), out, backward, compute)
+    return _record("batchnorm", (x,), out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +482,6 @@ def add_gaussian_noise(x: Tensor, std: float, rng: Rng) -> Tensor:
     if std < 0:
         raise ConfigError(f"noise std must be >= 0, got {std}")
     if std == 0.0:
-        eps = None
         out = Tensor(x.data.copy(), requires_grad=x.requires_grad)
     else:
         eps = rng.normal(std, x.data.shape, dtype=x.dtype)
@@ -470,7 +490,4 @@ def add_gaussian_noise(x: Tensor, std: float, rng: Rng) -> Tensor:
     def backward(g):
         return (g,)
 
-    def compute():
-        return x.data.copy() if eps is None else x.data + eps
-
-    return _record("gaussian_noise", (x,), out, backward, compute)
+    return _record("gaussian_noise", (x,), out, backward)

@@ -3,18 +3,24 @@
 A forward pass executed inside a ``with GradTape() as tape:`` block records
 one node per differentiable operation, in execution order.  ``tape.backward``
 walks that record once in reverse, accumulating gradients; tensors used in
-several places sum their contributions.  Each node's output gradient is
-released as soon as that node's backward has read it, so after backward only
-leaf tensors (parameters and inputs, which no node produces) keep ``.grad``
-and the intermediate gradients of a step are never all alive at once.  Each
-node also keeps a pure re-computation closure so a recorded graph can be
-replayed and checked bit-exactly against the recorded outputs (stochastic ops
-capture their drawn noise, which makes the replay deterministic).
+several places sum their contributions.
+
+A node holds no tensors.  It owns the gradient slot of its output
+(``TapeNode.grad``) and links to its inputs' slots: the node that produced
+an input on the same tape, or the input itself when it is a leaf that
+requires a gradient (a parameter, an input, or a tensor produced on another
+tape or on none).  A tensor links back only to the node that produced it.
+Each op's backward closure captures the arrays its formula reads and
+nothing else, so an intermediate that no backward reads is freed by
+refcount as soon as the forward code drops it, and the graph holds no
+reference cycle.  A recorded graph cannot be replayed: outputs that no
+backward reads are not kept.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+import itertools
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +30,7 @@ from .errors import GraphError
 class Tensor:
     """N-d array of reals with an attached gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -35,6 +41,8 @@ class Tensor:
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        # the tape node that produced this tensor, if any
+        self.node: Optional[TapeNode] = None
 
     @property
     def shape(self) -> tuple:
@@ -53,11 +61,14 @@ class Tensor:
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add ``g`` into ``self.grad`` without copying the first contribution.
 
+        ``GradTape.backward`` calls this on every gradient slot it fills, a
+        leaf tensor or a :class:`TapeNode` alike (``Tensor.accumulate_grad(
+        node, g)``), so each accumulation of a walk goes through here.
         Backward functions may return ``g`` itself or a view of it (``add``,
-        ``sub`` and ``reshape`` do), so several tensors can hold the same
+        ``sub`` and ``reshape`` do), so several slots can hold the same
         array: a gradient is only ever rebound, never written in place.  That
-        is what lets ``GradTape.backward`` drop a node output's gradient once
-        read while an alias of it lives on in an input's ``.grad``.
+        is what lets ``GradTape.backward`` drop a node's gradient once read
+        while an alias of it lives on in another slot.
         """
         self.grad = np.asarray(g) if self.grad is None else self.grad + g
 
@@ -66,20 +77,26 @@ class Tensor:
 
 
 class TapeNode:
-    __slots__ = ("name", "inputs", "output", "backward_fn", "forward_fn")
+    """One recorded op: its output's gradient slot, its inputs' slots and
+    its backward closure."""
 
-    def __init__(self, name, inputs, output, backward_fn, forward_fn):
-        self.name: str = name
-        self.inputs: tuple[Tensor, ...] = tuple(inputs)
-        self.output: Tensor = output
+    __slots__ = ("name", "inputs", "backward_fn", "grad", "tape_id")
+
+    def __init__(self, name: str, inputs: tuple, backward_fn, tape_id: int):
+        self.name = name
+        # per input, where its gradient goes: its producing node, a leaf
+        # tensor, or nowhere (None)
+        self.inputs: tuple[Union[TapeNode, Tensor, None], ...] = inputs
         # backward_fn(grad_out) -> tuple of per-input gradients (None where
         # the input does not require one)
-        self.backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]] = backward_fn
-        # forward_fn() -> recomputed output data from the inputs' current data
-        self.forward_fn: Callable[[], np.ndarray] = forward_fn
+        self.backward_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = backward_fn
+        self.grad: Optional[np.ndarray] = None
+        # the recording tape's id; a reference to the tape would be a cycle
+        self.tape_id = tape_id
 
 
 _TAPE_STACK: list["GradTape"] = []
+_TAPE_IDS = itertools.count()
 
 
 def active_tape() -> Optional["GradTape"]:
@@ -91,6 +108,7 @@ class GradTape:
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self._id = next(_TAPE_IDS)
         self._used = False
 
     def __enter__(self) -> "GradTape":
@@ -101,45 +119,55 @@ class GradTape:
         popped = _TAPE_STACK.pop()
         assert popped is self
 
+    def _slot(self, t: Tensor) -> Union[TapeNode, Tensor, None]:
+        node = t.node
+        if node is not None and node.tape_id == self._id:
+            return node
+        return t if t.requires_grad else None
+
     def record(self, name, inputs, output, backward_fn, forward_fn) -> None:
-        self.nodes.append(TapeNode(name, inputs, output, backward_fn, forward_fn))
+        """Append a node for ``output = name(*inputs)`` and link ``output``
+        to it.  ``forward_fn`` is ignored (ops pass None); the benchmark's
+        tracer wraps this method with a fixed signature, and the benchmark
+        change of ROADMAP item 1 removes the argument."""
+        node = TapeNode(name, tuple(self._slot(t) for t in inputs), backward_fn, self._id)
+        output.node = node
+        self.nodes.append(node)
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d loss / d t into ``t.grad`` for every leaf tensor.
 
         The traversal visits nodes exactly once, in reverse execution order,
         so every consumer of a tensor has contributed before that tensor's
-        own producer runs.  Nothing adds to a node output's gradient after
-        its producer has read it, so the walk sets that ``.grad`` to None
-        right there; the array itself lives on only while an input's
-        ``.grad`` aliases it (``accumulate_grad`` never writes in place).
-        Afterwards only leaf tensors, the ones no node produced, hold a
-        gradient.  The nodes and their closures stay until the tape dies:
-        freeing them during the walk too saves little more memory and makes
-        the step slower.
+        producer runs.  Nothing adds to a node's gradient after the node has
+        read it, so the walk sets ``node.grad`` to None right there; the
+        array itself lives on only while another slot aliases it
+        (``accumulate_grad`` never writes in place).  Afterwards only leaf
+        tensors hold a gradient.  Once the walk ends, every node drops its
+        backward closure and input links, so the saved arrays are freed and
+        a tensor that outlives the step (a loss kept for logging) pins
+        nothing.  Dropping them during the walk instead would save a little
+        more memory but makes the step slower.
         """
         if loss.data.size != 1:
             raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         if self._used:
             raise GraphError("backward already ran on this tape; record a new forward pass")
         self._used = True
-        loss.accumulate_grad(np.ones_like(loss.data))
-        for node in reversed(self.nodes):
-            g = node.output.grad
-            if g is None:
-                continue
-            node.output.grad = None
-            input_grads = node.backward_fn(g)
-            for t, gi in zip(node.inputs, input_grads):
-                if gi is None:
+        # looked up per call so that a patched method sees every accumulation
+        accumulate = Tensor.accumulate_grad
+        start = self._slot(loss)
+        try:
+            accumulate(loss if start is None else start, np.ones_like(loss.data))
+            for node in reversed(self.nodes):
+                g = node.grad
+                if g is None:
                     continue
-                t.accumulate_grad(gi)
-
-    def verify_replay(self) -> bool:
-        """Re-run every recorded op on its recorded inputs; True if all
-        recomputed outputs match the recorded outputs bit-exactly."""
-        for node in self.nodes:
-            again = node.forward_fn()
-            if not np.array_equal(again, node.output.data):
-                return False
-        return True
+                node.grad = None
+                for slot, gi in zip(node.inputs, node.backward_fn(g)):
+                    if gi is not None and slot is not None:
+                        accumulate(slot, gi)
+        finally:
+            for node in self.nodes:
+                node.backward_fn = None
+                node.inputs = ()

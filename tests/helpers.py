@@ -5,7 +5,7 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hsiladder import GradTape
+from hsiladder import GradTape, Tensor
 from hsiladder.train import batch_input
 
 
@@ -171,15 +171,17 @@ def read_array_oracle(path) -> np.ndarray:
 
 def reference_backward(tape: GradTape, loss) -> None:
     """The reverse walk of ``GradTape.backward`` without releasing anything:
-    every tensor on the tape, intermediate or leaf, keeps its ``.grad``."""
-    loss.accumulate_grad(np.ones_like(loss.data))
+    every node keeps the gradient of its output and its closure, and every
+    leaf keeps its ``.grad``.  ``loss`` must be produced on ``tape``."""
+    assert loss.node in tape.nodes
+    Tensor.accumulate_grad(loss.node, np.ones_like(loss.data))
     for node in reversed(tape.nodes):
-        g = node.output.grad
+        g = node.grad
         if g is None:
             continue
-        for t, gi in zip(node.inputs, node.backward_fn(g)):
+        for slot, gi in zip(node.inputs, node.backward_fn(g)):
             if gi is not None:
-                t.accumulate_grad(gi)
+                Tensor.accumulate_grad(slot, gi)
 
 
 def fd_gradcheck(build_loss, params, step=1e-5, tol=1e-4):

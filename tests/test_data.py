@@ -105,6 +105,16 @@ class TestCubeFile:
         cube_io.write_array(p, np.zeros((0, 3)))
         assert cube_io.read_array(p).shape == (0, 3)
 
+    def test_failed_write_removes_the_tmp_file_and_keeps_the_old_one(self, tmp_path):
+        path = tmp_path / "a.hsicube"
+        cube_io.write_array(path, np.arange(3.0))
+        with pytest.raises(RuntimeError, match="half written"):
+            with cube_io.atomic_write(path) as f:
+                f.write(b"partial")
+                raise RuntimeError("half written")
+        assert list(tmp_path.iterdir()) == [path]
+        np.testing.assert_array_equal(cube_io.read_array(path), np.arange(3.0))
+
 
 class TestConvert:
     def test_raw_dump_round_trip(self, tmp_path):

@@ -700,7 +700,7 @@ class TestBackwardRelease:
 
     def test_only_leaves_keep_a_gradient(self):
         net, tape = small_conv_step(np.float64, GradTape.backward)
-        assert all(node.output.grad is None for node in tape.nodes)
+        assert all(node.grad is None for node in tape.nodes)
         assert all(p.grad is not None for p in net.params.values())
 
     def test_backward_peak_memory_below_keep_everything_walk(self):
@@ -721,3 +721,39 @@ class TestBackwardRelease:
         peak = traced_peak(GradTape.backward)
         ref_peak = traced_peak(reference_backward)
         assert peak < 0.8 * ref_peak, (peak, ref_peak)
+
+
+class TestSavedArrays:
+    """A recorded ladder step keeps only what its backward formulas read."""
+
+    def test_no_closure_captures_a_tensor(self):
+        captured = []
+
+        def inspect(tape, loss):
+            for node in tape.nodes:
+                for cell in node.backward_fn.__closure__ or ():
+                    if isinstance(cell.cell_contents, Tensor):
+                        captured.append(node.name)
+
+        small_conv_step(np.float64, inspect)
+        assert captured == []
+
+    # Live traced bytes right after the forward when every node kept its
+    # input and output tensors and a replay closure over them (commit
+    # 015a6b9): 7,049,666 (f64) and 3,257,910 (f32).  Keeping only the
+    # saved arrays reads about 3.45 and 1.43 MB.
+    @pytest.mark.parametrize(
+        "dtype, tensor_holding_bytes",
+        [(np.float64, 7_049_666), (np.float32, 3_257_910)],
+        ids=["f64", "f32"],
+    )
+    def test_forward_live_memory_at_most_60_percent_of_tensor_holding_tape(
+        self, dtype, tensor_holding_bytes
+    ):
+        live = []
+        tracemalloc.start()
+        try:
+            small_conv_step(dtype, lambda tape, loss: live.append(tracemalloc.get_traced_memory()[0]))
+        finally:
+            tracemalloc.stop()
+        assert live[0] <= 0.6 * tensor_holding_bytes, live[0]

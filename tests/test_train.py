@@ -433,6 +433,24 @@ class TestCheckpoint:
         np.testing.assert_array_equal(entries["w"], good["w"])
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize(
+        "iteration, entries, why",
+        [
+            (1, {"x" * 70000: np.ones(2)}, "name is 70000 utf-8 bytes, at most 65535 fit"),
+            (-1, {"w": np.ones(2)}, "iteration -1 is outside"),
+            (2**64, {"w": np.ones(2)}, "iteration 18446744073709551616 is outside"),
+            (1, {"w\ud800": np.ones(2)}, "name is not encodable as utf-8"),
+        ],
+        ids=["name-70000-bytes", "iteration-negative", "iteration-2**64", "name-lone-surrogate"],
+    )
+    def test_unwritable_header_refused_before_the_file_opens(self, tmp_path, iteration, entries, why):
+        path = tmp_path / "a.ckpt"
+        ckpt.save_entries(path, 3, {"w": np.arange(2.0)})
+        with pytest.raises(DataError, match=why):
+            ckpt.save_entries(path, iteration, entries)
+        assert list(tmp_path.iterdir()) == [path]
+        assert ckpt.load_entries(path)[0] == 3
+
     def test_every_truncation_raises_data_error(self, tmp_path):
         path = tmp_path / "a.ckpt"
         ckpt.save_entries(path, 1, {"w": np.ones((2, 2)), "t": np.array([7], dtype=np.uint64)})
