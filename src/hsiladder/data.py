@@ -57,7 +57,6 @@ class PatchSet:
     patches: np.ndarray  # (n, w, w, c)
     labels: np.ndarray  # (n,) in 0..K-1
     centers: np.ndarray  # (n, 2) row, col
-    num_classes: int
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -77,7 +76,6 @@ class SemiSplit:
     labeled_train: np.ndarray
     unlabeled_train: np.ndarray
     test: np.ndarray
-    seed: int
 
     def train_indices(self) -> np.ndarray:
         return np.concatenate([self.labeled_train, self.unlabeled_train])
@@ -157,7 +155,7 @@ def extract_patches(cube: HsiCube, window: int) -> PatchSet:
     patches = win.transpose(0, 1, 3, 4, 2)[rows, cols]
     labels = cube.ground_truth[rows, cols].astype(np.int64) - 1
     centers = np.stack([rows, cols], axis=1).astype(np.int64)
-    return PatchSet(patches, labels, centers, cube.num_classes)
+    return PatchSet(patches, labels, centers)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +269,6 @@ def make_split(
         if unlabeled_parts
         else np.array([], dtype=np.int64),
         test=np.sort(np.concatenate(test_parts)),
-        seed=int(seed),
     )
 
 

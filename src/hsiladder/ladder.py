@@ -19,7 +19,6 @@ import numpy as np
 
 from . import kernels, ops
 from .errors import ConfigError, GraphError, ShapeError
-from .ops import RunningStats
 from .rng import Rng
 from .tensor import Tensor
 
@@ -33,6 +32,9 @@ _KINDS = (FC, CONV3X3, SOFTMAX_HEAD)
 # side) within this many bytes.  Chosen by a sweep of 1-64 MiB on the
 # benchmark's conv and FC ladders (see CHANGES.md).
 PREDICT_CHUNK_BYTES = 8 << 20
+
+# Weight of the old value in the running averages of batch statistics.
+BN_MOMENTUM = 0.99
 
 COMBINATOR_PARAM_NAMES = tuple(f"a{i}" for i in range(1, 11))
 # (a1..a5) shape the sigmoid-affine mean, (a6..a10) the gate; these values
@@ -86,17 +88,19 @@ class LadderSpec:
             raise ConfigError("final layer must be a softmax head")
         if any(l.kind == SOFTMAX_HEAD for l in self.layers[:-1]):
             raise ConfigError("softmax head must be the final layer only")
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (0 <= self.noise_std < math.inf):
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if len(self.lambdas) != len(self.layers) + 1:
             raise ConfigError(
                 f"need {len(self.layers) + 1} denoising multipliers "
                 f"(input level + one per layer), got {len(self.lambdas)}"
             )
-        if any(v < 0 for v in self.lambdas):
-            raise ConfigError("denoising multipliers must be >= 0")
-        if len(self.input_shape) not in (1, 3):
-            raise ConfigError(f"input_shape must be (features,) or (h, w, c), got {self.input_shape}")
+        if not all(0 <= v < math.inf for v in self.lambdas):
+            raise ConfigError(f"lambdas must be finite and >= 0, got {self.lambdas}")
+        if len(self.input_shape) not in (1, 3) or min(self.input_shape) < 1:
+            raise ConfigError(
+                f"input_shape must be (features,) or (h, w, c) of sizes >= 1, got {self.input_shape}"
+            )
 
     @property
     def num_levels(self) -> int:
@@ -122,6 +126,27 @@ class LadderSpec:
                 cur = (layer.width,)
             shapes.append(cur)
         return shapes
+
+
+@dataclass
+class RunningStats:
+    """Exponential averages of one level's clean-pass batch statistics;
+    prediction normalizes by them."""
+
+    mean: np.ndarray
+    var: np.ndarray
+    initialized: bool = False
+
+    def update(self, mean: np.ndarray, var: np.ndarray) -> None:
+        if not self.initialized:
+            # first batch seeds the averages so early predictions are not
+            # pulled toward the arbitrary (0, 1) prior
+            self.mean = mean.astype(self.mean.dtype)
+            self.var = var.astype(self.var.dtype)
+            self.initialized = True
+            return
+        self.mean = BN_MOMENTUM * self.mean + (1.0 - BN_MOMENTUM) * mean
+        self.var = BN_MOMENTUM * self.var + (1.0 - BN_MOMENTUM) * var
 
 
 @dataclass
@@ -159,6 +184,8 @@ class LadderNetwork:
     def __init__(self, spec: LadderSpec, rng: Rng, dtype=np.float64):
         self.spec = spec
         self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype}")
         self.level_shapes = spec.level_shapes()
         self.params: dict[str, Tensor] = {}
         self.running: dict[int, RunningStats] = {}
@@ -175,7 +202,7 @@ class LadderNetwork:
             feat = self._level_features(l)
             self.params[f"enc{l}/gamma"] = Tensor(np.ones(feat, dtype=self.dtype), requires_grad=True)
             self.params[f"enc{l}/beta"] = Tensor(np.zeros(feat, dtype=self.dtype), requires_grad=True)
-            self.running[l] = RunningStats.for_features(feat, dtype=self.dtype)
+            self.running[l] = RunningStats(np.zeros(feat, self.dtype), np.ones(feat, self.dtype))
         for l in range(1, spec.num_levels):
             # dec{l}/V maps level l back to level l-1
             self.params[f"dec{l}/V"] = Tensor(
@@ -245,14 +272,9 @@ class LadderNetwork:
                 f"model input {self.spec.input_shape}"
             )
 
-    def _encode(
-        self,
-        x: Tensor,
-        corrupted: bool,
-        rng: Rng | None = None,
-        update_running: bool = False,
-    ):
-        """Shared encoder walk; every batchnorm uses batch statistics.
+    def _encode(self, x: Tensor, corrupted: bool, rng: Rng | None = None):
+        """Shared encoder walk; every batchnorm uses batch statistics, and the
+        clean pass folds them into ``self.running``.
 
         Returns (z levels 0..L, per-level (mean, std) of the clean pass's
         normalized z or None on the corrupted pass, top activation,
@@ -271,22 +293,20 @@ class LadderNetwork:
         stats: list[tuple[Tensor, Tensor] | None] = [None]
         y_logp: Tensor | None = None
         for l, layer in enumerate(spec.layers, start=1):
-            z = ops.batchnorm(
-                self.layer_map(l, h), running=self.running[l], update_running=update_running
-            )
-            if not corrupted:
+            z, batch_mean, batch_var = ops.batchnorm(self.layer_map(l, h))
+            if corrupted:
+                stats.append(None)
+                z = ops.add_gaussian_noise(z, noise, rng)
+            else:
+                self.running[l].update(batch_mean, batch_var)
                 # batch statistics of the clean representation itself; the
                 # decoded signal is standardized by these before the
                 # reconstruction distance
                 axes = (0,) if z.data.ndim == 2 else (0, 1, 2)
-                mu = ops.reduce_mean(z, axes, keepdims=True)
-                var = ops.reduce_mean(ops.square(ops.sub(z, mu)), axes, keepdims=True)
+                mu = ops.reduce_mean(z, axes)
+                var = ops.reduce_mean(ops.square(ops.sub(z, mu)), axes)
                 sigma = ops.sqrt(ops.add(var, ops.BN_EPS))
                 stats.append((mu, sigma))
-            else:
-                stats.append(None)
-            if corrupted:
-                z = ops.add_gaussian_noise(z, noise, rng)
             zs.append(z)
             scaled = ops.mul(
                 self.params[f"enc{l}/gamma"], ops.add(z, self.params[f"enc{l}/beta"])
@@ -306,13 +326,14 @@ class LadderNetwork:
         zs, _, h_top, y_logp = self._encode(x, corrupted=True, rng=rng)
         return zs, h_top, y_logp
 
-    def clean_encoder(self, x: Tensor, update_running: bool = False):
+    def clean_encoder(self, x: Tensor):
         """Noise-free training pass, normalized by batch statistics; returns
         (z levels, per-level (mean, std) reconstruction-target normalizers,
-        log-probabilities) and folds the batch statistics into the running
-        ones when ``update_running`` is set.  Prediction does not come here
+        log-probabilities) and folds each level's batch pre-activation mean
+        and variance into ``self.running``, as its one caller,
+        :meth:`training_loss`, always wants.  Prediction does not come here
         (see :meth:`predict_log_probs`)."""
-        zs, stats, _, y_logp = self._encode(x, corrupted=False, update_running=update_running)
+        zs, stats, _, y_logp = self._encode(x, corrupted=False)
         return zs, stats, y_logp
 
     # -- decoder ------------------------------------------------------------
@@ -329,10 +350,10 @@ class LadderNetwork:
         lowest one with a nonzero cost multiplier can be skipped).
         """
         top = len(self.spec.layers)
-        u = ops.batchnorm(h_top)
+        u, _, _ = ops.batchnorm(h_top)
         z_hat: dict[int, Tensor] = {top: combinator_g(z_tilde[top], u, self.combinator_params(top))}
         for l in range(top - 1, min_level - 1, -1):
-            u = ops.batchnorm(
+            u, _, _ = ops.batchnorm(
                 self.layer_transpose(l + 1, z_hat[l + 1], self.params[f"dec{l + 1}/V"])
             )
             z_hat[l] = combinator_g(z_tilde[l], u, self.combinator_params(l))
@@ -404,7 +425,7 @@ class LadderNetwork:
         lambdas = spec.lambdas if lambdas is None else tuple(float(v) for v in lambdas)
         x = Tensor(batch, dtype=self.dtype)
         z_tilde, h_top, y_tilde = self.corrupted_encoder(x, rng)
-        z_clean, stats, _ = self.clean_encoder(x, update_running=True)
+        z_clean, stats, _ = self.clean_encoder(x)
         y_lab = ops.slice_rows(y_tilde, labeled_count)
         c_super = self.supervised_cost(y_lab, targets)
         active = [l for l, lam in enumerate(lambdas) if lam > 0.0]

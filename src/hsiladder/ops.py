@@ -11,11 +11,12 @@ the other input's gradient needs it, the input of ``square``, the op's own
 output for ``relu``, ``sigmoid``, ``exp``, ``sqrt``, ``log_softmax`` and
 ``batchnorm``, and shapes alone for the rest.  Anything else a forward makes
 is freed as soon as the forward drops it; nothing is kept to replay one.
+
+Ops hold no state: each is a function of its inputs, and ``batchnorm``
+returns the batch mean and variance it normalized by next to its output.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .rng import Rng
 from .tensor import GradTape, Tensor, active_tape
 
 BN_EPS = 1e-6
-BN_MOMENTUM = 0.99
 
 
 def _record(name, inputs, out, backward_fn):
@@ -373,15 +373,14 @@ def sum_all(x: Tensor) -> Tensor:
     return _record("sum_all", (x,), out, backward)
 
 
-def reduce_mean(x: Tensor, axes: tuple, keepdims: bool = True) -> Tensor:
+def reduce_mean(x: Tensor, axes: tuple) -> Tensor:
+    """Mean over ``axes``, which are kept with length 1."""
     axes = tuple(axes)
-    out = Tensor(x.data.mean(axis=axes, keepdims=keepdims), requires_grad=x.requires_grad)
+    out = Tensor(x.data.mean(axis=axes, keepdims=True), requires_grad=x.requires_grad)
     shape = x.data.shape
     count = int(np.prod([shape[a] for a in axes]))
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
         return (np.broadcast_to(g, shape) / count,)
 
     return _record("reduce_mean", (x,), out, backward)
@@ -392,30 +391,6 @@ def reduce_mean(x: Tensor, axes: tuple, keepdims: bool = True) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunningStats:
-    """Exponential-average feature statistics; prediction normalizes by them."""
-
-    mean: np.ndarray
-    var: np.ndarray
-    initialized: bool = field(default=False)
-
-    @classmethod
-    def for_features(cls, n: int, dtype=np.float64) -> "RunningStats":
-        return cls(mean=np.zeros(n, dtype=dtype), var=np.ones(n, dtype=dtype))
-
-    def update(self, mean: np.ndarray, var: np.ndarray, momentum: float = BN_MOMENTUM) -> None:
-        if not self.initialized:
-            # first batch seeds the averages so early predictions are not
-            # pulled toward the arbitrary (0, 1) prior
-            self.mean = mean.astype(self.mean.dtype)
-            self.var = var.astype(self.var.dtype)
-            self.initialized = True
-            return
-        self.mean = momentum * self.mean + (1.0 - momentum) * mean
-        self.var = momentum * self.var + (1.0 - momentum) * var
-
-
 def _bn_rows(x: np.ndarray) -> np.ndarray:
     """(rows, features) view: one row per sample (2-d) or per pixel (4-d NHWC)."""
     if x.ndim not in (2, 4):
@@ -423,40 +398,34 @@ def _bn_rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
-def _bn_normalize(x2: np.ndarray, eps: float):
+def _bn_normalize(x2: np.ndarray):
     """Standardize the columns of ``x2`` by their batch statistics; returns
-    (xhat, mean, var, 1/sqrt(var + eps))."""
+    (xhat, mean, var, 1/sqrt(var + BN_EPS))."""
     n = x2.shape[0]
     mu = x2.sum(axis=0) / n
     xhat = x2 - mu
     var = np.einsum("ij,ij->j", xhat, xhat) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
     return xhat, mu, var, inv_std
 
 
-def batchnorm(
-    x: Tensor,
-    running: RunningStats | None = None,
-    eps: float = BN_EPS,
-    update_running: bool = True,
-) -> Tensor:
-    """Per-feature standardization by batch statistics.
+def batchnorm(x: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Per-feature standardization by batch statistics; returns ``(out, mean,
+    var)``, the standardized tensor and the batch mean and (biased) variance
+    it was standardized by.
 
     Statistics are per feature for 2-d input and per channel over batch x
-    height x width for 4-d input; they are folded into ``running`` when it
-    is given and ``update_running`` is set.  The backward pass
-    differentiates through the batch statistics (full batchnorm gradient).
-    Prediction normalizes by the running statistics without this op
-    (:meth:`~hsiladder.ladder.LadderNetwork.predict_log_probs`).
+    height x width for 4-d input.  The backward pass differentiates through
+    the batch statistics (full batchnorm gradient); ``mean`` and ``var`` are
+    plain arrays off the tape.  Prediction normalizes by running statistics
+    without this op (:meth:`~hsiladder.ladder.LadderNetwork.predict_log_probs`).
     """
     x2 = _bn_rows(x.data)
     n = x2.shape[0]
     if n < 2:
         raise ShapeError("batchnorm needs a batch of at least 2")
-    xhat, mu, var, inv_std = _bn_normalize(x2, eps)
-    if running is not None and update_running:
-        running.update(mu, var)
+    xhat, mu, var, inv_std = _bn_normalize(x2)
     shape = x.data.shape
     out = Tensor(xhat.reshape(shape), requires_grad=x.requires_grad)
 
@@ -469,7 +438,7 @@ def batchnorm(
         gx *= inv_std
         return (gx.reshape(shape),)
 
-    return _record("batchnorm", (x,), out, backward)
+    return _record("batchnorm", (x,), out, backward), mu, var
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +448,8 @@ def batchnorm(
 
 def add_gaussian_noise(x: Tensor, std: float, rng: Rng) -> Tensor:
     """x + eps with eps ~ N(0, std^2); eps is a constant in the backward pass."""
-    if std < 0:
-        raise ConfigError(f"noise std must be >= 0, got {std}")
+    if not (0 <= std < np.inf):
+        raise ConfigError(f"noise std must be finite and >= 0, got {std}")
     if std == 0.0:
         out = Tensor(x.data.copy(), requires_grad=x.requires_grad)
     else:

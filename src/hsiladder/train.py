@@ -36,6 +36,11 @@ MODES = ("ladder", "supervised-only", "sdae-pretrain")
 # Under ``lr_decay="linear"`` the learning rate falls linearly to 0 over this
 # final fraction of the iterations.
 LR_DECAY_FRACTION = 0.25
+# Adam's moment decay rates and denominator guard, the defaults of Kingma &
+# Ba 2015 (arXiv 1412.6980).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -53,8 +58,8 @@ class TrainConfig:
     checkpoint_interval: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (0 < self.learning_rate < np.inf):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.iterations < 1:
@@ -65,6 +70,12 @@ class TrainConfig:
             raise ConfigError(f"lr_decay must be 'none' or 'linear', got {self.lr_decay!r}")
         if self.precision not in ("f64", "f32"):
             raise ConfigError(f"precision must be 'f64' or 'f32', got {self.precision!r}")
+        if self.grad_clip is not None and not (0 < self.grad_clip < np.inf):
+            raise ConfigError(f"grad_clip must be None or finite and > 0, got {self.grad_clip}")
+        if not (self.pretrain_iterations >= 0):
+            raise ConfigError(f"pretrain_iterations must be >= 0, got {self.pretrain_iterations}")
+        if not (self.checkpoint_interval >= 0):
+            raise ConfigError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
 
     @property
     def dtype(self):
@@ -126,13 +137,12 @@ class Adam:
     parameters must share one dtype.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         dtypes = {p.data.dtype for p in params.values()}
         if len(dtypes) != 1:
             raise ConfigError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         (dtype,) = dtypes
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         # (name, parameter, start, stop) of each parameter's slice
         self._spans = []
@@ -158,7 +168,7 @@ class Adam:
                 if not np.isfinite(g[a:b]).all():
                     raise DivergenceError(f"non-finite gradient for parameter {name}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         m, v = self.flat_m, self.flat_v
@@ -173,7 +183,7 @@ class Adam:
         # upd = (lr * lr_scale) * (m / bc1) / (sqrt(v / bc2) + eps)
         np.divide(v, bc2, out=g)
         np.sqrt(g, out=g)
-        g += self.eps
+        g += ADAM_EPS
         np.divide(m, bc1, out=upd)
         upd *= self.lr * lr_scale
         upd /= g

@@ -83,6 +83,35 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             spec.level_shapes()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_std", float("nan")),
+            ("noise_std", float("inf")),
+            ("lambdas", (0.1, float("nan"), 0.1)),
+            ("lambdas", (0.1, float("inf"), 0.1)),
+            ("input_shape", (0,)),
+            ("input_shape", (-2,)),
+            ("input_shape", (7, 7, 0)),
+        ],
+        ids=["noise-nan", "noise-inf", "lambda-nan", "lambda-inf", "zero", "negative", "no-bands"],
+    )
+    def test_bad_value_rejected_by_name(self, field, value):
+        args = dict(
+            layers=(LayerSpec("fc", 4), LayerSpec("softmax_head", 2)),
+            noise_std=0.3,
+            lambdas=(0.1, 0.1, 0.1),
+            input_shape=(5,),
+        )
+        args[field] = value
+        with pytest.raises(ConfigError, match=field):
+            LadderSpec(**args)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16])
+    def test_only_float32_and_float64_networks(self, dtype):
+        with pytest.raises(ConfigError, match="dtype"):
+            LadderNetwork(fc_spec([4], classes=3, bands=5), Rng(0), dtype=dtype)
+
 
 class TestEncoderShapes:
     def test_fc_paper_architecture_level_shapes(self):
@@ -234,13 +263,66 @@ def predict_oracle(net, x):
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
 
 
+def clean_stats_oracle(net, x):
+    """Per-level batch mean and variance of the clean pass's pre-activations,
+    from the loop oracles: Wx, then gamma * ((z - mean) / sqrt(var + eps) +
+    beta) and relu up the stack."""
+    h = np.asarray(x, dtype=np.float64)
+    stats = []
+    for l, layer in enumerate(net.spec.layers, start=1):
+        w = net.params[f"enc{l}/W"].data
+        if layer.kind == "conv3x3":
+            z = conv2d_oracle(h, w)
+        else:
+            z = matmul_oracle(h.reshape(len(h), -1), w)
+        axes = tuple(range(z.ndim - 1))
+        mean, var = z.mean(axis=axes), z.var(axis=axes)
+        stats.append((mean, var))
+        z = (z - mean) / np.sqrt(var + ops.BN_EPS)
+        z = net.params[f"enc{l}/gamma"].data * (z + net.params[f"enc{l}/beta"].data)
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return stats
+
+
+class TestRunningStats:
+    """Prediction normalizes by these averages (TestEvalMode)."""
+
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_clean_pass_folds_the_batch_statistics(self, arch):
+        net, x = tiny_net(arch)
+        x2 = x[::-1] * 0.5 + 0.2
+        first, second = clean_stats_oracle(net, x), clean_stats_oracle(net, x2)
+        net.clean_encoder(Tensor(x))
+        # the first batch seeds the averages
+        for l, (mean, var) in enumerate(first, start=1):
+            assert net.running[l].initialized
+            np.testing.assert_allclose(net.running[l].mean, mean, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(net.running[l].var, var, rtol=1e-10)
+        net.clean_encoder(Tensor(x2))
+        for l, ((m1, v1), (m2, v2)) in enumerate(zip(first, second), start=1):
+            rs = net.running[l]
+            np.testing.assert_allclose(rs.mean, 0.99 * m1 + 0.01 * m2, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(rs.var, 0.99 * v1 + 0.01 * v2, rtol=1e-10)
+
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_corrupted_pass_leaves_them_alone(self, arch):
+        net, x = tiny_net(arch)
+        net.clean_encoder(Tensor(x))
+        assert all(rs.initialized for rs in net.running.values())
+        before = {l: (rs.mean.copy(), rs.var.copy()) for l, rs in net.running.items()}
+        net.corrupted_encoder(Tensor(x[::-1] * 0.5 + 0.2), Rng(4))
+        for l, (mean, var) in before.items():
+            np.testing.assert_array_equal(net.running[l].mean, mean)
+            np.testing.assert_array_equal(net.running[l].var, var)
+
+
 class TestEvalMode:
     def test_batch_of_one_valid_distribution(self):
         spec = fc_spec([6], classes=4, bands=5)
         net = LadderNetwork(spec, Rng(0))
         # one training pass to populate running statistics
         x = Rng(1).normal(1.0, (12, 5))
-        net.clean_encoder(Tensor(x), update_running=True)
+        net.clean_encoder(Tensor(x))
         y_logp = net.predict_log_probs(x[:1])
         assert y_logp.shape == (1, 4)
         total = np.exp(y_logp).sum()
@@ -250,7 +332,7 @@ class TestEvalMode:
         spec = fc_spec([6], classes=4, bands=5)
         net = LadderNetwork(spec, Rng(0))
         x = Rng(1).normal(1.0, (12, 5))
-        net.clean_encoder(Tensor(x), update_running=True)
+        net.clean_encoder(Tensor(x))
         p1 = net.predict(x)
         p2 = net.predict(x)
         np.testing.assert_array_equal(p1, p2)
@@ -270,8 +352,8 @@ class TestEvalMode:
     def test_predict_matches_oracle(self, arch):
         net, x = tiny_net(arch)
         # two passes, so the running averages differ from any one batch
-        net.clean_encoder(Tensor(x), update_running=True)
-        net.clean_encoder(Tensor(x[::-1] * 0.5 + 0.2), update_running=True)
+        net.clean_encoder(Tensor(x))
+        net.clean_encoder(Tensor(x[::-1] * 0.5 + 0.2))
         for sample in (x, x[:1]):
             np.testing.assert_allclose(
                 net.predict_log_probs(sample), predict_oracle(net, sample), rtol=1e-12, atol=0
@@ -280,9 +362,9 @@ class TestEvalMode:
     @pytest.mark.parametrize("arch", ["fc", "conv"])
     def test_chunk_sizes_agree(self, arch, monkeypatch):
         net, x = tiny_net(arch)
-        net.clean_encoder(Tensor(x), update_running=True)
+        net.clean_encoder(Tensor(x))
         net32, _ = tiny_net(arch, dtype=np.float32)
-        net32.clean_encoder(Tensor(x, dtype=np.float32), update_running=True)
+        net32.clean_encoder(Tensor(x, dtype=np.float32))
         # values in the widest per-sample intermediate: the conv level's
         # im2col row (3x2 positions of 3x3x2 windows) or the 6-unit fc level
         widest = 3 * 2 * 3 * 3 * 2 if arch == "conv" else 6
@@ -364,7 +446,7 @@ class TestEvalMode:
     @pytest.mark.parametrize("arch", ["fc", "conv"])
     def test_f32_in_f32_out(self, arch):
         net, x = tiny_net(arch, dtype=np.float32)
-        net.clean_encoder(Tensor(x, dtype=np.float32), update_running=True)
+        net.clean_encoder(Tensor(x, dtype=np.float32))
         for sample in (x, x.astype(np.float32)):
             out = net.predict_log_probs(sample)
             assert out.dtype == np.float32

@@ -166,25 +166,25 @@ class TestConv2dTranspose:
 class TestBatchnorm:
     def test_two_point_column(self):
         x = Tensor(np.array([[2.0], [4.0]]))
-        out = ops.batchnorm(x)
+        out, _, _ = ops.batchnorm(x)
         np.testing.assert_allclose(out.data[:, 0], [-1.0, 1.0], atol=1e-5)
 
     def test_constant_column_guarded_by_eps(self):
         x = Tensor(np.full((3, 1), 5.0))
-        out = ops.batchnorm(x)
+        out, _, _ = ops.batchnorm(x)
         np.testing.assert_array_equal(out.data, np.zeros((3, 1)))
 
     def test_random_batch_standardized(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((8, 4)) * 3.0 + 1.0)
-        out = ops.batchnorm(x).data
+        out = ops.batchnorm(x)[0].data
         assert np.abs(out.mean(axis=0)).max() < 1e-10
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
 
     def test_conv_input_per_channel(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((4, 3, 3, 2)) * 2.0 + 0.5)
-        out = ops.batchnorm(x).data
+        out = ops.batchnorm(x)[0].data
         assert np.abs(out.mean(axis=(0, 1, 2))).max() < 1e-10
         assert np.abs(out.var(axis=(0, 1, 2)) - 1.0).max() < 1e-6
 
@@ -203,7 +203,7 @@ class TestBatchnorm:
         gm = g.mean(axis=axes, keepdims=True)
         gxh = (g * xhat).mean(axis=axes, keepdims=True)
         with GradTape() as tape:
-            out = ops.batchnorm(x)
+            out, _, _ = ops.batchnorm(x)
         np.testing.assert_array_equal(out.data, xhat)
         np.testing.assert_array_equal(tape.nodes[0].backward_fn(g)[0], inv_std * (g - gm - xhat * gxh))
 
@@ -211,25 +211,17 @@ class TestBatchnorm:
         with pytest.raises(ShapeError):
             ops.batchnorm(Tensor(np.zeros((1, 3))))
 
-    def test_running_stats_update(self):
-        # prediction normalizes by these averages (tests/test_ladder.py,
-        # TestEvalMode::test_predict_matches_oracle)
+    @pytest.mark.parametrize("shape", [(16, 3), (4, 3, 2, 3)])
+    def test_returns_the_batch_statistics(self, shape):
+        # the ladder folds these into its running averages
+        # (tests/test_ladder.py, TestRunningStats)
         rng = np.random.default_rng(6)
-        running = ops.RunningStats.for_features(3)
-        x1 = rng.standard_normal((16, 3)) * 2.0 + 1.0
-        ops.batchnorm(Tensor(x1), running=running)
-        # first batch seeds the averages
-        np.testing.assert_allclose(running.mean, x1.mean(axis=0))
-        np.testing.assert_allclose(running.var, x1.var(axis=0))
-        x2 = rng.standard_normal((16, 3))
-        ops.batchnorm(Tensor(x2), running=running)
-        expect = 0.99 * x1.mean(axis=0) + 0.01 * x2.mean(axis=0)
-        np.testing.assert_allclose(running.mean, expect)
-        expect = 0.99 * x1.var(axis=0) + 0.01 * x2.var(axis=0)
-        np.testing.assert_allclose(running.var, expect)
-        # update_running=False leaves them alone
-        ops.batchnorm(Tensor(x1), running=running, update_running=False)
-        np.testing.assert_allclose(running.var, expect)
+        x = rng.standard_normal(shape) * 2.0 + 1.0
+        axes = tuple(range(len(shape) - 1))
+        _, mean, var = ops.batchnorm(Tensor(x))
+        assert mean.shape == var.shape == (3,)
+        np.testing.assert_allclose(mean, x.mean(axis=axes), rtol=1e-12)
+        np.testing.assert_allclose(var, x.var(axis=axes), rtol=1e-12)
 
 
 class TestActivationsAndLoss:
@@ -319,6 +311,13 @@ class TestGaussianNoise:
 
         with pytest.raises(ConfigError):
             ops.add_gaussian_noise(Tensor(np.zeros(2)), -0.1, Rng(0))
+
+    @pytest.mark.parametrize("std", [float("nan"), float("inf")])
+    def test_non_finite_std_rejected(self, std):
+        from hsiladder import ConfigError
+
+        with pytest.raises(ConfigError, match="std"):
+            ops.add_gaussian_noise(Tensor(np.zeros(2)), std, Rng(0))
 
     def test_constant_in_backward(self):
         x = Tensor(np.zeros(4), requires_grad=True)
@@ -482,14 +481,14 @@ class TestFiniteDifferences:
         n, f = int(rng.integers(3, 7)), int(rng.integers(1, 5))
         x = Tensor(rng.standard_normal((n, f)) * 2.0 + 1.0, requires_grad=True)
         c = _proj((n, f), seed + 100)
-        fd_gradcheck(lambda: ops.sum_all(ops.mul(ops.batchnorm(x), c)), [x])
+        fd_gradcheck(lambda: ops.sum_all(ops.mul(ops.batchnorm(x)[0], c)), [x])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batchnorm_train_conv(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((3, 3, 2, 2)) + 0.5, requires_grad=True)
         c = _proj((3, 3, 2, 2), seed + 100)
-        fd_gradcheck(lambda: ops.sum_all(ops.mul(ops.batchnorm(x), c)), [x])
+        fd_gradcheck(lambda: ops.sum_all(ops.mul(ops.batchnorm(x)[0], c)), [x])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_elementwise_broadcasting(self, seed):
@@ -537,7 +536,7 @@ class TestFiniteDifferences:
         x = Tensor(rng.standard_normal((4, 2, 3)), requires_grad=True)
 
         def loss():
-            m = ops.reduce_mean(x, (0, 1), keepdims=True)
+            m = ops.reduce_mean(x, (0, 1))
             t = ops.sub(x, m)
             t = ops.reshape(t, (4, 6))
             t = ops.slice_rows(t, 2)

@@ -176,6 +176,25 @@ class TestAdam:
         assert abs(np.linalg.norm(p.grad) - 1.0) < 1e-12
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grad_clip", -1.0),
+            ("grad_clip", 0.0),
+            ("grad_clip", float("nan")),
+            ("grad_clip", float("inf")),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("checkpoint_interval", -3),
+            ("pretrain_iterations", -3),
+        ],
+    )
+    def test_bad_value_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value})
+
+
 class TestMetrics:
     def test_all_correct(self):
         confusion = np.diag([5, 7, 9])

@@ -1,0 +1,118 @@
+"""Print one sha256 over the state that short training runs leave behind.
+
+Two source trees that print the same hash train bit-identically on these
+runs, so a change that claims "same arithmetic" can show it by running this
+script before and after.  It trains a small FC ladder and a small conv ladder
+for 6 iterations each with ``train()``, in all three modes and in f64 and
+f32, on one synthetic scene.  Per run, the hash takes in every parameter,
+every running batch-norm statistic, the three loss curves and the
+log-probabilities of a fixed batch of patches.  It also prints the tape nodes
+of one ladder training step per spec.
+
+BLAS runs on one thread, so the hash depends only on the source tree, numpy
+and its BLAS build, and the CPU.
+
+Usage, from the repository root:
+
+    python3 tools/fingerprint.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from hsiladder import GradTape, LadderNetwork, LadderSpec, LayerSpec, Rng  # noqa: E402
+from hsiladder.data import prepare_dataset  # noqa: E402
+from hsiladder.synthetic import make_synthetic_cube  # noqa: E402
+from hsiladder.train import MODES, TrainConfig, batch_input, train  # noqa: E402
+
+SEED = 5
+ITERATIONS = 6
+BATCH = 8
+PRECISIONS = ("f64", "f32")
+BANDS, CLASSES = 6, 3
+WINDOW, PCA_COMPONENTS = 5, 4  # the conv ladder's patches
+LAMBDAS = (1.0, 0.1, 0.1, 0.1)
+FC_SPEC = LadderSpec(
+    (LayerSpec("fc", 12), LayerSpec("fc", 8), LayerSpec("softmax_head", CLASSES, "none")),
+    0.3,
+    LAMBDAS,
+    (BANDS,),
+)
+CONV_SPEC = LadderSpec(
+    (LayerSpec("conv3x3", 6), LayerSpec("fc", 8), LayerSpec("softmax_head", CLASSES, "none")),
+    0.3,
+    LAMBDAS,
+    (WINDOW, WINDOW, PCA_COMPONENTS),
+)
+
+
+def feed(h, label: str, array) -> None:
+    a = np.ascontiguousarray(array)
+    h.update(f"{label}|{a.dtype.str}|{a.shape}|".encode())
+    h.update(a.tobytes())
+
+
+def nodes_per_step(spec: LadderSpec, patches: np.ndarray, labels: np.ndarray) -> int:
+    net = LadderNetwork(spec, Rng(SEED), dtype=np.float64)
+    rows = np.arange(2 * BATCH) % len(patches)
+    batch = batch_input(patches[rows], spec.input_shape, np.float64)
+    with GradTape() as tape:
+        net.training_loss(batch, BATCH, labels[rows[:BATCH]], Rng(SEED + 1))
+    return len(tape.nodes)
+
+
+def main() -> int:
+    cube = make_synthetic_cube(SEED, height=24, width=24, bands=BANDS, classes=CLASSES, block=6)
+    runs = {
+        "fc": (FC_SPEC, prepare_dataset(cube, 1, None, 4, seed=SEED)),
+        "conv": (CONV_SPEC, prepare_dataset(cube, WINDOW, PCA_COMPONENTS, 4, seed=SEED)),
+    }
+    total = hashlib.sha256()
+    for name, (spec, prepared) in runs.items():
+        patchset, split = prepared.patches, prepared.split
+        probe = patchset.patches[split.test[:16]]
+        print(f"{name}: {nodes_per_step(spec, patchset.patches, patchset.labels)} tape nodes per step")
+        for mode in MODES:
+            for precision in PRECISIONS:
+                config = TrainConfig(
+                    ladder=spec,
+                    learning_rate=0.01,
+                    iterations=ITERATIONS,
+                    seed=SEED,
+                    batch_size=BATCH,
+                    mode=mode,
+                    precision=precision,
+                    pretrain_iterations=3,
+                )
+                net, report = train(config, patchset, split)
+                run = hashlib.sha256()
+                for key, p in net.params.items():
+                    feed(run, f"param/{key}", p.data)
+                for l, rs in net.running.items():
+                    feed(run, f"running/{l}/mean", rs.mean)
+                    feed(run, f"running/{l}/var", rs.var)
+                    feed(run, f"running/{l}/init", np.array([rs.initialized]))
+                for curve in ("c_super", "c_recon", "c_total"):
+                    feed(run, f"curve/{curve}", getattr(report, curve))
+                probs = net.predict_log_probs(batch_input(probe, spec.input_shape, net.dtype))
+                feed(run, "predict", probs)
+                digest = run.hexdigest()
+                print(f"  {name} {mode} {precision}: {digest[:16]}")
+                total.update(f"{name}|{mode}|{precision}|{digest}".encode())
+    print(f"sha256 {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
