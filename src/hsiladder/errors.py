@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package, and the integer check
+that configuration fields share."""
+
+import operator
 
 
 class LadderError(Exception):
@@ -23,3 +26,12 @@ class DataError(LadderError):
 
 class DivergenceError(LadderError):
     """Training produced NaN/Inf; aborts rather than silently continuing."""
+
+
+def as_index(field: str, value) -> int:
+    """``value`` as a Python int when it is a Python or numpy integer;
+    otherwise ``ConfigError`` naming ``field`` (a float is never truncated)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{field} must be an integer, got {value!r}") from None

@@ -1,13 +1,13 @@
 """Ladder network: twin encoders, lateral-combinator decoder, and costs.
 
 The model runs a corrupted encoder pass (Gaussian noise on the input and on
-every post-normalization pre-activation), a clean pass over the same batch,
-and a top-down decoder that merges each corrupted lateral signal with the
-decoded top-down signal through a learned pointwise combinator.  Training
-minimizes the supervised cross-entropy of the corrupted pass plus per-level
-weighted reconstruction distances between the clean representations and the
-decoded ones.  Prediction always uses the clean encoder with running
-batch-norm statistics.
+every post-normalization pre-activation), a clean pass over the same batch
+(kept off the tape when no decoder reads it), and a top-down decoder that
+merges each corrupted lateral signal with the decoded top-down signal
+through a learned pointwise combinator.  Training minimizes the supervised
+cross-entropy of the corrupted pass plus per-level weighted reconstruction
+distances between the clean representations and the decoded ones.
+Prediction always uses the clean encoder with running batch-norm statistics.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, ops
-from .errors import ConfigError, GraphError, ShapeError
+from .errors import ConfigError, GraphError, ShapeError, as_index
 from .rng import Rng
 from .tensor import Tensor
 
@@ -48,6 +48,14 @@ def transposed(shape: tuple[int, ...]) -> tuple[int, ...]:
     return (*shape[:-2], shape[-1], shape[-2])
 
 
+def pre_activation(layer: LayerSpec, h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:meth:`LadderNetwork.layer_map` on plain arrays, off the tape: a valid
+    3x3 convolution by ``w``, or a matmul by it after flattening ``h``."""
+    if layer.kind == CONV3X3:
+        return kernels.conv2d_forward(h, w)
+    return h.reshape(len(h), -1) @ w
+
+
 def he_weight(rng: Rng, shape: tuple[int, ...], dtype) -> np.ndarray:
     """N(0, 2 / fan_in) weights with ``fan_in = prod(shape[:-1])``, the inputs
     that feed one output unit (He et al. 2015, arXiv 1502.01852)."""
@@ -63,6 +71,7 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
+        object.__setattr__(self, "width", as_index("width", self.width))
         if self.width < 1:
             raise ConfigError(f"layer width must be >= 1, got {self.width}")
         if self.activation not in ("relu", "none"):
@@ -81,7 +90,9 @@ class LadderSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
+        object.__setattr__(
+            self, "input_shape", tuple(as_index("input_shape", v) for v in self.input_shape)
+        )
         if not self.layers:
             raise ConfigError("ladder needs at least one layer")
         if self.layers[-1].kind != SOFTMAX_HEAD:
@@ -330,11 +341,37 @@ class LadderNetwork:
         """Noise-free training pass, normalized by batch statistics; returns
         (z levels, per-level (mean, std) reconstruction-target normalizers,
         log-probabilities) and folds each level's batch pre-activation mean
-        and variance into ``self.running``, as its one caller,
-        :meth:`training_loss`, always wants.  Prediction does not come here
-        (see :meth:`predict_log_probs`)."""
+        and variance into ``self.running``.  :meth:`training_loss` calls it
+        only when the decoder runs and reads its levels as reconstruction
+        targets; otherwise :meth:`_fold_clean_statistics` folds the same
+        statistics off the tape.  Prediction does not come here (see
+        :meth:`predict_log_probs`)."""
         zs, stats, _, y_logp = self._encode(x, corrupted=False)
         return zs, stats, y_logp
+
+    def _fold_clean_statistics(self, x: np.ndarray) -> None:
+        """The clean pass's one job when no decoder reads it: fold each
+        level's batch pre-activation mean and variance into ``self.running``.
+
+        A numpy walk without a tape, with the float operations of
+        :meth:`clean_encoder` (``ops.batchnorm``'s normalization, then
+        ``gamma * (z + beta)`` and relu), so the running statistics are
+        bit-identical.  It stops after the head's statistics: no
+        reconstruction-target statistics, no log-softmax.
+        """
+        h = x
+        for l, layer in enumerate(self.spec.layers, start=1):
+            pre = pre_activation(layer, h, self.params[f"enc{l}/W"].data)
+            z, mean, var, _ = ops._bn_normalize(ops._bn_rows(pre))
+            self.running[l].update(mean, var)
+            if layer.kind == SOFTMAX_HEAD:
+                return
+            z = z.reshape(pre.shape)
+            z += self.params[f"enc{l}/beta"].data
+            z *= self.params[f"enc{l}/gamma"].data
+            if layer.activation == "relu":
+                np.maximum(z, 0, out=z)
+            h = z
 
     # -- decoder ------------------------------------------------------------
 
@@ -425,11 +462,15 @@ class LadderNetwork:
         lambdas = spec.lambdas if lambdas is None else tuple(float(v) for v in lambdas)
         x = Tensor(batch, dtype=self.dtype)
         z_tilde, h_top, y_tilde = self.corrupted_encoder(x, rng)
-        z_clean, stats, _ = self.clean_encoder(x)
+        active = [l for l, lam in enumerate(lambdas) if lam > 0.0]
+        decode = use_decoder and bool(active)
+        if decode:
+            z_clean, stats, _ = self.clean_encoder(x)
+        else:
+            self._fold_clean_statistics(x.data)
         y_lab = ops.slice_rows(y_tilde, labeled_count)
         c_super = self.supervised_cost(y_lab, targets)
-        active = [l for l, lam in enumerate(lambdas) if lam > 0.0]
-        if use_decoder and active:
+        if decode:
             z_hat = self.decoder(z_tilde, h_top, min_level=min(active))
             c_recon = self.reconstruction_cost(z_clean, stats, z_hat, lambdas)
         else:
@@ -491,10 +532,7 @@ class LadderNetwork:
         for i in range(0, len(x), chunk):
             h = x[i : i + chunk].astype(self.dtype, copy=False)
             for layer, w, t in folded:
-                if layer.kind == CONV3X3:
-                    z = kernels.conv2d_forward(h, w)
-                else:
-                    z = h.reshape(len(h), -1) @ w
+                z = pre_activation(layer, h, w)
                 z += t
                 if layer.kind == SOFTMAX_HEAD:
                     out[i : i + chunk] = ops._log_softmax(z)

@@ -402,6 +402,8 @@ def _bn_normalize(x2: np.ndarray):
     """Standardize the columns of ``x2`` by their batch statistics; returns
     (xhat, mean, var, 1/sqrt(var + BN_EPS))."""
     n = x2.shape[0]
+    if n < 2:
+        raise ShapeError("batchnorm needs a batch of at least 2")
     mu = x2.sum(axis=0) / n
     xhat = x2 - mu
     var = np.einsum("ij,ij->j", xhat, xhat) / n
@@ -423,8 +425,6 @@ def batchnorm(x: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """
     x2 = _bn_rows(x.data)
     n = x2.shape[0]
-    if n < 2:
-        raise ShapeError("batchnorm needs a batch of at least 2")
     xhat, mu, var, inv_std = _bn_normalize(x2)
     shape = x.data.shape
     out = Tensor(xhat.reshape(shape), requires_grad=x.requires_grad)

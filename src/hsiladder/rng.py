@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_index
 
 
 class Rng:
     """Named deterministic generator (PCG64) with spawnable substreams."""
 
     def __init__(self, seed: int, _ss: np.random.SeedSequence | None = None):
+        seed = as_index("seed", seed)
         if _ss is None:
-            if not (0 <= int(seed) < 2**64):
+            if not (0 <= seed < 2**64):
                 raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
-            _ss = np.random.SeedSequence(int(seed))
-        self.seed = int(seed)
+            _ss = np.random.SeedSequence(seed)
+        self.seed = seed
         self._ss = _ss
         self.gen = np.random.Generator(np.random.PCG64(_ss))
 

@@ -7,10 +7,13 @@ total cost.  The supervised cost sees only the labeled half; the
 reconstruction cost sees the whole batch.  Modes:
 
     ladder           joint objective (the default)
-    supervised-only  zero reconstruction weight, decoder skipped
+    supervised-only  zero reconstruction weight; the decoder is skipped and
+                     the clean pass only folds its batch statistics into
+                     the running averages, off the tape
     sdae-pretrain    greedy layer-wise denoising-autoencoder pretraining on
                      unlabeled data, then supervised fine-tuning of the stack;
-                     each autoencoder runs the ladder's own layer maps
+                     each autoencoder runs the ladder's own layer maps;
+                     fine-tuning runs like supervised-only
 
 Runs are bit-reproducible from (config, data, seed) in double precision, and
 checkpoints capture params, optimizer moments, running statistics and RNG
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import ops
-from .errors import ConfigError, DataError, DivergenceError, ShapeError
+from .errors import ConfigError, DataError, DivergenceError, ShapeError, as_index
 from .ladder import SOFTMAX_HEAD, LadderNetwork, LadderSpec, he_weight, transposed
 from .rng import Rng
 from .tensor import GradTape, Tensor
@@ -58,6 +61,9 @@ class TrainConfig:
     checkpoint_interval: int = 0
 
     def __post_init__(self):
+        integers = ("iterations", "seed", "batch_size", "pretrain_iterations", "checkpoint_interval")
+        for name in integers:
+            setattr(self, name, as_index(name, getattr(self, name)))
         if not (0 < self.learning_rate < np.inf):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 2:
@@ -72,9 +78,9 @@ class TrainConfig:
             raise ConfigError(f"precision must be 'f64' or 'f32', got {self.precision!r}")
         if self.grad_clip is not None and not (0 < self.grad_clip < np.inf):
             raise ConfigError(f"grad_clip must be None or finite and > 0, got {self.grad_clip}")
-        if not (self.pretrain_iterations >= 0):
+        if self.pretrain_iterations < 0:
             raise ConfigError(f"pretrain_iterations must be >= 0, got {self.pretrain_iterations}")
-        if not (self.checkpoint_interval >= 0):
+        if self.checkpoint_interval < 0:
             raise ConfigError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
 
     @property

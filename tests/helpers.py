@@ -1,5 +1,6 @@
 """Shared test utilities: brute-force oracles and finite-difference checks."""
 
+import copy
 import struct
 
 import numpy as np
@@ -167,6 +168,17 @@ def read_array_oracle(path) -> np.ndarray:
         (code,) = struct.unpack("<B", f.read(1))
         raw = f.read()
     return np.frombuffer(raw, dtype=codes[code]).reshape(dims).copy()
+
+
+def clean_pass_oracle(net, batch: np.ndarray) -> dict:
+    """The running statistics that the on-tape clean pass leaves: a deep copy
+    of ``net`` runs ``clean_encoder`` on ``batch`` under a tape and its
+    ``running`` is returned; ``net`` is left as it was.  The reference for
+    the tape-free fold of training steps that run no decoder."""
+    twin = copy.deepcopy(net)
+    with GradTape():
+        twin.clean_encoder(Tensor(batch, dtype=twin.dtype))
+    return twin.running
 
 
 def reference_backward(tape: GradTape, loss) -> None:

@@ -1,5 +1,6 @@
 """Ladder model: collapse identities, combinator oracle, shapes, costs, backward."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -19,8 +20,15 @@ from hsiladder import kernels, ops
 from hsiladder import ladder as ladder_mod
 from hsiladder.kernels import conv2d_forward
 from hsiladder.ladder import COMBINATOR_PARAM_NAMES, combinator_g
+from hsiladder.train import Adam
 
-from helpers import conv2d_oracle, fd_gradcheck, matmul_oracle, reference_backward
+from helpers import (
+    clean_pass_oracle,
+    conv2d_oracle,
+    fd_gradcheck,
+    matmul_oracle,
+    reference_backward,
+)
 
 
 def fc_spec(widths, classes, bands, noise=0.3, lambdas=None):
@@ -106,6 +114,30 @@ class TestSpecValidation:
         args[field] = value
         with pytest.raises(ConfigError, match=field):
             LadderSpec(**args)
+
+    @pytest.mark.parametrize(
+        "input_shape",
+        [(4.7,), (5.0,), (7, 7.5, 3), (np.float64(5),)],
+        ids=["fc", "float", "conv", "numpy"],
+    )
+    def test_non_integer_input_shape_rejected_by_name(self, input_shape):
+        with pytest.raises(ConfigError, match="input_shape must be an integer"):
+            LadderSpec((LayerSpec("softmax_head", 2),), 0.3, (0.1, 0.1), input_shape)
+
+    @pytest.mark.parametrize("width", [2.5, 3.0, np.float32(4)], ids=["fraction", "float", "numpy"])
+    def test_non_integer_layer_width_rejected_by_name(self, width):
+        with pytest.raises(ConfigError, match="width must be an integer"):
+            LayerSpec("fc", width)
+
+    def test_numpy_integer_sizes_become_python_ints(self):
+        spec = LadderSpec(
+            (LayerSpec("fc", np.int64(4)), LayerSpec("softmax_head", np.int32(2))),
+            0.3,
+            (0.1, 0.1, 0.1),
+            (np.uint16(5),),
+        )
+        assert spec.input_shape == (5,) and type(spec.input_shape[0]) is int
+        assert [type(layer.width) for layer in spec.layers] == [int, int]
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float16])
     def test_only_float32_and_float64_networks(self, dtype):
@@ -314,6 +346,85 @@ class TestRunningStats:
         for l, (mean, var) in before.items():
             np.testing.assert_array_equal(net.running[l].mean, mean)
             np.testing.assert_array_equal(net.running[l].var, var)
+
+
+# the two ways a training step runs without a decoder; both tiny_net specs
+# have four levels
+NO_DECODER = {
+    "supervised-only": dict(use_decoder=False),
+    "every-lambda-zero": dict(lambdas=(0.0, 0.0, 0.0, 0.0)),
+}
+TARGETS = np.array([0, 1, 2])
+
+
+def tape_names(tape):
+    return [node.name for node in tape.nodes]
+
+
+class TestCleanPassOffTape:
+    """A step without a decoder folds the clean batch statistics off the
+    tape; the running statistics stay those of the on-tape clean pass."""
+
+    @pytest.mark.parametrize("case", sorted(NO_DECODER))
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_tape_holds_only_the_corrupted_pass_and_the_cost(self, arch, case):
+        net, x = tiny_net(arch)
+        twin = copy.deepcopy(net)
+        with GradTape() as expected:
+            _, _, y = twin.corrupted_encoder(Tensor(x), Rng(2))
+            c_super = twin.supervised_cost(ops.slice_rows(y, 3), TARGETS)
+            ops.add(Tensor(np.asarray(0.0)), c_super)
+        with GradTape() as tape:
+            net.training_loss(x, 3, TARGETS, Rng(2), **NO_DECODER[case])
+        assert tape_names(tape) == tape_names(expected)
+        assert not {"reduce_mean", "square", "sqrt"} & set(tape_names(tape))
+
+    @pytest.mark.parametrize("case", sorted(NO_DECODER))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_running_stats_bit_equal_the_on_tape_clean_pass(self, arch, dtype, case):
+        net, x = tiny_net(arch, dtype=dtype)
+        adam = Adam(net.params, 0.05)
+        # the first step seeds the averages, the second takes a momentum step
+        for step, batch in enumerate((x, x[::-1] * 0.5 + 0.2)):
+            batch = batch.astype(dtype)
+            expected = clean_pass_oracle(net, batch)
+            net.zero_grads()
+            with GradTape() as tape:
+                c_total, _, _, _ = net.training_loss(
+                    batch, 3, TARGETS, Rng(step), **NO_DECODER[case]
+                )
+            assert "reduce_mean" not in tape_names(tape)
+            tape.backward(c_total)
+            adam.step()
+            for l, rs in net.running.items():
+                assert rs.initialized
+                for got, want in ((rs.mean, expected[l].mean), (rs.var, expected[l].var)):
+                    assert got.dtype == want.dtype == dtype
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_ladder_mode_keeps_its_clean_pass_on_the_tape(self, arch):
+        # every lambda of tiny_net is > 0: the clean z levels are targets
+        net, x = tiny_net(arch)
+        twin = copy.deepcopy(net)
+        with GradTape() as expected:
+            xt = Tensor(x)
+            z_tilde, h_top, y = twin.corrupted_encoder(xt, Rng(2))
+            z_clean, stats, _ = twin.clean_encoder(xt)
+            c_super = twin.supervised_cost(ops.slice_rows(y, 3), TARGETS)
+            z_hat = twin.decoder(z_tilde, h_top)
+            ops.add(twin.reconstruction_cost(z_clean, stats, z_hat), c_super)
+        with GradTape() as tape:
+            net.training_loss(x, 3, TARGETS, Rng(2))
+        assert tape_names(tape) == tape_names(expected)
+        assert "reduce_mean" in tape_names(tape)
+
+    def test_batch_of_one_rejected_before_any_fold(self):
+        net, x = tiny_net("fc")
+        with pytest.raises(ShapeError, match="at least 2"):
+            net._fold_clean_statistics(x[:1])
+        assert not any(rs.initialized for rs in net.running.values())
 
 
 class TestEvalMode:

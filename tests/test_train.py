@@ -194,6 +194,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=field):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("iterations", 2.5),
+            ("iterations", 3.0),
+            ("batch_size", 4.5),
+            ("checkpoint_interval", 4.5),
+            ("pretrain_iterations", 4.5),
+            ("pretrain_iterations", np.float64(4)),
+            ("seed", 1.5),
+        ],
+    )
+    def test_non_integer_size_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            dataclasses.replace(small_config(), **{field: value})
+
+    def test_numpy_integers_become_python_ints(self):
+        config = dataclasses.replace(
+            small_config(), iterations=np.int64(3), seed=np.uint64(7), batch_size=np.int32(8)
+        )
+        assert (config.iterations, config.seed, config.batch_size) == (3, 7, 8)
+        assert {type(v) for v in (config.iterations, config.seed, config.batch_size)} == {int}
+
+    def test_rng_refuses_a_fractional_seed(self):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            Rng(1.5)
+        assert Rng(np.int64(3)).seed == 3
+
 
 class TestMetrics:
     def test_all_correct(self):

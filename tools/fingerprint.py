@@ -7,7 +7,7 @@ for 6 iterations each with ``train()``, in all three modes and in f64 and
 f32, on one synthetic scene.  Per run, the hash takes in every parameter,
 every running batch-norm statistic, the three loss curves and the
 log-probabilities of a fixed batch of patches.  It also prints the tape nodes
-of one ladder training step per spec.
+of one training step per spec in ``ladder`` and in ``supervised-only`` mode.
 
 BLAS runs on one thread, so the hash depends only on the source tree, numpy
 and its BLAS build, and the CPU.
@@ -63,12 +63,14 @@ def feed(h, label: str, array) -> None:
     h.update(a.tobytes())
 
 
-def nodes_per_step(spec: LadderSpec, patches: np.ndarray, labels: np.ndarray) -> int:
+def nodes_per_step(spec: LadderSpec, patches, labels, use_decoder: bool) -> int:
     net = LadderNetwork(spec, Rng(SEED), dtype=np.float64)
     rows = np.arange(2 * BATCH) % len(patches)
     batch = batch_input(patches[rows], spec.input_shape, np.float64)
     with GradTape() as tape:
-        net.training_loss(batch, BATCH, labels[rows[:BATCH]], Rng(SEED + 1))
+        net.training_loss(
+            batch, BATCH, labels[rows[:BATCH]], Rng(SEED + 1), use_decoder=use_decoder
+        )
     return len(tape.nodes)
 
 
@@ -82,7 +84,11 @@ def main() -> int:
     for name, (spec, prepared) in runs.items():
         patchset, split = prepared.patches, prepared.split
         probe = patchset.patches[split.test[:16]]
-        print(f"{name}: {nodes_per_step(spec, patchset.patches, patchset.labels)} tape nodes per step")
+        ladder, supervised = (
+            nodes_per_step(spec, patchset.patches, patchset.labels, use_decoder)
+            for use_decoder in (True, False)
+        )
+        print(f"{name}: tape nodes per step {ladder} (ladder), {supervised} (supervised-only)")
         for mode in MODES:
             for precision in PRECISIONS:
                 config = TrainConfig(
