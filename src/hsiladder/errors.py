@@ -1,7 +1,12 @@
-"""Exception hierarchy shared by the whole package, and the integer check
-that configuration fields share."""
+"""Exception hierarchy shared by the whole package, the integer check that
+configuration fields share, and the finiteness check that the optimizer's
+gradients and prediction's parameters share."""
+
+from __future__ import annotations
 
 import operator
+
+import numpy as np
 
 
 class LadderError(Exception):
@@ -35,3 +40,25 @@ def as_index(field: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigError(f"{field} must be an integer, got {value!r}") from None
+
+
+def first_non_finite(arrays, out=None, sizes=None) -> int | None:
+    """Index of the first of ``arrays`` that holds a NaN or an infinity, or
+    None when every value is finite.
+
+    One ``np.concatenate`` gathers the arrays, flattened, into one flat
+    buffer (``out`` when given, which must hold exactly their values) and
+    one ``np.isfinite(...).all()`` tests it; only on failure does a scan of
+    the arrays one by one find the first bad one.  A ``None`` entry counts
+    as ``sizes[i]`` zeros, so a caller that keeps the gathered buffer reads
+    zeros there.
+    """
+    arrays = list(arrays)
+    gaps = [i for i, a in enumerate(arrays) if a is None]
+    if gaps:
+        zeros = np.zeros(max(sizes[i] for i in gaps), dtype=None if out is None else out.dtype)
+        for i in gaps:
+            arrays[i] = zeros[: sizes[i]]
+    if np.isfinite(np.concatenate(arrays, axis=None, out=out)).all():
+        return None
+    return next(i for i, a in enumerate(arrays) if not np.isfinite(a).all())

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, ops
-from .errors import ConfigError, GraphError, ShapeError, as_index
+from .errors import ConfigError, GraphError, ShapeError, as_index, first_non_finite
 from .rng import Rng
 from .tensor import Tensor
 
@@ -270,9 +270,26 @@ class LadderNetwork:
             t.zero_grad()
 
     def assert_finite_params(self) -> None:
-        for name, t in self.params.items():
-            if not np.all(np.isfinite(t.data)):
-                raise GraphError(f"parameter {name} contains non-finite values")
+        """Raise ``GraphError`` unless every parameter and every level's
+        running mean and variance is finite; prediction calls it first.
+
+        One gathered reduction (:func:`~hsiladder.errors.first_non_finite`)
+        tests the parameters in ``params`` order, then each level's running
+        mean and variance.  The message names the first parameter that holds
+        a NaN or an infinity, or else the first level whose running
+        statistics do.  Signed zeros and subnormals are finite and pass.
+        """
+        names = list(self.params)
+        arrays = [t.data for t in self.params.values()]
+        for rs in self.running.values():
+            arrays += (rs.mean, rs.var)
+        bad = first_non_finite(arrays)
+        if bad is None:
+            return
+        if bad < len(names):
+            raise GraphError(f"parameter {names[bad]} contains non-finite values")
+        level = list(self.running)[(bad - len(names)) // 2]
+        raise GraphError(f"running statistics of level {level} contain non-finite values")
 
     # -- encoder ------------------------------------------------------------
 

@@ -30,7 +30,14 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import ops
-from .errors import ConfigError, DataError, DivergenceError, ShapeError, as_index
+from .errors import (
+    ConfigError,
+    DataError,
+    DivergenceError,
+    ShapeError,
+    as_index,
+    first_non_finite,
+)
 from .ladder import SOFTMAX_HEAD, LadderNetwork, LadderSpec, he_weight, transposed
 from .rng import Rng
 from .tensor import GradTape, Tensor
@@ -135,8 +142,9 @@ class Adam:
 
     The first and second moments of all parameters live in two flat buffers,
     ``flat_m`` and ``flat_v``, in parameter order.  A step gathers every
-    gradient into one work buffer (``None`` counts as zeros), checks it for
-    finiteness as a whole and only then updates, so a step that raises
+    gradient into one work buffer and checks it for finiteness as a whole
+    (:func:`~hsiladder.errors.first_non_finite`, where ``None`` counts as
+    zeros) and only then updates, so a step that raises
     ``DivergenceError`` leaves the parameters, the moments and ``t`` as they
     were.  The update is the per-parameter formula applied once to the whole
     buffer, with the same operations in the same order per element.  All
@@ -160,19 +168,14 @@ class Adam:
         self.flat_v = np.zeros(start, dtype=dtype)
         self._grad = np.empty(start, dtype=dtype)
         self._upd = np.empty(start, dtype=dtype)
-        self._zero = np.zeros((), dtype=dtype)
+        self._sizes = [b - a for _, _, a, b in self._spans]
 
     def step(self, lr_scale: float = 1.0) -> None:
         g, upd = self._grad, self._upd
-        parts = [
-            np.broadcast_to(self._zero, b - a) if p.grad is None else p.grad.reshape(-1)
-            for _, p, a, b in self._spans
-        ]
-        np.concatenate(parts, out=g)
-        if not np.isfinite(g).all():
-            for name, _, a, b in self._spans:
-                if not np.isfinite(g[a:b]).all():
-                    raise DivergenceError(f"non-finite gradient for parameter {name}")
+        grads = [p.grad for _, p, _, _ in self._spans]
+        bad = first_non_finite(grads, out=g, sizes=self._sizes)
+        if bad is not None:
+            raise DivergenceError(f"non-finite gradient for parameter {self._spans[bad][0]}")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1**self.t
@@ -202,7 +205,9 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            # squares summed in f64: f32 gradients near 1e19 are finite, yet
+            # their squares overflow f32
+            total += float(np.square(p.grad, dtype=np.float64).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm:
         factor = max_norm / norm

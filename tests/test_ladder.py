@@ -9,6 +9,7 @@ import pytest
 from hsiladder import (
     ConfigError,
     GradTape,
+    GraphError,
     LadderNetwork,
     LadderSpec,
     LayerSpec,
@@ -577,6 +578,61 @@ class TestEvalMode:
             net.predict_log_probs(np.zeros((3, 6)))
         with pytest.raises(ShapeError):
             net.predict_log_probs(np.zeros(5))
+
+
+class TestFiniteGuard:
+    """``assert_finite_params``, which every prediction runs first."""
+
+    # finite in the dtype, yet the squared pre-activations of a weight this
+    # large overflow it
+    HUGE = {np.float32: 1e30, np.float64: 1e200}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_overflowed_running_statistics_rejected(self, arch, dtype):
+        net, x = tiny_net(arch, dtype)
+        net.params["enc1/W"].data[...] = self.HUGE[dtype]
+        with np.errstate(all="ignore"), GradTape():
+            loss, _, _, _ = net.training_loss(x.astype(dtype), 3, np.array([0, 1, 2]), Rng(2))
+        assert np.isfinite(loss.item())
+        assert not np.isfinite(net.running[1].var).all()
+        with pytest.raises(GraphError, match="^running statistics of level 1 contain non-finite"):
+            net.predict_log_probs(x)
+
+    def test_first_bad_level_named_after_every_parameter(self):
+        net, x = tiny_net("fc")
+        net.running[3].var[0] = np.inf
+        net.running[2].mean[1] = np.nan
+        with pytest.raises(GraphError, match="^running statistics of level 2 "):
+            net.predict(x)
+        net.params["comb3/a10"].data[0] = np.nan
+        with pytest.raises(GraphError, match="^parameter comb3/a10 contains non-finite values$"):
+            net.predict(x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_parameters_prediction_never_reads_are_checked(self, arch, dtype, bad):
+        net, x = tiny_net(arch, dtype)
+        order = list(net.params)
+        for names in (["dec2/V"], ["comb1/a7"], ["comb2/a3", "dec1/V", "comb0/a1"]):
+            trial = copy.deepcopy(net)
+            for name in names:
+                trial.params[name].data.flat[-1] = bad
+            first = min(names, key=order.index)
+            with pytest.raises(GraphError, match=f"^parameter {first} contains non-finite values$"):
+                trial.predict(x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_signed_zeros_and_subnormals_pass(self, arch, dtype):
+        net, x = tiny_net(arch, dtype)
+        tiny = np.finfo(dtype).smallest_subnormal
+        for t in net.params.values():
+            t.data.flat[0::2] = -0.0
+            t.data.flat[1::2] = tiny
+        logp = net.predict_log_probs(x)
+        assert np.isfinite(logp).all()
 
 
 class TestCombinator:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import struct
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from hsiladder import (
     Tensor,
 )
 from hsiladder import checkpoint as ckpt
+from hsiladder.errors import first_non_finite
 from hsiladder import train as train_mod
 from hsiladder.data import prepare_dataset
 from hsiladder.synthetic import make_synthetic_cube
@@ -113,6 +115,28 @@ class TestAdam:
             opt.step()
         assert "enc1/W" in str(e.value)
 
+    def test_gather_reads_none_as_zeros(self):
+        out = np.full(7, 9.0)
+        arrays = [np.ones((2, 2)), None, np.array(5.0), None]
+        assert first_non_finite(arrays, out=out, sizes=[4, 1, 1, 1]) is None
+        np.testing.assert_array_equal(out, [1, 1, 1, 1, 0, 5, 0])
+        assert first_non_finite([np.ones(3), np.array([0.0, -np.inf])]) == 1
+        assert first_non_finite([np.array([np.nan]), None, np.array([np.nan])], sizes=[1, 2, 1]) == 0
+
+    def test_nan_gradient_named_next_to_missing_gradients(self):
+        params = {n: Tensor(np.ones(s), requires_grad=True)
+                  for n, s in (("a", (2, 3)), ("b", (4,)), ("c", ()), ("d", (3,)))}
+        opt = Adam(params, lr=0.1)
+        params["b"].grad = np.array([1.0, 2.0, -np.inf, 3.0])
+        params["d"].grad = np.array([np.nan, 0.0, 1.0])
+        # a and c have no gradient
+        with pytest.raises(DivergenceError, match="^non-finite gradient for parameter b$"):
+            opt.step()
+        params["b"].grad = None
+        with pytest.raises(DivergenceError, match="^non-finite gradient for parameter d$"):
+            opt.step()
+        assert opt.t == 0
+
     def test_failed_step_changes_nothing(self):
         rng = np.random.default_rng(2)
         params = {n: Tensor(rng.standard_normal(s), requires_grad=True)
@@ -174,6 +198,19 @@ class TestAdam:
         norm = clip_gradients({"p": p}, max_norm=1.0)
         assert abs(norm - 20.0) < 1e-12
         assert abs(np.linalg.norm(p.grad) - 1.0) < 1e-12
+
+    def test_grad_clip_f32_squares_do_not_overflow(self):
+        # 1e20 is finite in f32, its square is not
+        params = {n: Tensor(np.zeros(2, dtype=np.float32), requires_grad=True) for n in "ab"}
+        for p in params.values():
+            p.grad = np.full(2, 1e20, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = clip_gradients(params, max_norm=1.0)
+        np.testing.assert_allclose(norm, 2e20, rtol=1e-6)
+        joint = np.sqrt(sum(np.square(p.grad, dtype=np.float64).sum() for p in params.values()))
+        np.testing.assert_allclose(joint, 1.0, rtol=1e-6)
+        assert all(p.grad.dtype == np.float32 for p in params.values())
 
 
 class TestConfigValidation:
