@@ -204,11 +204,15 @@ def pca_reduce_cube(cube: HsiCube, model: PcaModel) -> HsiCube:
 # ---------------------------------------------------------------------------
 
 
-def _stratified_test_counts(class_counts: np.ndarray, fraction: float) -> np.ndarray:
+# The share of every class's labeled pixels drawn into the test set.
+TEST_FRACTION = 0.25
+
+
+def _stratified_test_counts(class_counts: np.ndarray) -> np.ndarray:
     """Largest-remainder apportionment: per-class test counts proportional to
-    class size, summing exactly to round(fraction * total)."""
-    total_test = int(round(fraction * class_counts.sum()))
-    quotas = fraction * class_counts
+    class size, summing exactly to round(TEST_FRACTION * total)."""
+    total_test = int(round(TEST_FRACTION * class_counts.sum()))
+    quotas = TEST_FRACTION * class_counts
     base = np.floor(quotas).astype(np.int64)
     remainder = total_test - int(base.sum())
     if remainder > 0:
@@ -220,14 +224,10 @@ def _stratified_test_counts(class_counts: np.ndarray, fraction: float) -> np.nda
     return base
 
 
-def make_split(
-    labels: np.ndarray,
-    n_per_class: int | None,
-    test_fraction: float = 0.25,
-    seed: int = 0,
-) -> SemiSplit:
-    """Stratified test draw first, then n labeled points per class from the
-    remainder; everything else becomes the unlabeled pool.
+def make_split(labels: np.ndarray, n_per_class: int | None, seed: int = 0) -> SemiSplit:
+    """Stratified draw of :data:`TEST_FRACTION` of each class as the test
+    set first, then n labeled points per class from the remainder;
+    everything else becomes the unlabeled pool.
 
     The test set is drawn before any labeled sampling, so runs at different
     ``n_per_class`` under one seed share a test set.  ``n_per_class=None``
@@ -236,11 +236,11 @@ def make_split(
     labels = np.asarray(labels)
     if n_per_class is not None and n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1 or None, got {n_per_class}")
-    if not (0.0 < test_fraction < 1.0):
-        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if labels.size == 0:
+        raise DataError("no labeled pixels to split: every ground-truth label is 0 (unlabeled)")
     classes = np.unique(labels)
     counts = np.array([(labels == c).sum() for c in classes])
-    test_counts = _stratified_test_counts(counts, test_fraction)
+    test_counts = _stratified_test_counts(counts)
     rng = Rng(seed)
     test_parts, rest_parts = [], []
     for c, t in zip(classes, test_counts):
@@ -285,12 +285,7 @@ class PreparedData:
 
 
 def prepare_dataset(
-    cube: HsiCube,
-    window: int,
-    pca_components: int | None,
-    n_per_class: int | None,
-    test_fraction: float = 0.25,
-    seed: int = 0,
+    cube: HsiCube, window: int, pca_components: int | None, n_per_class: int | None, seed: int = 0
 ) -> PreparedData:
     """Split -> train-only band scaling -> train-only PCA -> patches.
 
@@ -300,7 +295,7 @@ def prepare_dataset(
     """
     rows, cols = cube.labeled_coords()
     labels = cube.ground_truth[rows, cols].astype(np.int64) - 1
-    split = make_split(labels, n_per_class, test_fraction, seed)
+    split = make_split(labels, n_per_class, seed)
     n = len(labels)
     all_idx = np.sort(
         np.concatenate([split.labeled_train, split.unlabeled_train, split.test])

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -110,8 +111,6 @@ class TrainReport:
 
     def write(self, out_dir) -> None:
         """report.txt (key = value) plus losses.csv (per-iteration curve)."""
-        from pathlib import Path
-
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "report.txt", "w") as f:
@@ -146,17 +145,21 @@ class Adam:
     (:func:`~hsiladder.errors.first_non_finite`, where ``None`` counts as
     zeros) and only then updates, so a step that raises
     ``DivergenceError`` leaves the parameters, the moments and ``t`` as they
-    were.  The update is the per-parameter formula applied once to the whole
-    buffer, with the same operations in the same order per element.  All
-    parameters must share one dtype.
+    were.  A buffer whose global L2 norm exceeds ``max_norm`` is then scaled
+    to it (Pascanu et al. 2013, arXiv 1211.5063; squares summed in f64, so
+    finite f32 gradients of 1e20 do not overflow); each ``p.grad`` keeps the
+    raw gradient.  The update is the per-parameter formula applied once to
+    the whole buffer, with the same operations in the same order per
+    element.  All parameters must share one dtype.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float):
+    def __init__(self, params: dict[str, Tensor], lr: float, max_norm: float | None = None):
         dtypes = {p.data.dtype for p in params.values()}
         if len(dtypes) != 1:
             raise ConfigError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         (dtype,) = dtypes
         self.lr = lr
+        self.max_norm = max_norm
         self.t = 0
         # (name, parameter, start, stop) of each parameter's slice
         self._spans = []
@@ -176,6 +179,10 @@ class Adam:
         bad = first_non_finite(grads, out=g, sizes=self._sizes)
         if bad is not None:
             raise DivergenceError(f"non-finite gradient for parameter {self._spans[bad][0]}")
+        if self.max_norm is not None:
+            norm = float(np.sqrt(np.square(g, dtype=np.float64).sum()))
+            if norm > self.max_norm:
+                g *= self.max_norm / norm
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1**self.t
@@ -198,23 +205,6 @@ class Adam:
         upd /= g
         for _, p, a, b in self._spans:
             p.data -= upd[a:b].reshape(p.data.shape)
-
-
-def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            # squares summed in f64: f32 gradients near 1e19 are finite, yet
-            # their squares overflow f32
-            total += float(np.square(p.grad, dtype=np.float64).sum())
-    norm = float(np.sqrt(total))
-    if norm > max_norm:
-        factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad = p.grad * factor
-    return norm
 
 
 def _lr_scale(config: TrainConfig, iteration: int) -> float:
@@ -312,17 +302,11 @@ def save_checkpoint(path, net, adam, iteration, noise_rng, batch_rng, config, cu
 
 def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_rng: Rng, config):
     """Restore ``path`` into the live objects and return ``(iteration,
-    curves)``.  Refuses, before changing anything, a checkpoint written
-    under other trajectory settings (``ConfigError`` naming the field)."""
+    curves)``.  All or nothing: before changing anything it refuses a
+    checkpoint written under other trajectory settings (``ConfigError``
+    naming the field) or whose entries differ in name, shape or dtype from
+    what ``save_checkpoint`` writes for these objects (``DataError``)."""
     iteration, entries = ckpt.load_entries(path)
-
-    def entry(key: str, shape: tuple) -> np.ndarray:
-        if key not in entries:
-            raise DataError(f"checkpoint missing {key}")
-        if entries[key].shape != shape:
-            raise DataError(f"checkpoint {key} has shape {entries[key].shape}, model expects {shape}")
-        return entries[key]
-
     if "config" not in entries:
         raise DataError("checkpoint missing config")
     try:
@@ -341,19 +325,35 @@ def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_
                 f"this run has {key} = {current.get(key)!r}"
             )
 
-    curves = {name: entry(f"curve/{name}", (iteration,)) for name in CURVES}
+    blank = {name: np.zeros(iteration) for name in CURVES}
+    expected = _checkpoint_entries(net, adam, noise_rng, batch_rng, config, blank)
+    del expected["config"]  # compared as settings above
+    for key, want in expected.items():
+        if key not in entries:
+            raise DataError(f"checkpoint missing {key}")
+        got = entries[key]
+        if (got.shape, got.dtype) != (want.shape, want.dtype):
+            raise DataError(
+                f"checkpoint {key} has shape {got.shape} and dtype {got.dtype}, "
+                f"model expects {want.shape} and {want.dtype}"
+            )
+    unknown = [key for key in entries if key not in expected and key != "config"]
+    if unknown:
+        raise DataError(f"checkpoint has entry {unknown[0]}, which this run never saves")
+
+    # every entry is a fresh array of the live shape and dtype
     for name, p in net.params.items():
-        p.data = entry(f"param/{name}", p.data.shape).astype(p.data.dtype)
+        p.data = entries[f"param/{name}"]
     for l, rs in net.running.items():
-        rs.mean = entry(f"running/{l}/mean", rs.mean.shape).astype(rs.mean.dtype)
-        rs.var = entry(f"running/{l}/var", rs.var.shape).astype(rs.var.dtype)
-        rs.initialized = bool(entry(f"running/{l}/init", (1,))[0])
-    adam.flat_m[...] = entry("adam/m", adam.flat_m.shape)
-    adam.flat_v[...] = entry("adam/v", adam.flat_v.shape)
-    adam.t = int(entry("adam/t", (1,))[0])
-    noise_rng.set_state_words(entry("rng/noise", (6,)))
-    batch_rng.set_state_words(entry("rng/batch", (6,)))
-    return iteration, curves
+        rs.mean = entries[f"running/{l}/mean"]
+        rs.var = entries[f"running/{l}/var"]
+        rs.initialized = bool(entries[f"running/{l}/init"][0])
+    adam.flat_m[...] = entries["adam/m"]
+    adam.flat_v[...] = entries["adam/v"]
+    adam.t = int(entries["adam/t"][0])
+    noise_rng.set_state_words(entries["rng/noise"])
+    batch_rng.set_state_words(entries["rng/batch"])
+    return iteration, {name: entries[f"curve/{name}"] for name in CURVES}
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +422,7 @@ def train(
     y_labeled = patchset.labels[labeled]
     x_unlabeled = gather_input(patchset.patches, unlabeled, spec.input_shape, dtype)
 
-    adam = Adam(net.params, config.learning_rate)
+    adam = Adam(net.params, config.learning_rate, max_norm=config.grad_clip)
     n_iter = config.iterations
     curves = {name: np.zeros(n_iter) for name in CURVES}
     start_iter = 0
@@ -438,12 +438,9 @@ def train(
         _sdae_pretrain(net, config, x_unlabeled, pretrain_rng)
 
     use_decoder = config.mode == "ladder"
-    lambdas = spec.lambdas if use_decoder else tuple(0.0 for _ in spec.lambdas)
 
     t0 = time.perf_counter()
     last_ckpt = None
-    from pathlib import Path
-
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
 
@@ -459,22 +456,24 @@ def train(
                 config.batch_size,
                 targets,
                 noise_rng,
-                lambdas=lambdas,
                 use_decoder=use_decoder,
             )
-        total_val = c_total.item()
-        if not np.isfinite(total_val):
+        # the running statistics the clean pass just updated can overflow
+        # while the loss stays finite
+        stats = [a for rs in net.running.values() for a in (rs.mean, rs.var)]
+        bad = first_non_finite([c_total.data, *stats])
+        if bad is not None:
+            level = list(net.running)[(bad - 1) // 2] if bad else None
+            what = f"running statistics of level {level}" if bad else "loss"
             raise DivergenceError(
-                f"loss became non-finite at iteration {it}"
+                f"{what} became non-finite at iteration {it}"
                 + (f"; last checkpoint retained at {last_ckpt}" if last_ckpt else "")
             )
         tape.backward(c_total)
-        if config.grad_clip is not None:
-            clip_gradients(net.params, config.grad_clip)
         adam.step(lr_scale=_lr_scale(config, it))
         curves["c_super"][it] = c_super.item()
         curves["c_recon"][it] = c_recon.item()
-        curves["c_total"][it] = total_val
+        curves["c_total"][it] = c_total.item()
         if (
             out_dir is not None
             and config.checkpoint_interval

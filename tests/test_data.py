@@ -9,6 +9,7 @@ import pytest
 from hsiladder import ConfigError, DataError
 from hsiladder import cube_io
 from hsiladder.data import (
+    TEST_FRACTION,
     HsiCube,
     extract_patches,
     load_cube,
@@ -355,11 +356,12 @@ class TestSplit:
     def test_test_size_and_stratification(self):
         counts = [101, 53, 207]
         labels = self._labels(counts)
-        split = make_split(labels, 5, test_fraction=0.25, seed=7)
-        assert len(split.test) == round(0.25 * sum(counts))
+        split = make_split(labels, 5, seed=7)
+        assert TEST_FRACTION == 0.25
+        assert len(split.test) == round(TEST_FRACTION * sum(counts))
         for c, n in enumerate(counts):
             got = int((labels[split.test] == c).sum())
-            assert abs(got - 0.25 * n) < 1.0
+            assert abs(got - TEST_FRACTION * n) < 1.0
 
     def test_exactly_n_labeled_per_class(self):
         labels = self._labels([40, 40, 40])
@@ -393,6 +395,14 @@ class TestSplit:
 
 
 class TestPipeline:
+    def test_cube_without_labeled_pixels_names_the_problem(self):
+        scene = make_synthetic_cube(3, height=8, width=8, bands=4, block=4)
+        cube = HsiCube(scene.reflectance, np.zeros((8, 8), dtype=np.int64), scene.num_classes)
+        with pytest.raises(DataError, match="no labeled pixels"):
+            prepare_dataset(cube, window=1, pca_components=None, n_per_class=5, seed=1)
+        with pytest.raises(DataError, match="no labeled pixels"):
+            make_split(np.array([], dtype=np.int64), None, seed=1)
+
     def test_prepare_dataset_deterministic_and_leak_free(self):
         cube = make_synthetic_cube(3)
         a = prepare_dataset(cube, window=3, pca_components=4, n_per_class=5, seed=17)

@@ -30,7 +30,6 @@ from hsiladder.train import (
     CURVES,
     Adam,
     TrainConfig,
-    clip_gradients,
     evaluate,
     gather_input,
     load_checkpoint,
@@ -192,25 +191,53 @@ class TestAdam:
         with pytest.raises(ConfigError, match="one dtype"):
             Adam(params, lr=0.1)
 
-    def test_grad_clip(self):
-        p = Tensor(np.zeros(4), requires_grad=True)
-        p.grad = np.full(4, 10.0)
-        norm = clip_gradients({"p": p}, max_norm=1.0)
-        assert abs(norm - 20.0) < 1e-12
-        assert abs(np.linalg.norm(p.grad) - 1.0) < 1e-12
+    def test_clipping_matches_oracle_fed_pre_clipped_gradients(self):
+        rng = np.random.default_rng(5)
+        shapes = {"enc1/W": (5, 4), "enc1/gamma": (4,), "dec1/V": (4, 5), "dec1/a": (3, 1, 5)}
+        init = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        ours = {n: Tensor(x.copy(), requires_grad=True) for n, x in init.items()}
+        theirs = {n: Tensor(x.copy(), requires_grad=True) for n, x in init.items()}
+        max_norm = 3.0
+        opt, ref = Adam(ours, 0.03, max_norm=max_norm), AdamOracle(theirs, 0.03)
+        clipped = 0
+        for step in range(20):
+            raw = {}
+            for n, s in shapes.items():
+                # dec1/V never gets a gradient, dec1/a only on even steps
+                none = n == "dec1/V" or (n == "dec1/a" and step % 2)
+                raw[n] = None if none else rng.standard_normal(s) * 10.0 ** (step % 3 - 1)
+                ours[n].grad = None if raw[n] is None else raw[n].copy()
+            flat = np.concatenate([np.zeros(np.prod(s)) if raw[n] is None else raw[n].ravel()
+                                   for n, s in shapes.items()])
+            norm = np.sqrt(np.square(flat).sum())
+            factor = max_norm / norm if norm > max_norm else 1.0
+            clipped += factor < 1.0
+            for n in shapes:
+                theirs[n].grad = None if raw[n] is None else raw[n] * factor
+            opt.step()
+            ref.step()
+            for n in shapes:
+                assert np.array_equal(ours[n].data, theirs[n].data), (step, n)
+                # the clipping acts on Adam's gathered copy, not on p.grad
+                if raw[n] is not None:
+                    assert np.array_equal(ours[n].grad, raw[n]), (step, n)
+        assert 0 < clipped < 20
 
-    def test_grad_clip_f32_squares_do_not_overflow(self):
+    def test_clipping_f32_squares_do_not_overflow(self):
         # 1e20 is finite in f32, its square is not
         params = {n: Tensor(np.zeros(2, dtype=np.float32), requires_grad=True) for n in "ab"}
         for p in params.values():
             p.grad = np.full(2, 1e20, dtype=np.float32)
+        opt = Adam(params, lr=0.1, max_norm=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            norm = clip_gradients(params, max_norm=1.0)
-        np.testing.assert_allclose(norm, 2e20, rtol=1e-6)
-        joint = np.sqrt(sum(np.square(p.grad, dtype=np.float64).sum() for p in params.values()))
-        np.testing.assert_allclose(joint, 1.0, rtol=1e-6)
-        assert all(p.grad.dtype == np.float32 for p in params.values())
+            opt.step()
+        # after one step m = (1 - beta1) * g, so m recovers the clipped gradient
+        clipped = opt.flat_m.astype(np.float64) / (1.0 - train_mod.ADAM_BETA1)
+        np.testing.assert_allclose(np.sqrt(np.square(clipped).sum()), 1.0, rtol=1e-6)
+        assert opt.flat_m.dtype == np.float32
+        for p in params.values():
+            np.testing.assert_array_equal(p.grad, np.full(2, 1e20, dtype=np.float32))
 
 
 class TestConfigValidation:
@@ -397,21 +424,23 @@ class TestCheckpoint:
         save_checkpoint(p2, net, adam, it, noise, batch, config, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("precision", ["f64", "f32"])
-    def test_resume_is_bit_identical_continuation(self, prepared, tmp_path, precision):
+    # unclipped global gradient norms here stay above 0.6, so a max norm of
+    # 0.05 clips every step
+    @pytest.mark.parametrize(
+        "precision, grad_clip",
+        [("f64", None), ("f32", None), ("f64", 0.05)],
+        ids=["f64", "f32", "f64-clipped"],
+    )
+    def test_resume_is_bit_identical_continuation(self, prepared, tmp_path, precision, grad_clip):
         full_cfg = small_config(
-            seed=8, iterations=40, checkpoint_interval=20, precision=precision
+            seed=8, iterations=40, checkpoint_interval=20, precision=precision, grad_clip=grad_clip
         )
         net_full, rep_full = train(full_cfg, prepared.patches, prepared.split)
 
         out = tmp_path / "half"
-        half_cfg = small_config(
-            seed=8, iterations=20, checkpoint_interval=20, precision=precision
-        )
+        half_cfg = dataclasses.replace(full_cfg, iterations=20)
         train(half_cfg, prepared.patches, prepared.split, out_dir=out)
-        resumed_cfg = small_config(
-            seed=8, iterations=40, checkpoint_interval=0, precision=precision
-        )
+        resumed_cfg = dataclasses.replace(full_cfg, checkpoint_interval=0)
         net_res, rep_res = train(
             resumed_cfg, prepared.patches, prepared.split, resume=out / "final.ckpt"
         )
@@ -604,6 +633,53 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=key):
             load_checkpoint(path, net, adam, noise, batch, small_config(seed=3))
 
+    @pytest.mark.parametrize(
+        "corrupt, why",
+        [
+            (lambda e: e.pop("rng/batch"), "checkpoint missing rng/batch$"),
+            (
+                lambda e: e.update({"param/enc1/gamma": e["param/enc1/gamma"].astype(np.uint8)}),
+                r"checkpoint param/enc1/gamma has shape \(16,\) and dtype uint8, model expects \(16,\) and float64",
+            ),
+            (
+                lambda e: e.update({"param/enc9/W": np.ones(3)}),
+                "checkpoint has entry param/enc9/W, which this run never saves",
+            ),
+        ],
+        ids=["missing-last-entry", "u8-parameter", "unknown-entry"],
+    )
+    def test_refused_resume_changes_nothing(self, tmp_path, corrupt, why):
+        path, net, adam, noise, batch = self._saved_state(tmp_path)
+        iteration, entries = ckpt.load_entries(path)
+        # the file holds a later state than the live objects
+        entries["param/enc1/W"] += 1.0
+        entries["running/1/var"] += 1.0
+        entries["adam/m"] += 1.0
+        entries["adam/t"][0] = 9
+        corrupt(entries)
+        ckpt.save_entries(path, iteration, entries)
+        params = {n: p.data.copy() for n, p in net.params.items()}
+        running = {
+            l: (rs.mean.copy(), rs.var.copy(), rs.initialized) for l, rs in net.running.items()
+        }
+        moments, t = (adam.flat_m.copy(), adam.flat_v.copy()), adam.t
+        states = noise.state_words(), batch.state_words()
+        with pytest.raises(DataError, match=why):
+            load_checkpoint(path, net, adam, noise, batch, small_config(seed=3))
+        for n, p in net.params.items():
+            np.testing.assert_array_equal(p.data, params[n])
+            assert p.data.dtype == np.float64
+        for l, rs in net.running.items():
+            mean, var, initialized = running[l]
+            np.testing.assert_array_equal(rs.mean, mean)
+            np.testing.assert_array_equal(rs.var, var)
+            assert rs.initialized == initialized
+        np.testing.assert_array_equal(adam.flat_m, moments[0])
+        np.testing.assert_array_equal(adam.flat_v, moments[1])
+        assert adam.t == t
+        np.testing.assert_array_equal(noise.state_words(), states[0])
+        np.testing.assert_array_equal(batch.state_words(), states[1])
+
     @staticmethod
     def _saved_state(tmp_path):
         net = LadderNetwork(small_spec(), Rng(3))
@@ -631,6 +707,53 @@ class TestDivergence:
         config = small_config(seed=10, iterations=5, learning_rate=1e30)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError):
             train(config, prepared.patches, prepared.split)
+
+    @pytest.mark.parametrize("mode", ["ladder", "supervised-only"])
+    def test_overflowed_running_statistics_stop_before_any_checkpoint(
+        self, prepared, tmp_path, mode
+    ):
+        # with an f32 enc1/W of 1e20 the loss stays finite, but level 1's
+        # running variance overflows to inf
+        layers = (LayerSpec("fc", 8), LayerSpec("softmax_head", 3, "none"))
+        spec = LadderSpec(layers, 0.5, (0.1,) * 3, (8,))
+        config = TrainConfig(
+            ladder=spec, learning_rate=0.01, iterations=4, seed=3, batch_size=16, mode=mode,
+            precision="f32",
+        )
+        train(config, prepared.patches, prepared.split, out_dir=tmp_path / "a")
+        iteration, entries = ckpt.load_entries(tmp_path / "a" / "final.ckpt")
+        entries["param/enc1/W"] = np.full_like(entries["param/enc1/W"], 1e20)
+        ckpt.save_entries(tmp_path / "blown.ckpt", iteration, entries)
+        longer = dataclasses.replace(config, iterations=16, checkpoint_interval=4)
+        out = tmp_path / "b"
+        why = "^running statistics of level 1 became non-finite at iteration 4$"
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=why):
+            train(
+                longer, prepared.patches, prepared.split, out_dir=out,
+                resume=tmp_path / "blown.ckpt",
+            )
+        assert list(out.iterdir()) == []
+
+    def test_non_finite_loss_names_the_loss_and_the_last_checkpoint(
+        self, prepared, tmp_path, monkeypatch
+    ):
+        config = small_config(seed=10, iterations=6, checkpoint_interval=2)
+        calls = []
+        training_loss = LadderNetwork.training_loss
+
+        def poisoned(self, *args, **kwargs):
+            c_total, *rest = training_loss(self, *args, **kwargs)
+            calls.append(None)
+            if len(calls) == 4:
+                c_total = Tensor(np.array(np.nan))
+            return (c_total, *rest)
+
+        monkeypatch.setattr(LadderNetwork, "training_loss", poisoned)
+        out = tmp_path / "run"
+        why = "^loss became non-finite at iteration 3; last checkpoint retained at .*last.ckpt$"
+        with pytest.raises(DivergenceError, match=why):
+            train(config, prepared.patches, prepared.split, out_dir=out)
+        assert ckpt.load_entries(out / "last.ckpt")[0] == 2
 
 
 class TestSdae:

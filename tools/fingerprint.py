@@ -7,7 +7,9 @@ for 6 iterations each with ``train()``, in all three modes and in f64 and
 f32, on one synthetic scene.  Per run, the hash takes in every parameter,
 every running batch-norm statistic, the three loss curves and the
 log-probabilities of a fixed batch of patches.  It also prints the tape nodes
-of one training step per spec in ``ladder`` and in ``supervised-only`` mode.
+of one training step per spec in ``ladder`` and in ``supervised-only`` mode,
+and, before the hash, the line count of ``src/hsiladder/*.py``: the size of
+the source tree that produced it.
 
 BLAS runs on one thread, so the hash depends only on the source tree, numpy
 and its BLAS build, and the CPU.
@@ -27,7 +29,8 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
@@ -116,6 +119,8 @@ def main() -> int:
                 digest = run.hexdigest()
                 print(f"  {name} {mode} {precision}: {digest[:16]}")
                 total.update(f"{name}|{mode}|{precision}|{digest}".encode())
+    lines = sum(len(path.read_bytes().splitlines()) for path in (SRC / "hsiladder").glob("*.py"))
+    print(f"src lines {lines}")
     print(f"sha256 {total.hexdigest()}")
     return 0
 
