@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cube_io
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_index
 from .rng import Rng
 
 
@@ -136,13 +136,13 @@ def scale_bands(cube: HsiCube, fit_coords: tuple[np.ndarray, np.ndarray] | None 
 
 
 def extract_patches(cube: HsiCube, window: int) -> PatchSet:
-    """One window x window x bands patch per labeled pixel.
+    """One window x window x bands patch per labeled pixel; ``ConfigError``
+    unless ``window`` is an odd integer >= 1.
 
     Mirror padding (symmetric reflection including the border pixel) keeps
     labeled border pixels; window 1 yields plain per-pixel spectra.
     """
-    window = int(window)
-    if window < 1 or window % 2 == 0:
+    if as_index("window", window) < 1 or window % 2 == 0:
         raise ConfigError(f"window must be odd and >= 1, got {window}")
     rows, cols = cube.labeled_coords()
     pad = window // 2
@@ -168,10 +168,9 @@ def pca_fit(spectra: np.ndarray, k: int) -> PcaModel:
 
     Components are returned in descending eigenvalue order with a
     deterministic sign: each component's largest-magnitude entry is positive.
-    """
+    ``k`` must be an integer in [1, bands], else ``ConfigError``."""
     n, c = spectra.shape
-    k = int(k)
-    if not (1 <= k <= c):
+    if not (1 <= as_index("k", k) <= c):
         raise ConfigError(f"need 1 <= k <= {c} components, got {k}")
     if c > n:
         raise ConfigError(f"PCA needs at least as many samples as bands ({n} < {c})")
@@ -231,10 +230,10 @@ def make_split(labels: np.ndarray, n_per_class: int | None, seed: int = 0) -> Se
 
     The test set is drawn before any labeled sampling, so runs at different
     ``n_per_class`` under one seed share a test set.  ``n_per_class=None``
-    uses every non-test point as labeled (full-label runs).
-    """
+    uses every non-test point as labeled (full-label runs); any other value
+    must be an integer >= 1, else ``ConfigError``."""
     labels = np.asarray(labels)
-    if n_per_class is not None and n_per_class < 1:
+    if n_per_class is not None and as_index("n_per_class", n_per_class) < 1:
         raise ConfigError(f"n_per_class must be >= 1 or None, got {n_per_class}")
     if labels.size == 0:
         raise DataError("no labeled pixels to split: every ground-truth label is 0 (unlabeled)")

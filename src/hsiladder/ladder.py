@@ -13,7 +13,7 @@ Prediction always uses the clean encoder with running batch-norm statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +62,19 @@ def he_weight(rng: Rng, shape: tuple[int, ...], dtype) -> np.ndarray:
     return rng.normal(math.sqrt(2.0 / math.prod(shape[:-1])), shape, dtype=dtype)
 
 
+def check_lambdas(values, levels: int) -> tuple[float, ...]:
+    """``values`` as a tuple of floats after checking the cost's rule: one
+    finite multiplier lambda_l >= 0 per level 0..L; else ``ConfigError``."""
+    lambdas = tuple(float(v) for v in values)
+    if len(lambdas) != levels:
+        raise ConfigError(
+            f"need {levels} denoising multipliers (input level + one per layer), got {len(lambdas)}"
+        )
+    if not all(0 <= v < math.inf for v in lambdas):
+        raise ConfigError(f"lambdas must be finite and >= 0, got {lambdas}")
+    return lambdas
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     kind: str
@@ -89,7 +102,6 @@ class LadderSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         object.__setattr__(
             self, "input_shape", tuple(as_index("input_shape", v) for v in self.input_shape)
         )
@@ -101,13 +113,7 @@ class LadderSpec:
             raise ConfigError("softmax head must be the final layer only")
         if not (0 <= self.noise_std < math.inf):
             raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if len(self.lambdas) != len(self.layers) + 1:
-            raise ConfigError(
-                f"need {len(self.layers) + 1} denoising multipliers "
-                f"(input level + one per layer), got {len(self.lambdas)}"
-            )
-        if not all(0 <= v < math.inf for v in self.lambdas):
-            raise ConfigError(f"lambdas must be finite and >= 0, got {self.lambdas}")
+        object.__setattr__(self, "lambdas", check_lambdas(self.lambdas, self.num_levels))
         if len(self.input_shape) not in (1, 3) or min(self.input_shape) < 1:
             raise ConfigError(
                 f"input_shape must be (features,) or (h, w, c) of sizes >= 1, got {self.input_shape}"
@@ -158,14 +164,6 @@ class RunningStats:
             return
         self.mean = BN_MOMENTUM * self.mean + (1.0 - BN_MOMENTUM) * mean
         self.var = BN_MOMENTUM * self.var + (1.0 - BN_MOMENTUM) * var
-
-
-@dataclass
-class LadderPassOutput:
-    """The corrupted pass's levels and the decoder's reconstructions of them."""
-
-    z_tilde: list[Tensor]
-    z_hat: dict[int, Tensor] = field(default_factory=dict)
 
 
 def combinator_g(z_tilde: Tensor, u: Tensor, unit_params: dict[str, Tensor]) -> Tensor:
@@ -423,13 +421,10 @@ class LadderNetwork:
         lambdas=None,
     ) -> Tensor:
         """Sum over levels of lambda_l * ||z_l - z_hat_l||^2 / units_l,
-        averaged over the batch; zero-multiplier levels contribute exactly 0."""
+        averaged over the batch; zero-multiplier levels contribute exactly 0.
+        ``lambdas`` overrides ``spec.lambdas``; ``ConfigError`` if :func:`check_lambdas` fails."""
         spec = self.spec
-        lambdas = spec.lambdas if lambdas is None else tuple(float(v) for v in lambdas)
-        if len(lambdas) != spec.num_levels:
-            raise ShapeError(
-                f"lambda vector length {len(lambdas)} != {spec.num_levels} levels"
-            )
+        lambdas = spec.lambdas if lambdas is None else check_lambdas(lambdas, spec.num_levels)
         batch = z_clean[0].data.shape[0]
         total: Tensor | None = None
         for l, lam in enumerate(lambdas):
@@ -457,9 +452,7 @@ class LadderNetwork:
     @staticmethod
     def supervised_cost(y_tilde: Tensor, targets: np.ndarray) -> Tensor:
         """Mean negative log-likelihood of the corrupted-pass predictions on
-        the labeled sub-batch."""
-        if len(targets) == 0:
-            raise ShapeError("supervised cost needs a nonempty labeled sub-batch")
+        the labeled sub-batch; ``ShapeError`` when it is empty."""
         return ops.nll_loss(y_tilde, targets)
 
     def training_loss(
@@ -473,28 +466,28 @@ class LadderNetwork:
     ):
         """One mixed-batch forward: labeled rows first, unlabeled after.
 
-        Returns (c_total, c_super, c_recon, LadderPassOutput).
+        ``lambdas`` overrides ``spec.lambdas``; ``ConfigError`` if :func:`check_lambdas` fails.
+        The levels with a positive multiplier, none when ``use_decoder`` is
+        False, decide whether the clean pass runs on the tape, how far down
+        the decoder runs, and the cost.  Returns (c_total, c_super, c_recon,
+        z_hat), ``z_hat`` being the decoded levels (``{}`` without a decoder).
         """
         spec = self.spec
-        lambdas = spec.lambdas if lambdas is None else tuple(float(v) for v in lambdas)
+        lambdas = spec.lambdas if lambdas is None else check_lambdas(lambdas, spec.num_levels)
+        active = [l for l, lam in enumerate(lambdas) if lam > 0.0] if use_decoder else []
         x = Tensor(batch, dtype=self.dtype)
         z_tilde, h_top, y_tilde = self.corrupted_encoder(x, rng)
-        active = [l for l, lam in enumerate(lambdas) if lam > 0.0]
-        decode = use_decoder and bool(active)
-        if decode:
+        if active:
             z_clean, stats, _ = self.clean_encoder(x)
         else:
             self._fold_clean_statistics(x.data)
-        y_lab = ops.slice_rows(y_tilde, labeled_count)
-        c_super = self.supervised_cost(y_lab, targets)
-        if decode:
-            z_hat = self.decoder(z_tilde, h_top, min_level=min(active))
+        c_super = self.supervised_cost(ops.slice_rows(y_tilde, labeled_count), targets)
+        if active:
+            z_hat = self.decoder(z_tilde, h_top, min_level=active[0])
             c_recon = self.reconstruction_cost(z_clean, stats, z_hat, lambdas)
         else:
-            z_hat = {}
-            c_recon = Tensor(np.asarray(0.0, dtype=self.dtype))
-        c_total = ops.add(c_recon, c_super)
-        return c_total, c_super, c_recon, LadderPassOutput(z_tilde=z_tilde, z_hat=z_hat)
+            z_hat, c_recon = {}, Tensor(np.asarray(0.0, dtype=self.dtype))
+        return ops.add(c_recon, c_super), c_super, c_recon, z_hat
 
     # -- inference ----------------------------------------------------------
 

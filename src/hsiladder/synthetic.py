@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import HsiCube
-from .errors import ConfigError
+from .errors import ConfigError, as_index
 from .rng import Rng
 
 
@@ -25,6 +25,7 @@ def make_synthetic_cube(
     noise: float = 0.35,
     brightness_jitter: float = 0.45,
 ) -> HsiCube:
+    """A seeded scene; ``ConfigError`` names a size that is not an integer >= 1."""
     for name, value in (
         ("height", height),
         ("width", width),
@@ -32,7 +33,7 @@ def make_synthetic_cube(
         ("classes", classes),
         ("block", block),
     ):
-        if value < 1:
+        if as_index(name, value) < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
     for name, value in (("noise", noise), ("brightness_jitter", brightness_jitter)):
         if not value >= 0:

@@ -147,8 +147,9 @@ class Adam:
     ``DivergenceError`` leaves the parameters, the moments and ``t`` as they
     were.  A buffer whose global L2 norm exceeds ``max_norm`` is then scaled
     to it (Pascanu et al. 2013, arXiv 1211.5063; squares summed in f64, so
-    finite f32 gradients of 1e20 do not overflow); each ``p.grad`` keeps the
-    raw gradient.  The update is the per-parameter formula applied once to
+    finite f32 gradients of 1e20 do not overflow, and only when even the
+    f64 sum overflows, as for 1e160, after dividing by ``max|g|``); each
+    ``p.grad`` keeps the raw gradient.  The update is the per-parameter formula applied once to
     the whole buffer, with the same operations in the same order per
     element.  All parameters must share one dtype.
     """
@@ -180,7 +181,11 @@ class Adam:
         if bad is not None:
             raise DivergenceError(f"non-finite gradient for parameter {self._spans[bad][0]}")
         if self.max_norm is not None:
-            norm = float(np.sqrt(np.square(g, dtype=np.float64).sum()))
+            with np.errstate(over="ignore"):
+                norm = float(np.sqrt(np.square(g, dtype=np.float64).sum()))
+            if np.isinf(norm):  # finite gradients whose squares overflow f64
+                top = float(np.abs(g).max())
+                norm = top * float(np.sqrt(np.square(g / top, dtype=np.float64).sum()))
             if norm > self.max_norm:
                 g *= self.max_norm / norm
         self.t += 1

@@ -272,6 +272,18 @@ class TestPatches:
         with pytest.raises(ConfigError):
             extract_patches(cube, 4)
 
+    @pytest.mark.parametrize("window", [3.9, 3.0, "3"])
+    def test_non_integer_window_rejected_by_name(self, window):
+        cube = make_synthetic_cube(2, height=6, width=6, bands=2, block=2)
+        with pytest.raises(ConfigError, match="window must be an integer"):
+            extract_patches(cube, window)
+
+    def test_numpy_integer_window_accepted(self):
+        cube = make_synthetic_cube(2, height=6, width=6, bands=2, block=2)
+        np.testing.assert_array_equal(
+            extract_patches(cube, np.int64(3)).patches, extract_patches(cube, 3).patches
+        )
+
 
 class TestPca:
     def test_axis_aligned_diagonal_covariance(self):
@@ -320,6 +332,16 @@ class TestPca:
     def test_too_many_components_rejected(self):
         with pytest.raises(ConfigError):
             pca_fit(np.zeros((10, 3)), 4)
+
+    @pytest.mark.parametrize("k", [2.7, 2.0])
+    def test_non_integer_k_rejected_by_name(self, k):
+        x = np.random.default_rng(9).standard_normal((50, 5))
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            pca_fit(x, k)
+
+    def test_numpy_integer_k_accepted(self):
+        x = np.random.default_rng(9).standard_normal((50, 5))
+        assert pca_fit(x, np.int32(2)).components.shape == (5, 2)
 
     def test_deterministic(self):
         x = np.random.default_rng(9).standard_normal((50, 5))
@@ -382,10 +404,15 @@ class TestSplit:
             make_split(labels, 10, seed=13)
         assert "class 2" in str(e.value)
 
-    @pytest.mark.parametrize("n", [-1, 0])
-    def test_budget_below_one_rejected_by_name(self, n):
+    @pytest.mark.parametrize("n", [-1, 0, 2.0, 2.5])
+    def test_bad_budget_rejected_by_name(self, n):
         with pytest.raises(ConfigError, match="n_per_class"):
             make_split(self._labels([30, 30]), n, seed=17)
+
+    def test_numpy_integer_budget_accepted(self):
+        labels = self._labels([30, 30])
+        a, b = make_split(labels, np.int64(4), seed=17), make_split(labels, 4, seed=17)
+        np.testing.assert_array_equal(a.labeled_train, b.labeled_train)
 
     def test_full_label_split(self):
         labels = self._labels([30, 30])
@@ -461,8 +488,18 @@ class TestSynthetic:
             ("bands", 0),
             ("classes", 0),
             ("brightness_jitter", -0.1),
+            ("height", 24.0),
+            ("width", 24.0),
+            ("bands", 4.0),
+            ("classes", 3.0),
+            ("block", 8.5),
         ],
     )
     def test_bad_argument_rejected_by_name(self, arg, value):
         with pytest.raises(ConfigError, match=arg):
             make_synthetic_cube(0, **{arg: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        a = make_synthetic_cube(3, height=np.int64(12), width=12, bands=np.int32(4), block=4)
+        b = make_synthetic_cube(3, height=12, width=12, bands=4, block=4)
+        np.testing.assert_array_equal(a.reflectance, b.reflectance)

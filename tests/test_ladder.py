@@ -1,6 +1,7 @@
 """Ladder model: collapse identities, combinator oracle, shapes, costs, backward."""
 
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -815,7 +816,7 @@ class TestCosts:
         net = self._net()
         x = Tensor(Rng(1).normal(1.0, (5, 4)))
         z_clean, stats, _ = net.clean_encoder(x)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="need 3 denoising multipliers"):
             net.reconstruction_cost(z_clean, stats, {}, lambdas=(0.0,))
 
     def test_missing_stats_when_normalizing(self):
@@ -866,11 +867,95 @@ class TestCosts:
         set_identity_combinators(net)
         batch = Rng(1).normal(1.0, (6, 4))
         targets = np.array([0, 1, 2])
-        c_total, c_super, c_recon, out = net.training_loss(batch, 3, targets, Rng(2))
+        c_total, c_super, c_recon, z_hat = net.training_loss(batch, 3, targets, Rng(2))
         assert c_recon.item() < 1e-10
         assert abs(c_total.item() - c_super.item()) < 1e-10
-        for l, zt in enumerate(out.z_tilde):
-            np.testing.assert_allclose(out.z_hat[l].data, zt.data, atol=1e-12)
+        z_tilde, _, _ = net.corrupted_encoder(Tensor(batch), Rng(2))
+        for l, zt in enumerate(z_tilde):
+            np.testing.assert_allclose(z_hat[l].data, zt.data, atol=1e-12)
+
+
+class TestLambdaOverrides:
+    """``training_loss`` and ``reconstruction_cost`` hold a ``lambdas=``
+    override to the rule ``LadderSpec`` enforces."""
+
+    BAD = {
+        "negative": ((1.0, -0.5, 0.1), "finite and >= 0"),
+        "nan": ((float("nan"), 0.1, 0.1), "finite and >= 0"),
+        "inf": ((0.1, math.inf, 0.1), "finite and >= 0"),
+        "too-short-zeros": ((0.0, 0.0), "need 3 denoising multipliers"),
+        "too-long-zeros": ((0.0, 0.0, 0.0, 0.0), "need 3 denoising multipliers"),
+    }
+
+    def _net(self):
+        return LadderNetwork(fc_spec([6], classes=3, bands=4, noise=0.3), Rng(0))
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    @pytest.mark.parametrize("use_decoder", [True, False])
+    def test_training_loss_rejects(self, case, use_decoder):
+        lambdas, message = self.BAD[case]
+        net = self._net()
+        batch = Rng(1).normal(1.0, (6, 4))
+        with pytest.raises(ConfigError, match=message):
+            net.training_loss(
+                batch, 3, np.array([0, 1, 2]), Rng(2), lambdas=lambdas, use_decoder=use_decoder
+            )
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_reconstruction_cost_rejects(self, case):
+        lambdas, message = self.BAD[case]
+        net = self._net()
+        x = Tensor(Rng(1).normal(1.0, (5, 4)))
+        z_tilde, h_top, _ = net.corrupted_encoder(x, Rng(2))
+        z_clean, stats, _ = net.clean_encoder(x)
+        z_hat = net.decoder(z_tilde, h_top)
+        with pytest.raises(ConfigError, match=message):
+            net.reconstruction_cost(z_clean, stats, z_hat, lambdas=lambdas)
+
+    def test_all_zero_override_of_the_right_length_is_supervised_only(self):
+        # the benchmark's supervised-only workloads pass this override
+        batch = Rng(1).normal(1.0, (6, 4))
+        targets = np.array([0, 1, 2])
+        net, twin = self._net(), self._net()
+        got = net.training_loss(batch, 3, targets, Rng(2), lambdas=[0, 0.0, np.float32(0)])
+        want = twin.training_loss(batch, 3, targets, Rng(2), use_decoder=False)
+        assert got[0].data.tobytes() == want[0].data.tobytes()
+        assert got[2].item() == 0.0 and got[3] == {}
+
+    def test_spec_and_override_share_the_message(self):
+        lambdas = (1.0, -0.5, 0.1)
+        with pytest.raises(ConfigError) as spec_err:
+            fc_spec([6], classes=3, bands=4, lambdas=lambdas)
+        with pytest.raises(ConfigError) as override_err:
+            self._net().training_loss(
+                Rng(1).normal(1.0, (6, 4)), 3, np.array([0, 1, 2]), Rng(2), lambdas=lambdas
+            )
+        assert str(spec_err.value) == str(override_err.value)
+
+
+class TestTrainingLossReturnsDecodedLevels:
+    @pytest.mark.parametrize(
+        "lambdas, levels", [((0.1, 0.1, 0.1), [0, 1, 2]), ((0.0, 0.2, 0.0), [1, 2])]
+    )
+    def test_fourth_value_is_the_decoder_output(self, lambdas, levels):
+        spec = fc_spec([6], classes=3, bands=4, noise=0.3, lambdas=lambdas)
+        net, twin = LadderNetwork(spec, Rng(0)), LadderNetwork(spec, Rng(0))
+        batch = Rng(1).normal(1.0, (6, 4))
+        *_, z_hat = net.training_loss(batch, 3, np.array([0, 1, 2]), Rng(2))
+        z_tilde, h_top, _ = twin.corrupted_encoder(Tensor(batch), Rng(2))
+        want = twin.decoder(z_tilde, h_top, min_level=levels[0])
+        assert sorted(z_hat) == levels == sorted(want)
+        for l in levels:
+            assert z_hat[l].data.tobytes() == want[l].data.tobytes()
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(use_decoder=False), dict(lambdas=(0.0, 0.0, 0.0))]
+    )
+    def test_empty_when_the_decoder_does_not_run(self, kwargs):
+        net = LadderNetwork(fc_spec([6], classes=3, bands=4), Rng(0))
+        batch = Rng(1).normal(1.0, (6, 4))
+        *_, z_hat = net.training_loss(batch, 3, np.array([0, 1, 2]), Rng(2), **kwargs)
+        assert z_hat == {}
 
 
 class TestEndToEndGradient:

@@ -239,6 +239,19 @@ class TestAdam:
         for p in params.values():
             np.testing.assert_array_equal(p.grad, np.full(2, 1e20, dtype=np.float32))
 
+    def test_clipping_f64_squares_that_overflow_still_clip(self):
+        # 1e160 is finite in f64, its square is not
+        params = {"w": Tensor(np.zeros(2), requires_grad=True)}
+        params["w"].grad = np.full(2, 1e160)
+        opt = Adam(params, lr=0.1, max_norm=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt.step()
+        clipped = opt.flat_m / (1.0 - train_mod.ADAM_BETA1)
+        np.testing.assert_allclose(clipped, np.full(2, np.sqrt(0.5)), rtol=1e-12)
+        # the first Adam step moves each coordinate by lr * sign(g), up to eps
+        np.testing.assert_allclose(params["w"].data, [-0.1, -0.1], rtol=1e-7)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(

@@ -12,7 +12,8 @@ resident set size.  A step whose arrays come from the heap takes few faults
 and little system time; one that maps fresh pages for its temporaries takes
 thousands of faults and tens of milliseconds of system time.
 
-It only reads the benchmark's code, never changes it.  BLAS may use as many
+It takes the workload names from ``BENCHMARK.json`` and only reads the
+benchmark's code and that file, never changes them.  BLAS may use as many
 threads as the process may use cores, as in the benchmark.
 
 Usage, from the repository root:
@@ -34,12 +35,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "benchmarks"
-WORKLOAD_NAMES = ("conv-ladder-f64", "fc-ladder-f32", "scene-map")
+
+
+def workload_names() -> tuple[str, ...]:
+    """The benchmark's workloads, as ``BENCHMARK.json`` declares them."""
+    return tuple(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description="page faults and system time per training step")
-    parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES + ("all",))
+    parser.add_argument("--workload", required=True, choices=workload_names() + ("all",))
     parser.add_argument("--steps", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
@@ -92,7 +97,7 @@ def main(argv=None) -> int:
         print(json.dumps(measure(args.workload, args.steps, args.seed)), flush=True)
         return 0
     status = 0
-    for name in WORKLOAD_NAMES:
+    for name in workload_names():
         cmd = [
             sys.executable, str(Path(__file__).resolve()), "--workload", name,
             "--steps", str(args.steps), "--seed", str(args.seed),
