@@ -50,11 +50,61 @@ class HsiCube:
         return np.nonzero(self.ground_truth)
 
 
+class WindowReader:
+    """The ``(n, w, w, c)`` window array of a :class:`PatchSet`, read on
+    demand from the mirror-padded cube.
+
+    ``reader[idx]`` indexes the rows as numpy indexes the first axis of an
+    array (integers, negative or repeated, slices, boolean masks; an
+    out-of-range index raises ``IndexError``) and gathers only those rows'
+    windows into a fresh C-contiguous array.  ``np.asarray(reader)`` gathers
+    every row in the reader's own dtype.  No window exists until it is read,
+    so n patches of an h x w scene hold ``(h + win - 1) * (w + win - 1) * c``
+    values of padded cube instead of ``n * win * win * c``.
+    """
+
+    def __init__(self, padded: np.ndarray, rows: np.ndarray, cols: np.ndarray, window: int):
+        # (h, w, win, win, c): the window of pixel (r, c) is at [r, c]
+        self._view = sliding_window_view(padded, (window, window), axis=(0, 1)).transpose(
+            0, 1, 3, 4, 2
+        )
+        self._rows, self._cols = rows, cols
+        self.shape = (len(rows), window, window, padded.shape[2])
+        self.dtype = padded.dtype
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, idx) -> np.ndarray:
+        rows, cols = self._rows[idx], self._cols[idx]
+        # one advanced index gathers a fresh (k, win, win, c) array; two
+        # integers would give a read-only view of the padded cube instead
+        if np.ndim(rows) == 0:
+            return self._view[rows, cols].copy()
+        return self._view[rows, cols]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("windows are gathered on demand, so reading them copies")
+        if dtype is not None and np.dtype(dtype) != self.dtype:
+            # a cast of the full gather would hold both copies at once
+            raise TypeError(
+                f"windows are {self.dtype}; gather them as {np.dtype(dtype)} with "
+                "train.gather_input, which casts a chunk at a time"
+            )
+        return self[:]
+
+
 @dataclass
 class PatchSet:
-    """One window per labeled pixel plus its (0-based) class index."""
+    """One window per labeled pixel plus its (0-based) class index.
 
-    patches: np.ndarray  # (n, w, w, c)
+    ``patches`` reads each pixel's window from the mirror-padded cube when
+    it is indexed (:class:`WindowReader`); the full ``(n, w, w, c)`` array is
+    never built unless asked for with ``np.asarray``.
+    """
+
+    patches: WindowReader
     labels: np.ndarray  # (n,) in 0..K-1
     centers: np.ndarray  # (n, 2) row, col
 
@@ -140,22 +190,25 @@ def extract_patches(cube: HsiCube, window: int) -> PatchSet:
     unless ``window`` is an odd integer >= 1.
 
     Mirror padding (symmetric reflection including the border pixel) keeps
-    labeled border pixels; window 1 yields plain per-pixel spectra.
+    labeled border pixels; window 1 yields plain per-pixel spectra.  Only
+    the padded cube is copied (at window 1, only the labeled spectra): the
+    patches are read from it on demand.
     """
     if as_index("window", window) < 1 or window % 2 == 0:
         raise ConfigError(f"window must be odd and >= 1, got {window}")
     rows, cols = cube.labeled_coords()
+    labels = cube.ground_truth[rows, cols].astype(np.int64, copy=False) - 1
+    centers = np.stack([rows, cols], axis=1).astype(np.int64, copy=False)
     pad = window // 2
-    if pad:
-        padded = np.pad(cube.reflectance, ((pad, pad), (pad, pad), (0, 0)), mode="symmetric")
-    else:
-        padded = cube.reflectance
-    win = sliding_window_view(padded, (window, window), axis=(0, 1))  # (h, w, c, win, win)
-    # the advanced index gathers a fresh C-contiguous (n, win, win, c) array
-    patches = win.transpose(0, 1, 3, 4, 2)[rows, cols]
-    labels = cube.ground_truth[rows, cols].astype(np.int64) - 1
-    centers = np.stack([rows, cols], axis=1).astype(np.int64)
-    return PatchSet(patches, labels, centers)
+    if pad == 0:
+        # the labeled spectra, never more values than the cube, which is
+        # then free to go
+        spectra = cube.reflectance[rows, cols][:, None, :]  # (n, 1, c)
+        n = len(rows)
+        reader = WindowReader(spectra, np.arange(n), np.zeros(n, np.int64), 1)
+        return PatchSet(reader, labels, centers)
+    padded = np.pad(cube.reflectance, ((pad, pad), (pad, pad), (0, 0)), mode="symmetric")
+    return PatchSet(WindowReader(padded, centers[:, 0], centers[:, 1], window), labels, centers)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +244,23 @@ def pca_transform(model: PcaModel, spectra: np.ndarray) -> np.ndarray:
     return (spectra - model.mean) @ model.components
 
 
+# Centered pixels that ``pca_reduce_cube`` holds at a time, in bytes.
+PCA_BLOCK_BYTES = 1 << 20
+
+
 def pca_reduce_cube(cube: HsiCube, model: PcaModel) -> HsiCube:
+    """:func:`pca_transform` of every pixel, a block of rows at a time, so
+    the full-band centered copy of the cube never exists."""
     h, w, c = cube.reflectance.shape
     flat = cube.reflectance.reshape(-1, c)
-    reduced = pca_transform(model, flat).reshape(h, w, -1)
-    return HsiCube(reduced, cube.ground_truth, cube.num_classes)
+    reduced = np.empty(
+        (len(flat), model.components.shape[1]),
+        dtype=np.result_type(flat, model.mean, model.components),
+    )
+    step = max(1, PCA_BLOCK_BYTES // (flat.itemsize * c))
+    for i in range(0, len(flat), step):
+        np.matmul(flat[i : i + step] - model.mean, model.components, out=reduced[i : i + step])
+    return HsiCube(reduced.reshape(h, w, -1), cube.ground_truth, cube.num_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Adam training loop over mixed labeled/unlabeled batches.
 
 Each iteration draws ``batch_size`` labeled patches (with replacement from
-the small labeled pool) and ``batch_size`` unlabeled patches, concatenates
-them labeled-first, runs the ladder forward, and takes one Adam step on the
-total cost.  The supervised cost sees only the labeled half; the
-reconstruction cost sees the whole batch.  Modes:
+the few labeled training points) and ``batch_size`` unlabeled patches,
+gathers their windows labeled-first straight into the net's dtype, runs the
+ladder forward, and takes one Adam step on the total cost.  The supervised
+cost sees only the labeled half; the reconstruction cost sees the whole
+batch.  Modes:
 
     ladder           joint objective (the default)
     supervised-only  zero reconstruction weight; the decoder is skipped and
@@ -221,19 +222,28 @@ def _lr_scale(config: TrainConfig, iteration: int) -> float:
     return (config.iterations - iteration) / max(1, config.iterations - start)
 
 
-def batch_input(patches: np.ndarray, input_shape: tuple, dtype) -> np.ndarray:
-    """Reshape (n, w, w, c) patches to the model's input shape."""
-    n = patches.shape[0]
-    flat = int(np.prod(patches.shape[1:]))
+def _sample_shape(patches, input_shape: tuple) -> tuple:
+    """The shape one patch takes as model input: ``input_shape``, which must
+    equal the patch shape or, for a flat input, hold as many values."""
     if len(input_shape) == 1:
+        flat = int(np.prod(patches.shape[1:]))
         if flat != input_shape[0]:
             raise ShapeError(
                 f"patches with {flat} values per sample do not fit input {input_shape}"
             )
-        return patches.reshape(n, input_shape[0]).astype(dtype, copy=False)
-    if patches.shape[1:] != input_shape:
+    elif patches.shape[1:] != input_shape:
         raise ShapeError(f"patch shape {patches.shape[1:]} does not match input {input_shape}")
-    return patches.astype(dtype, copy=False)
+    return tuple(input_shape)
+
+
+def batch_input(patches, input_shape: tuple, dtype) -> np.ndarray:
+    """Reshape (n, w, w, c) patches to the model's input shape.  A
+    :class:`~hsiladder.data.WindowReader` is gathered with
+    :func:`gather_input`, straight into ``dtype``."""
+    if not isinstance(patches, np.ndarray):
+        return gather_input(patches, np.arange(len(patches)), input_shape, dtype)
+    shape = _sample_shape(patches, input_shape)
+    return patches.reshape(len(patches), *shape).astype(dtype, copy=False)
 
 
 # Source bytes that ``gather_input`` gathers and casts per step.  A sweep of
@@ -242,18 +252,19 @@ def batch_input(patches: np.ndarray, input_shape: tuple, dtype) -> np.ndarray:
 GATHER_CHUNK_BYTES = 256 << 10
 
 
-def gather_input(patches: np.ndarray, indices, input_shape: tuple, dtype) -> np.ndarray:
+def gather_input(patches, indices, input_shape: tuple, dtype) -> np.ndarray:
     """``batch_input(patches[indices], input_shape, dtype)`` for integer row
-    ``indices``, gathered straight into ``dtype`` a chunk at a time, so an f32
-    pool from f64 patches never holds a full-size f64 copy.  The values are
-    the same."""
+    ``indices`` of an array or a :class:`~hsiladder.data.WindowReader`,
+    gathered straight into ``dtype`` a chunk at a time, so f32 inputs from
+    f64 patches never hold a full-size f64 copy.  The values are the same."""
     indices = np.asarray(indices)
+    shape = _sample_shape(patches, input_shape)
     out = np.empty((len(indices), *patches.shape[1:]), dtype=dtype)
-    row_bytes = patches.itemsize * int(np.prod(patches.shape[1:]))
+    row_bytes = patches.dtype.itemsize * int(np.prod(patches.shape[1:]))
     rows = max(1, GATHER_CHUNK_BYTES // max(1, row_bytes))
     for i in range(0, len(indices), rows):
         out[i : i + rows] = patches[indices[i : i + rows]]
-    return batch_input(out, input_shape, dtype)
+    return out.reshape(len(indices), *shape)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +377,11 @@ def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_
 # ---------------------------------------------------------------------------
 
 
-def _sdae_pretrain(net: LadderNetwork, config: TrainConfig, unlabeled: np.ndarray, rng: Rng):
-    """Greedy layer-wise pretraining of the encoder weights on unlabeled data.
+def _sdae_pretrain(
+    net: LadderNetwork, config: TrainConfig, patches, unlabeled: np.ndarray, rng: Rng
+):
+    """Greedy layer-wise pretraining of the encoder weights on the
+    ``unlabeled`` rows of ``patches``.
 
     Each non-head layer is trained as a denoising autoencoder: corrupt the
     layer input, encode with :meth:`LadderNetwork.layer_map` and a relu,
@@ -383,8 +397,8 @@ def _sdae_pretrain(net: LadderNetwork, config: TrainConfig, unlabeled: np.ndarra
         w_dec = Tensor(he_weight(rng, transposed(w.data.shape), dtype), requires_grad=True)
         opt = Adam({"w": w, "w_dec": w_dec}, config.learning_rate)
         for _ in range(config.pretrain_iterations):
-            idx = rng.integers(0, len(unlabeled), config.batch_size)
-            h = Tensor(unlabeled[idx], dtype=dtype)
+            idx = unlabeled[rng.integers(0, len(unlabeled), config.batch_size)]
+            h = Tensor(gather_input(patches, idx, net.spec.input_shape, dtype))
             for l in range(1, depth):
                 h = ops.relu(net.layer_map(l, h))
             x = Tensor(h.data)  # a constant: this layer's input, off the tape
@@ -419,13 +433,11 @@ def train(
     init_rng, noise_rng, batch_rng, pretrain_rng = root.spawn(4)
     net = LadderNetwork(spec, init_rng, dtype=dtype)
 
-    labeled = split.labeled_train
-    unlabeled = split.unlabeled_train if len(split.unlabeled_train) else split.labeled_train
+    labeled = np.asarray(split.labeled_train)
+    unlabeled = np.asarray(split.unlabeled_train if len(split.unlabeled_train) else labeled)
     if len(labeled) == 0:
         raise DataError("split has no labeled training points")
-    x_labeled = gather_input(patchset.patches, labeled, spec.input_shape, dtype)
-    y_labeled = patchset.labels[labeled]
-    x_unlabeled = gather_input(patchset.patches, unlabeled, spec.input_shape, dtype)
+    _sample_shape(patchset.patches, spec.input_shape)  # before any work on a mismatched set
 
     adam = Adam(net.params, config.learning_rate, max_norm=config.grad_clip)
     n_iter = config.iterations
@@ -440,7 +452,7 @@ def train(
         for name in CURVES:
             curves[name][:start_iter] = saved[name]
     elif config.mode == "sdae-pretrain":
-        _sdae_pretrain(net, config, x_unlabeled, pretrain_rng)
+        _sdae_pretrain(net, config, patchset.patches, unlabeled, pretrain_rng)
 
     use_decoder = config.mode == "ladder"
 
@@ -450,10 +462,11 @@ def train(
         Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     for it in range(start_iter, n_iter):
-        li = batch_rng.integers(0, len(x_labeled), config.batch_size)
-        ui = batch_rng.integers(0, len(x_unlabeled), config.batch_size)
-        batch = np.concatenate([x_labeled[li], x_unlabeled[ui]], axis=0)
-        targets = y_labeled[li]
+        li = labeled[batch_rng.integers(0, len(labeled), config.batch_size)]
+        ui = unlabeled[batch_rng.integers(0, len(unlabeled), config.batch_size)]
+        idx = np.concatenate([li, ui])
+        batch = gather_input(patchset.patches, idx, spec.input_shape, dtype)
+        targets = patchset.labels[li]
         net.zero_grads()
         with GradTape() as tape:
             c_total, c_super, c_recon, _ = net.training_loss(

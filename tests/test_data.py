@@ -8,6 +8,7 @@ import pytest
 
 from hsiladder import ConfigError, DataError
 from hsiladder import cube_io
+from hsiladder import data as data_mod
 from hsiladder.data import (
     TEST_FRACTION,
     HsiCube,
@@ -220,7 +221,7 @@ class TestPatches:
         ps = extract_patches(cube, 1)
         rows, cols = cube.labeled_coords()
         np.testing.assert_array_equal(
-            ps.patches.reshape(len(ps), 4), cube.reflectance[rows, cols]
+            np.asarray(ps.patches).reshape(len(ps), 4), cube.reflectance[rows, cols]
         )
 
     def test_patch_count_equals_labeled_pixels(self):
@@ -237,35 +238,127 @@ class TestPatches:
         vals = np.arange(9.0).reshape(3, 3)
         cube = HsiCube(vals[:, :, None], np.ones((3, 3), dtype=np.int64), 1)
         ps = extract_patches(cube, 3)
-        corner = ps.patches[0, :, :, 0]  # center (0, 0)
+        corner = ps.patches[0][:, :, 0]  # center (0, 0)
         expect = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [3.0, 3.0, 4.0]])
         np.testing.assert_array_equal(corner, expect)
-        center = ps.patches[4, :, :, 0]  # center (1, 1): no padding involved
+        center = ps.patches[4][:, :, 0]  # center (1, 1): no padding involved
         np.testing.assert_array_equal(center, vals)
 
-    @pytest.mark.parametrize("window", [1, 3, 7])
-    def test_matches_two_copy_gather(self, window):
+    @staticmethod
+    def _bordered(window):
+        """A 9x11 scene with every border pixel labeled and one inner pixel
+        not, its patches and the oracle's."""
         cube = make_synthetic_cube(8, height=9, width=11, bands=4, block=3)
         gt = cube.ground_truth.copy()
         gt[4, 5] = 0
         cube = HsiCube(cube.reflectance, gt, cube.num_classes)
         rows, cols = cube.labeled_coords()
         assert {0, 8} <= set(rows) and {0, 10} <= set(cols)  # border pixels included
-        ps = extract_patches(cube, window)
-        assert ps.patches.flags.c_contiguous and ps.patches.flags.owndata
-        np.testing.assert_array_equal(
-            ps.patches, extract_patches_oracle(cube.reflectance, rows, cols, window)
-        )
+        want = extract_patches_oracle(cube.reflectance, rows, cols, window)
+        return extract_patches(cube, window), want
 
-    def test_gather_peak_memory_is_one_copy(self):
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_matches_two_copy_gather(self, window):
+        ps, want = self._bordered(window)
+        assert ps.patches.shape == want.shape and ps.patches.dtype == want.dtype
+        full = np.asarray(ps.patches)
+        assert full.flags.c_contiguous and full.flags.owndata
+        np.testing.assert_array_equal(full, want)
+        np.testing.assert_array_equal(np.asarray(ps.patches, dtype=want.dtype), want)
+        with pytest.raises(TypeError, match="gather_input"):  # a cast holds two copies
+            np.asarray(ps.patches, dtype=np.float32)
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            np.array([5, -1, 0, 5, 5, -4, 2]),  # repeats and negatives
+            [3, 3, 0],
+            slice(None),
+            slice(-7, None, 3),
+            slice(4, 2),
+            np.array([], dtype=np.int64),
+            0,
+            -1,
+            np.int64(17),
+        ],
+        ids=["ints", "list", "all", "step", "empty-slice", "empty", "first", "last", "np-int"],
+    )
+    def test_index_forms_match_oracle(self, window, idx):
+        ps, want = self._bordered(window)
+        got = ps.patches[idx]
+        assert got.shape == want[idx].shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous and got.flags.writeable
+        np.testing.assert_array_equal(got, want[idx])
+
+    def test_boolean_mask_selects_rows(self):
+        ps, want = self._bordered(3)
+        mask = np.arange(len(ps)) % 4 == 1
+        np.testing.assert_array_equal(ps.patches[mask], want[mask])
+
+    @pytest.mark.parametrize("idx", [98, -99, np.array([0, 98]), [1, -99]])
+    def test_out_of_range_index_raises(self, idx):
+        ps, want = self._bordered(3)
+        assert len(ps) == len(want) == 98
+        with pytest.raises(IndexError):
+            ps.patches[idx]
+
+    def test_a_scalar_row_is_a_copy(self):
+        ps, want = self._bordered(3)
+        row = ps.patches[0]
+        row[...] = -1.0
+        np.testing.assert_array_equal(ps.patches[0], want[0])
+
+    def test_extract_allocates_the_padded_cube_not_the_patches(self):
         cube = make_synthetic_cube(9, height=40, width=40, bands=10, block=4)
+        padded_bytes = 46 * 46 * 10 * 8
         tracemalloc.start()
         try:
             ps = extract_patches(cube, 7)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(ps)
+        assert ps.patches.shape == (n, 7, 7, 10) and n * 7 * 7 * 10 * 8 > 30 * padded_bytes
+        # the padded cube plus a few int64 per labeled pixel (coordinates,
+        # centers, labels)
+        assert peak < 1.1 * padded_bytes + 8 * 8 * n
+        assert live < padded_bytes + 4 * 8 * n
+
+    def test_window_one_keeps_only_the_labeled_spectra(self):
+        cube = make_synthetic_cube(9, height=40, width=40, bands=10, block=4)
+        gt = cube.ground_truth.copy()
+        gt[np.random.default_rng(4).random(gt.shape) < 0.8] = 0  # about 20% labeled
+        cube = HsiCube(cube.reflectance, gt, cube.num_classes)
+        rows, cols = cube.labeled_coords()
+        want = extract_patches_oracle(cube.reflectance, rows, cols, 1)
+        tracemalloc.start()
+        try:
+            ps = extract_patches(cube, 1)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(ps)
+        assert 4 * want.nbytes < cube.reflectance.nbytes
+        # the spectra plus a few int64 per labeled pixel (coordinates,
+        # centers, labels, the reader's rows and columns), not the cube
+        assert peak < want.nbytes + 8 * 8 * n
+        assert live < want.nbytes + 6 * 8 * n
+        del cube
+        np.testing.assert_array_equal(np.asarray(ps.patches), want)
+
+    def test_gather_peak_memory_is_one_copy(self):
+        cube = make_synthetic_cube(9, height=40, width=40, bands=10, block=4)
+        ps = extract_patches(cube, 7)
+        idx = np.random.default_rng(3).integers(0, len(ps), 300)
+        tracemalloc.start()
+        try:
+            out = ps.patches[idx]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * ps.patches.nbytes  # the gather is the only full-size copy
+        assert out.nbytes == 300 * 7 * 7 * 10 * 8
+        assert peak < 1.25 * out.nbytes  # only the rows asked for
 
     def test_even_window_rejected(self):
         cube = make_synthetic_cube(2, height=6, width=6, bands=2, block=2)
@@ -347,6 +440,44 @@ class TestPca:
         x = np.random.default_rng(9).standard_normal((50, 5))
         m1, m2 = pca_fit(x, 3), pca_fit(x, 3)
         np.testing.assert_array_equal(m1.components, m2.components)
+
+    @pytest.mark.parametrize(
+        "shape, k, block_bytes, blocks",
+        [
+            ((7, 5, 8), 3, None, 1),
+            ((7, 5, 8), 3, 3 * 8 * 8, 12),  # 3 rows of 8 bands per block
+            ((50, 61, 103), 15, None, 3),  # the paper's band count at the default
+        ],
+        ids=["one-block", "3rows", "103bands"],
+    )
+    def test_reduce_cube_matches_one_transform(self, shape, k, block_bytes, blocks, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(data_mod, "PCA_BLOCK_BYTES", block_bytes)
+        h, w, c = shape
+        cube = make_synthetic_cube(4, height=h, width=w, bands=c, block=2)
+        flat = cube.reflectance.reshape(-1, c)
+        step = data_mod.PCA_BLOCK_BYTES // (flat.itemsize * c)
+        assert -(-len(flat) // step) == blocks
+        assert blocks == 1 or len(flat) % step  # the last block partial
+        model = pca_fit(flat, k)
+        got = pca_reduce_cube(cube, model).reflectance
+        assert got.shape == (h, w, k)
+        np.testing.assert_array_equal(got, pca_transform(model, flat).reshape(h, w, k))
+
+    def test_reduce_cube_holds_no_full_band_centered_copy(self, monkeypatch):
+        monkeypatch.setattr(data_mod, "PCA_BLOCK_BYTES", 64 << 10)
+        cube = make_synthetic_cube(4, height=64, width=64, bands=40, block=8)
+        model = pca_fit(cube.reflectance.reshape(-1, 40), 4)
+        tracemalloc.start()
+        try:
+            reduced = pca_reduce_cube(cube, model).reflectance
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result plus a block's temporaries, against a centered copy of
+        # the whole cube
+        bound = reduced.nbytes + 3 * data_mod.PCA_BLOCK_BYTES
+        assert peak < bound < cube.reflectance.nbytes / 3
 
 
 class TestSplit:

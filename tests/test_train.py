@@ -403,6 +403,23 @@ class TestDeterminism:
         for name in net1.params:
             np.testing.assert_array_equal(net1.params[name].data, net2.params[name].data)
 
+    @pytest.mark.parametrize("mode", ["ladder", "sdae-pretrain"])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_window_reader_trains_like_its_array(self, prepared, mode, precision):
+        config = small_config(seed=9, iterations=12, mode=mode, precision=precision)
+        config = dataclasses.replace(config, pretrain_iterations=4)
+        as_array = SimpleNamespace(
+            patches=np.asarray(prepared.patches.patches), labels=prepared.patches.labels
+        )
+        assert isinstance(as_array.patches, np.ndarray) and as_array.patches.dtype == np.float64
+        net1, rep1 = train(config, prepared.patches, prepared.split)
+        net2, rep2 = train(config, as_array, prepared.split)
+        for name in CURVES:
+            np.testing.assert_array_equal(getattr(rep1, name), getattr(rep2, name))
+        np.testing.assert_array_equal(rep1.confusion, rep2.confusion)
+        for name in net1.params:
+            np.testing.assert_array_equal(net1.params[name].data, net2.params[name].data)
+
     def test_lambda_zero_matches_supervised_only_trajectory(self, prepared):
         ladder_cfg = small_config(seed=6, iterations=25, lambdas=(0.0, 0.0, 0.0, 0.0))
         sup_cfg = dataclasses.replace(ladder_cfg, mode="supervised-only")
@@ -817,7 +834,7 @@ class TestSdae:
         runs = []
         for _ in range(2):
             net, config = self._conv_net_and_config(dtype)
-            train_mod._sdae_pretrain(net, config, unlabeled, Rng(16))
+            train_mod._sdae_pretrain(net, config, unlabeled, np.arange(len(unlabeled)), Rng(16))
             runs.append(net)
         fresh, _ = self._conv_net_and_config(dtype)
         net = runs[0]

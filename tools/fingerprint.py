@@ -8,8 +8,10 @@ f32, on one synthetic scene.  Per run, the hash takes in every parameter,
 every running batch-norm statistic, the three loss curves and the
 log-probabilities of a fixed batch of patches.  It also prints the tape nodes
 of one training step per spec in ``ladder`` and in ``supervised-only`` mode,
-and, before the hash, the line count of ``src/hsiladder/*.py``: the size of
-the source tree that produced it.
+and, before the hash, the line count of ``src/hsiladder/*.py`` (the size of
+the source tree that produced it) and the ``tracemalloc`` peak of the two
+``prepare_dataset`` calls, so memory drift in the data pipeline shows next
+to the hash.
 
 BLAS runs on one thread, so the hash depends only on the source tree, numpy
 and its BLAS build, and the CPU.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -79,10 +82,20 @@ def nodes_per_step(spec: LadderSpec, patches, labels, use_decoder: bool) -> int:
 
 def main() -> int:
     cube = make_synthetic_cube(SEED, height=24, width=24, bands=BANDS, classes=CLASSES, block=6)
-    runs = {
-        "fc": (FC_SPEC, prepare_dataset(cube, 1, None, 4, seed=SEED)),
-        "conv": (CONV_SPEC, prepare_dataset(cube, WINDOW, PCA_COMPONENTS, 4, seed=SEED)),
-    }
+
+    def prepare():
+        return {
+            "fc": (FC_SPEC, prepare_dataset(cube, 1, None, 4, seed=SEED)),
+            "conv": (CONV_SPEC, prepare_dataset(cube, WINDOW, PCA_COMPONENTS, 4, seed=SEED)),
+        }
+
+    prepare()  # untraced, so numpy's lazy imports stay out of the peak
+    tracemalloc.start()
+    try:
+        runs = prepare()
+        prepare_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     total = hashlib.sha256()
     for name, (spec, prepared) in runs.items():
         patchset, split = prepared.patches, prepared.split
@@ -121,6 +134,7 @@ def main() -> int:
                 total.update(f"{name}|{mode}|{precision}|{digest}".encode())
     lines = sum(len(path.read_bytes().splitlines()) for path in (SRC / "hsiladder").glob("*.py"))
     print(f"src lines {lines}")
+    print(f"prepare peak {prepare_peak // 1024} KiB")
     print(f"sha256 {total.hexdigest()}")
     return 0
 
