@@ -513,31 +513,18 @@ class LadderNetwork:
         composition by at most 1.1e-13 in f64 and 5.3e-5 in f32, with the
         same argmax.
 
-        A chunk holds as many samples as keep the largest per-sample
-        intermediate within :data:`PREDICT_CHUNK_BYTES`: the wider of a conv
-        level's im2col row (``oh*ow*kh*kw*ci`` values) and output row
-        (``oh*ow*co``), or the wider side of a dense level, in the network's
-        dtype.  That keeps the working set near the CPU caches instead of
-        growing with the batch.
+        A chunk holds :meth:`predict_chunk_rows` samples.
         """
         self.assert_finite_params()
         x = np.asarray(x)
         self._check_input(x)
         folded = []
-        widest = 1  # values in the largest per-sample intermediate
         for l, layer in enumerate(self.spec.layers, start=1):
-            w = self.params[f"enc{l}/W"].data
             gamma = self.params[f"enc{l}/gamma"].data
             std = np.sqrt(self.running[l].var + ops.BN_EPS)
             t = gamma * (self.params[f"enc{l}/beta"].data - self.running[l].mean / std)
-            folded.append((layer, w * (gamma / std), t))
-            if layer.kind == CONV3X3:
-                # the im2col row or the output row, whichever is wider
-                oh, ow, co = self.level_shapes[l]
-                widest = max(widest, oh * ow * max(int(np.prod(w.shape[:3])), co))
-            else:
-                widest = max(widest, *w.shape)
-        chunk = max(1, PREDICT_CHUNK_BYTES // (widest * self.dtype.itemsize))
+            folded.append((layer, self.params[f"enc{l}/W"].data * (gamma / std), t))
+        chunk = self.predict_chunk_rows()
         out = np.empty((len(x), self.spec.num_classes), dtype=self.dtype)
         for i in range(0, len(x), chunk):
             h = x[i : i + chunk].astype(self.dtype, copy=False)
@@ -550,6 +537,26 @@ class LadderNetwork:
                     np.maximum(z, 0, out=z)
                 h = z
         return out
+
+    def predict_chunk_rows(self) -> int:
+        """Samples per chunk of :meth:`predict_log_probs`: as many as keep
+        the largest per-sample intermediate within
+        :data:`PREDICT_CHUNK_BYTES`.  That is the wider of a conv level's
+        im2col row (``oh*ow*kh*kw*ci`` values) and output row (``oh*ow*co``),
+        or the wider side of a dense level, in the network's dtype.  It
+        keeps the working set near the CPU caches instead of growing with
+        the batch.  Predicting blocks of whole chunks splits the rows as one
+        call does, so the results are the same bits."""
+        widest = 1  # values in the largest per-sample intermediate
+        for l, layer in enumerate(self.spec.layers, start=1):
+            shape = self.weight_shape(l)
+            if layer.kind == CONV3X3:
+                # the im2col row or the output row, whichever is wider
+                oh, ow, co = self.level_shapes[l]
+                widest = max(widest, oh * ow * max(math.prod(shape[:3]), co))
+            else:
+                widest = max(widest, *shape)
+        return max(1, PREDICT_CHUNK_BYTES // (widest * self.dtype.itemsize))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class indices via the clean encoder (no noise anywhere); the

@@ -24,6 +24,7 @@ states so a resumed run continues bit-identically.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -530,17 +531,36 @@ def train(
     return net, report
 
 
+# Test inputs, in bytes of the net's dtype, that ``evaluate`` gathers and
+# predicts at a time (rounded down to whole prediction chunks, at least one).
+EVAL_BLOCK_BYTES = 8 << 20
+
+
 def evaluate(net: LadderNetwork, patchset, test_indices) -> dict:
-    """Clean-encoder eval metrics: OA, AA, per-class recall, confusion."""
+    """Clean-encoder eval metrics: OA, AA, per-class recall, confusion.
+
+    The test patches are gathered straight into the net's dtype and
+    predicted a block at a time.  A block holds whole chunks of
+    ``net.predict_chunk_rows()`` rows, so the rows split into the chunks of
+    one ``predict`` call and the predictions are the same bits, while only
+    one block's inputs exist at a time."""
     test_indices = np.asarray(test_indices)
     if test_indices.size == 0:
         raise DataError("empty test set")
-    x = gather_input(patchset.patches, test_indices, net.spec.input_shape, net.dtype)
     y_true = patchset.labels[test_indices]
     k = net.spec.num_classes
     if y_true.min() < 0 or y_true.max() >= k:
         raise DataError(f"test labels {y_true.min()}..{y_true.max()} out of range [0, {k})")
-    y_pred = net.predict(x)
+    shape = net.spec.input_shape
+    chunk = net.predict_chunk_rows()
+    row_bytes = np.dtype(net.dtype).itemsize * math.prod(shape)
+    block = chunk * max(1, EVAL_BLOCK_BYTES // (chunk * row_bytes))
+    y_pred = np.concatenate(
+        [
+            net.predict(gather_input(patchset.patches, test_indices[i : i + block], shape, net.dtype))
+            for i in range(0, len(test_indices), block)
+        ]
+    )
     confusion = np.bincount(y_true * k + y_pred, minlength=k * k).reshape(k, k)
     return metrics_from_confusion(confusion)
 

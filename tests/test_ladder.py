@@ -1056,6 +1056,26 @@ class TestBackwardRelease:
         ref_peak = traced_peak(reference_backward)
         assert peak < 0.8 * ref_peak, (peak, ref_peak)
 
+    # Backward peak over forward peak: 1.18 (f64 and f32) when every
+    # closure lived until the end of the walk, about 1.03 once each goes
+    # as soon as it has run.
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_backward_peak_stays_near_the_forward_peak(self, dtype):
+        peaks = {}
+
+        def traced(tape, loss):
+            peaks["forward"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            GradTape.backward(tape, loss)
+            peaks["backward"] = tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            small_conv_step(dtype, traced)
+        finally:
+            tracemalloc.stop()
+        assert peaks["backward"] <= 1.08 * peaks["forward"], peaks
+
 
 class TestSavedArrays:
     """A recorded ladder step keeps only what its backward formulas read."""

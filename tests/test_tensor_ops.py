@@ -412,6 +412,27 @@ class TestSavedArrays:
         assert all(node.backward_fn is None and node.inputs == () for node in tape.nodes)
         assert loss.node is tape.nodes[-1]
 
+    def test_a_closure_lets_go_of_its_arrays_before_the_next_node_runs(self):
+        x = Tensor(np.random.default_rng(14).standard_normal((4, 3)), requires_grad=True)
+        with GradTape() as tape:
+            e = ops.exp(ops.scale(x, 2.0))
+            e_data = weakref.ref(e.data)  # read by the exp backward only
+            loss = ops.sum_all(e)
+            del e
+        assert [node.name for node in tape.nodes] == ["scale", "exp", "sum_all"]
+        scale_node = tape.nodes[0]
+        scale_backward = scale_node.backward_fn
+        alive = []
+
+        def watched(g):
+            alive.append(e_data() is not None)
+            return scale_backward(g)
+
+        scale_node.backward_fn = watched
+        tape.backward(loss)
+        assert alive == [False]
+        np.testing.assert_array_equal(x.grad, 2.0 * np.exp(2.0 * x.data))
+
     def test_a_graph_without_backward_is_freed_by_refcount(self):
         x = Tensor(np.random.default_rng(13).standard_normal((4, 3)), requires_grad=True)
         with GradTape() as tape:

@@ -22,6 +22,7 @@ from hsiladder import (
     Tensor,
 )
 from hsiladder import checkpoint as ckpt
+from hsiladder import ladder as ladder_mod
 from hsiladder.errors import first_non_finite
 from hsiladder import train as train_mod
 from hsiladder.data import prepare_dataset
@@ -329,11 +330,15 @@ class TestMetrics:
         k, n = 6, 500
         y_true = rng.integers(0, k - 1, n)  # class k - 1 never occurs
         y_pred = rng.integers(0, k, n)
-        patchset = SimpleNamespace(patches=np.zeros((n, 1, 1, 2)), labels=y_true)
+        # each patch holds its own row number, so the fake net predicts
+        # y_pred[row] whichever block the row is gathered in
+        patches = np.repeat(np.arange(n, dtype=np.float64), 2).reshape(n, 1, 1, 2)
+        patchset = SimpleNamespace(patches=patches, labels=y_true)
         net = SimpleNamespace(
             spec=SimpleNamespace(input_shape=(2,), num_classes=k),
             dtype=np.float64,
-            predict=lambda x: y_pred[: len(x)],
+            predict_chunk_rows=lambda: 64,
+            predict=lambda x: y_pred[x[:, 0].astype(np.int64)],
         )
         m = evaluate(net, patchset, np.arange(n))
         expect = confusion_oracle(y_true, y_pred, k)
@@ -342,6 +347,48 @@ class TestMetrics:
         patchset.labels = np.where(y_true == 2, k, y_true)
         with pytest.raises(DataError, match="out of range"):
             evaluate(net, patchset, np.arange(n))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    @pytest.mark.parametrize("chunks_per_block", [1, 2])
+    def test_blockwise_evaluate_equals_one_prediction(self, dtype, chunks_per_block, monkeypatch):
+        cube = make_synthetic_cube(12, height=24, width=24, bands=6, classes=3, block=6)
+        data = prepare_dataset(cube, window=5, pca_components=4, n_per_class=4, seed=12)
+        spec = LadderSpec(
+            (LayerSpec("conv3x3", 6), LayerSpec("fc", 8), LayerSpec("softmax_head", 3, "none")),
+            0.3,
+            (1.0, 0.1, 0.1, 0.1),
+            (5, 5, 4),
+        )
+        precision = "f64" if dtype == np.float64 else "f32"
+        config = TrainConfig(
+            ladder=spec, learning_rate=0.01, iterations=6, seed=12, batch_size=8, precision=precision
+        )
+        net, _ = train(config, data.patches, data.split)
+        # the widest per-row intermediate: the conv's 3x3 im2col rows of 3x3x4
+        widest = 3 * 3 * 3 * 3 * 4
+        monkeypatch.setattr(ladder_mod, "PREDICT_CHUNK_BYTES", 10 * widest * net.dtype.itemsize)
+        assert net.predict_chunk_rows() == 10
+        test = data.split.test
+        assert len(test) > 2 * 10 * chunks_per_block and len(test) % 10
+        x = gather_input(data.patches.patches, test, spec.input_shape, net.dtype)
+        whole = net.predict_log_probs(x)
+        row_bytes = 5 * 5 * 4 * net.dtype.itemsize
+        monkeypatch.setattr(train_mod, "EVAL_BLOCK_BYTES", 10 * chunks_per_block * row_bytes)
+        blocks = []
+        predict_log_probs = net.predict_log_probs
+
+        def spy(x):
+            blocks.append(predict_log_probs(x))
+            return blocks[-1]
+
+        net.predict_log_probs = spy  # ``predict`` calls it through the instance
+        m = evaluate(net, data.patches, test)
+        assert [len(b) for b in blocks[:-1]] == [10 * chunks_per_block] * (len(blocks) - 1)
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+        labels = data.patches.labels[test]
+        np.testing.assert_array_equal(
+            m["confusion"], confusion_oracle(labels, np.argmax(whole, axis=1), 3)
+        )
 
     def test_empty_test_set_rejected(self, prepared):
         from hsiladder import DataError

@@ -9,9 +9,10 @@ every running batch-norm statistic, the three loss curves and the
 log-probabilities of a fixed batch of patches.  It also prints the tape nodes
 of one training step per spec in ``ladder`` and in ``supervised-only`` mode,
 and, before the hash, the line count of ``src/hsiladder/*.py`` (the size of
-the source tree that produced it) and the ``tracemalloc`` peak of the two
-``prepare_dataset`` calls, so memory drift in the data pipeline shows next
-to the hash.
+the source tree that produced it), the ``tracemalloc`` peak of the two
+``prepare_dataset`` calls and that of one ladder-mode forward and backward
+of the conv ladder, so memory drift in the data pipeline and in a training
+step shows next to the hash.
 
 BLAS runs on one thread, so the hash depends only on the source tree, numpy
 and its BLAS build, and the CPU.
@@ -69,15 +70,33 @@ def feed(h, label: str, array) -> None:
     h.update(a.tobytes())
 
 
-def nodes_per_step(spec: LadderSpec, patches, labels, use_decoder: bool) -> int:
+def step(spec: LadderSpec, patches, labels, use_decoder: bool, traced: bool = False):
+    """The forward of one f64 training step on a fresh network: its tape and
+    loss.  With ``traced``, ``tracemalloc`` starts after the network and the
+    batch are built."""
     net = LadderNetwork(spec, Rng(SEED), dtype=np.float64)
     rows = np.arange(2 * BATCH) % len(patches)
     batch = batch_input(patches[rows], spec.input_shape, np.float64)
+    if traced:
+        tracemalloc.start()
     with GradTape() as tape:
-        net.training_loss(
+        loss, *_ = net.training_loss(
             batch, BATCH, labels[rows[:BATCH]], Rng(SEED + 1), use_decoder=use_decoder
         )
-    return len(tape.nodes)
+    return tape, loss
+
+
+def step_peak(spec: LadderSpec, patches, labels) -> int:
+    """Traced peak bytes of one ladder-mode forward and backward."""
+    # an untraced step first, so numpy's lazy imports stay out of the peak
+    tape, loss = step(spec, patches, labels, use_decoder=True)
+    tape.backward(loss)
+    tape, loss = step(spec, patches, labels, use_decoder=True, traced=True)
+    try:
+        tape.backward(loss)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> int:
@@ -96,12 +115,14 @@ def main() -> int:
         prepare_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    conv_spec, conv = runs["conv"]
+    peak = step_peak(conv_spec, conv.patches.patches, conv.patches.labels)
     total = hashlib.sha256()
     for name, (spec, prepared) in runs.items():
         patchset, split = prepared.patches, prepared.split
         probe = patchset.patches[split.test[:16]]
         ladder, supervised = (
-            nodes_per_step(spec, patchset.patches, patchset.labels, use_decoder)
+            len(step(spec, patchset.patches, patchset.labels, use_decoder)[0].nodes)
             for use_decoder in (True, False)
         )
         print(f"{name}: tape nodes per step {ladder} (ladder), {supervised} (supervised-only)")
@@ -135,6 +156,7 @@ def main() -> int:
     lines = sum(len(path.read_bytes().splitlines()) for path in (SRC / "hsiladder").glob("*.py"))
     print(f"src lines {lines}")
     print(f"prepare peak {prepare_peak // 1024} KiB")
+    print(f"step peak {peak // 1024} KiB")
     print(f"sha256 {total.hexdigest()}")
     return 0
 
