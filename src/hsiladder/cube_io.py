@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, as_index
 
 MAGIC = b"HSICUBE1"
 
@@ -148,12 +148,13 @@ def convert_raw(raw_path, dims, dtype_name: str, out_path) -> None:
     """Wrap a headerless row-major raw dump into an HSICUBE1 file.
 
     Validates ``len(raw) == prod(dims) * itemsize`` before writing anything,
-    so a failed conversion never leaves a partial output file.
+    so a failed conversion never leaves a partial output file.  A dim that
+    is not an integer raises ``ConfigError`` naming ``dims``.
     """
     dtype = _NAME_TO_DTYPE.get(str(dtype_name).lower())
     if dtype is None:
         raise DataError(f"unsupported raw dtype {dtype_name!r} (use f32, f64 or u8)")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(as_index("dims", d) for d in dims)
     if any(d <= 0 for d in dims):
         raise DataError(f"dims must be positive, got {dims}")
     raw_path = Path(raw_path)

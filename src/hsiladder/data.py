@@ -8,6 +8,7 @@ test index sets partition the labeled pixels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,10 @@ class WindowReader:
     ``reader[idx]`` indexes the rows as numpy indexes the first axis of an
     array (integers, negative or repeated, slices, boolean masks; an
     out-of-range index raises ``IndexError``) and gathers only those rows'
-    windows into a fresh C-contiguous array.  ``np.asarray(reader)`` gathers
-    every row in the reader's own dtype.  No window exists until it is read,
-    so n patches of an h x w scene hold ``(h + win - 1) * (w + win - 1) * c``
-    values of padded cube instead of ``n * win * win * c``.
+    windows into a fresh C-contiguous array.  ``np.asarray(reader, dtype)``
+    gathers every row with :func:`gather_rows`.  No window exists until it is
+    read, so n patches of an h x w scene hold ``(h + win - 1) * (w + win - 1)
+    * c`` values of padded cube instead of ``n * win * win * c``.
     """
 
     def __init__(self, padded: np.ndarray, rows: np.ndarray, cols: np.ndarray, window: int):
@@ -86,13 +87,26 @@ class WindowReader:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("windows are gathered on demand, so reading them copies")
-        if dtype is not None and np.dtype(dtype) != self.dtype:
-            # a cast of the full gather would hold both copies at once
-            raise TypeError(
-                f"windows are {self.dtype}; gather them as {np.dtype(dtype)} with "
-                "train.gather_input, which casts a chunk at a time"
-            )
-        return self[:]
+        return gather_rows(self, np.arange(len(self)), self.dtype if dtype is None else dtype)
+
+
+# Source bytes that ``gather_rows`` gathers and casts per step.  A sweep of
+# 64 KiB-8 MiB on the benchmark's input pools was fastest at 256 KiB (8 MiB
+# took 10-55% longer); see CHANGES.md.
+GATHER_CHUNK_BYTES = 256 << 10
+
+
+def gather_rows(rows, indices, dtype) -> np.ndarray:
+    """``rows[indices].astype(dtype)`` for integer ``indices`` into an array
+    or a :class:`WindowReader`, gathered and cast a chunk at a time, so a
+    cast never holds a full-size copy in the source dtype."""
+    indices = np.asarray(indices)
+    out = np.empty((len(indices), *rows.shape[1:]), dtype=dtype)
+    row_bytes = rows.dtype.itemsize * math.prod(rows.shape[1:])
+    step = max(1, GATHER_CHUNK_BYTES // max(1, row_bytes))
+    for i in range(0, len(indices), step):
+        out[i : i + step] = rows[indices[i : i + step]]
+    return out
 
 
 @dataclass
@@ -141,7 +155,8 @@ def load_cube(data_path, gt_path, expected_classes: int | None = None, scale: bo
 
     With ``scale=True`` each band is min-max scaled to [0, 1] over the whole
     scene; pass ``scale=False`` when the split-aware :func:`scale_bands` will
-    run later (as :func:`prepare_dataset` does).
+    run later (as :func:`prepare_dataset` does).  ``expected_classes``, when
+    given, must be an integer, else ``ConfigError``.
     """
     data = cube_io.read_array(data_path)
     gt = cube_io.read_array(gt_path)
@@ -153,7 +168,7 @@ def load_cube(data_path, gt_path, expected_classes: int | None = None, scale: bo
         data = data.astype(np.float64)
     elif data.dtype != np.float64:
         raise DataError(f"{data_path}: reflectance must be float32 or float64, got {data.dtype}")
-    k = int(expected_classes) if expected_classes is not None else int(gt.max())
+    k = int(gt.max()) if expected_classes is None else as_index("expected_classes", expected_classes)
     cube = HsiCube(data, gt.astype(np.int64), num_classes=k)
     if scale:
         cube = scale_bands(cube)

@@ -42,23 +42,15 @@ def as_index(field: str, value) -> int:
         raise ConfigError(f"{field} must be an integer, got {value!r}") from None
 
 
-def first_non_finite(arrays, out=None, sizes=None) -> int | None:
+def first_non_finite(arrays, out=None) -> int | None:
     """Index of the first of ``arrays`` that holds a NaN or an infinity, or
     None when every value is finite.
 
     One ``np.concatenate`` gathers the arrays, flattened, into one flat
     buffer (``out`` when given, which must hold exactly their values) and
     one ``np.isfinite(...).all()`` tests it; only on failure does a scan of
-    the arrays one by one find the first bad one.  A ``None`` entry counts
-    as ``sizes[i]`` zeros, so a caller that keeps the gathered buffer reads
-    zeros there.
+    the arrays one by one find the first bad one.
     """
-    arrays = list(arrays)
-    gaps = [i for i, a in enumerate(arrays) if a is None]
-    if gaps:
-        zeros = np.zeros(max(sizes[i] for i in gaps), dtype=None if out is None else out.dtype)
-        for i in gaps:
-            arrays[i] = zeros[: sizes[i]]
     if np.isfinite(np.concatenate(arrays, axis=None, out=out)).all():
         return None
     return next(i for i, a in enumerate(arrays) if not np.isfinite(a).all())

@@ -246,7 +246,7 @@ class LadderNetwork:
         w = self.params[f"enc{l}/W"]
         if self.spec.layers[l - 1].kind == CONV3X3:
             return ops.conv2d(h, w)
-        return ops.matmul(ops.flatten(h) if h.data.ndim > 2 else h, w)
+        return ops.matmul(ops.reshape(h, (len(h.data), -1)) if h.data.ndim > 2 else h, w)
 
     def layer_transpose(self, l: int, h: Tensor, v: Tensor) -> Tensor:
         """Level l back to level l-1 through ``v``, a weight of shape
@@ -443,7 +443,7 @@ class LadderNetwork:
                 zh = ops.div(ops.sub(zh, mu), sigma)
             diff = ops.sub(zh, z_clean[l])
             units = int(np.prod(self.level_shapes[l]))
-            level_cost = ops.scale(ops.sum_all(ops.square(diff)), lam / (units * batch))
+            level_cost = ops.mul(ops.sum_all(ops.square(diff)), lam / (units * batch))
             total = level_cost if total is None else ops.add(total, level_cost)
         if total is None:
             total = Tensor(np.asarray(0.0, dtype=self.dtype))

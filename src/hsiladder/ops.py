@@ -159,16 +159,6 @@ def exp(x: Tensor) -> Tensor:
     return _record("exp", (x,), out, backward)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(x.data * c, requires_grad=x.requires_grad)
-
-    def backward(g):
-        return (g * c,)
-
-    return _record("scale", (x,), out, backward)
-
-
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -338,11 +328,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         return (g.reshape(in_shape),)
 
     return _record("reshape", (x,), out, backward)
-
-
-def flatten(x: Tensor) -> Tensor:
-    """Collapse all trailing axes into one (keeps the batch axis)."""
-    return reshape(x, (x.data.shape[0], -1))
 
 
 def slice_rows(x: Tensor, stop: int) -> Tensor:

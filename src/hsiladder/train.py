@@ -33,6 +33,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import ops
+from .data import gather_rows
 from .errors import (
     ConfigError,
     DataError,
@@ -109,10 +110,10 @@ class TrainReport:
     confusion: np.ndarray
     seed: int
     seconds: float
-    config_echo: dict
+    config_echo: dict  # ``_resume_settings`` of the run's config
 
     def write(self, out_dir) -> None:
-        """report.txt (key = value) plus losses.csv (per-iteration curve)."""
+        """report.txt (key = value, settings as JSON) plus losses.csv (per-iteration curve)."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "report.txt", "w") as f:
@@ -127,7 +128,7 @@ class TrainReport:
             f.write(f"final_c_recon = {self.c_recon[-1]:.6f}\n")
             f.write(f"final_c_total = {self.c_total[-1]:.6f}\n")
             for k, v in self.config_echo.items():
-                f.write(f"config.{k} = {v}\n")
+                f.write(f"config.{k} = {json.dumps(v)}\n")
             f.write("confusion =\n")
             for row in self.confusion:
                 f.write("  " + " ".join(str(int(v)) for v in row) + "\n")
@@ -143,17 +144,18 @@ class Adam:
 
     The first and second moments of all parameters live in two flat buffers,
     ``flat_m`` and ``flat_v``, in parameter order.  A step gathers every
-    gradient into one work buffer and checks it for finiteness as a whole
-    (:func:`~hsiladder.errors.first_non_finite`, where ``None`` counts as
-    zeros) and only then updates, so a step that raises
-    ``DivergenceError`` leaves the parameters, the moments and ``t`` as they
-    were.  A buffer whose global L2 norm exceeds ``max_norm`` is then scaled
-    to it (Pascanu et al. 2013, arXiv 1211.5063; squares summed in f64, so
-    finite f32 gradients of 1e20 do not overflow, and only when even the
-    f64 sum overflows, as for 1e160, after dividing by ``max|g|``); each
-    ``p.grad`` keeps the raw gradient.  The update is the per-parameter formula applied once to
-    the whole buffer, with the same operations in the same order per
-    element.  All parameters must share one dtype.
+    gradient into one work buffer (zeros for a parameter without one),
+    checks it for finiteness as a whole
+    (:func:`~hsiladder.errors.first_non_finite`) and only then updates, so a
+    step that raises ``DivergenceError`` leaves the parameters, the moments
+    and ``t`` as they were.  A buffer whose global L2 norm exceeds
+    ``max_norm`` is then scaled to it (Pascanu et al. 2013, arXiv 1211.5063;
+    squares summed in f64, so finite f32 gradients of 1e20 do not overflow,
+    and only when even the f64 sum overflows, as for 1e160, after dividing
+    by ``max|g|``); each ``p.grad`` keeps the raw gradient.  The update is
+    the per-parameter formula applied once to the whole buffer, with the
+    same operations in the same order per element.  All parameters must
+    share one dtype.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, max_norm: float | None = None):
@@ -174,12 +176,13 @@ class Adam:
         self.flat_v = np.zeros(start, dtype=dtype)
         self._grad = np.empty(start, dtype=dtype)
         self._upd = np.empty(start, dtype=dtype)
-        self._sizes = [b - a for _, _, a, b in self._spans]
+        # what a parameter without a gradient reads: zeros that take no memory
+        self._zeros = np.broadcast_to(np.zeros((), dtype), start)
 
     def step(self, lr_scale: float = 1.0) -> None:
         g, upd = self._grad, self._upd
-        grads = [p.grad for _, p, _, _ in self._spans]
-        bad = first_non_finite(grads, out=g, sizes=self._sizes)
+        grads = [self._zeros[: b - a] if p.grad is None else p.grad for _, p, a, b in self._spans]
+        bad = first_non_finite(grads, out=g)
         if bad is not None:
             raise DivergenceError(f"non-finite gradient for parameter {self._spans[bad][0]}")
         if self.max_norm is not None:
@@ -238,34 +241,43 @@ def _sample_shape(patches, input_shape: tuple) -> tuple:
 
 
 def batch_input(patches, input_shape: tuple, dtype) -> np.ndarray:
-    """Reshape (n, w, w, c) patches to the model's input shape.  A
-    :class:`~hsiladder.data.WindowReader` is gathered with
-    :func:`gather_input`, straight into ``dtype``."""
-    if not isinstance(patches, np.ndarray):
-        return gather_input(patches, np.arange(len(patches)), input_shape, dtype)
+    """(n, w, w, c) patches, an array or a
+    :class:`~hsiladder.data.WindowReader`, as ``dtype`` in the model's input
+    shape.  An array already in ``dtype`` is reshaped without a copy; a
+    reader is gathered by ``np.asarray``, cast a chunk at a time."""
     shape = _sample_shape(patches, input_shape)
-    return patches.reshape(len(patches), *shape).astype(dtype, copy=False)
-
-
-# Source bytes that ``gather_input`` gathers and casts per step.  A sweep of
-# 64 KiB-8 MiB on the benchmark's input pools was fastest at 256 KiB (8 MiB
-# took 10-55% longer); see CHANGES.md.
-GATHER_CHUNK_BYTES = 256 << 10
+    return np.asarray(patches, dtype).reshape(len(patches), *shape)
 
 
 def gather_input(patches, indices, input_shape: tuple, dtype) -> np.ndarray:
     """``batch_input(patches[indices], input_shape, dtype)`` for integer row
     ``indices`` of an array or a :class:`~hsiladder.data.WindowReader`,
-    gathered straight into ``dtype`` a chunk at a time, so f32 inputs from
-    f64 patches never hold a full-size f64 copy.  The values are the same."""
-    indices = np.asarray(indices)
+    gathered straight into ``dtype`` by :func:`~hsiladder.data.gather_rows`,
+    so f32 inputs from f64 patches never hold a full-size f64 copy.  The
+    values are the same."""
     shape = _sample_shape(patches, input_shape)
-    out = np.empty((len(indices), *patches.shape[1:]), dtype=dtype)
-    row_bytes = patches.dtype.itemsize * int(np.prod(patches.shape[1:]))
-    rows = max(1, GATHER_CHUNK_BYTES // max(1, row_bytes))
-    for i in range(0, len(indices), rows):
-        out[i : i + rows] = patches[indices[i : i + rows]]
-    return out.reshape(len(indices), *shape)
+    out = gather_rows(patches, indices, dtype)
+    return out.reshape(len(out), *shape)
+
+
+def check_rows(patchset, indices, what: str, num_classes: int | None = None) -> np.ndarray:
+    """``indices`` as an array of rows of ``patchset``.  ``DataError``
+    naming ``what`` unless there is at least one, each is an integer in
+    ``[0, len(patchset))`` and, given ``num_classes``, each row's label is
+    in ``[0, num_classes)``."""
+    indices = np.asarray(indices)
+    if indices.size == 0:
+        raise DataError(f"{what} set is empty")
+    if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
+        raise DataError(f"{what} indices must be 1-d integers, got {indices.dtype} {indices.shape}")
+    n, lo, hi = len(patchset.labels), indices.min(), indices.max()
+    if lo < 0 or hi >= n:
+        raise DataError(f"{what} index {lo if lo < 0 else hi} out of range [0, {n})")
+    if num_classes is not None:
+        y = patchset.labels[indices]
+        if y.min() < 0 or y.max() >= num_classes:
+            raise DataError(f"{what} labels {y.min()}..{y.max()} out of range [0, {num_classes})")
+    return indices
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +370,16 @@ def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_
     if unknown:
         raise DataError(f"checkpoint has entry {unknown[0]}, which this run never saves")
 
-    # every entry is a fresh array of the live shape and dtype
-    for name, p in net.params.items():
-        p.data = entries[f"param/{name}"]
+    # the parameters, running statistics and moments are the live arrays;
+    # the flags, counters and RNG states are read back from their copies
+    for key, want in expected.items():
+        want[...] = entries[key]
     for l, rs in net.running.items():
-        rs.mean = entries[f"running/{l}/mean"]
-        rs.var = entries[f"running/{l}/var"]
-        rs.initialized = bool(entries[f"running/{l}/init"][0])
-    adam.flat_m[...] = entries["adam/m"]
-    adam.flat_v[...] = entries["adam/v"]
-    adam.t = int(entries["adam/t"][0])
-    noise_rng.set_state_words(entries["rng/noise"])
-    batch_rng.set_state_words(entries["rng/batch"])
-    return iteration, {name: entries[f"curve/{name}"] for name in CURVES}
+        rs.initialized = bool(expected[f"running/{l}/init"][0])
+    adam.t = int(expected["adam/t"][0])
+    noise_rng.set_state_words(expected["rng/noise"])
+    batch_rng.set_state_words(expected["rng/batch"])
+    return iteration, {name: expected[f"curve/{name}"] for name in CURVES}
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +416,7 @@ def _sdae_pretrain(
                 noisy = ops.add_gaussian_noise(x, net.spec.noise_std, rng)
                 enc = ops.relu(net.layer_map(depth, noisy))
                 diff = ops.sub(net.layer_transpose(depth, enc, w_dec), x)
-                loss = ops.scale(ops.sum_all(ops.square(diff)), 1.0 / x.data.size)
+                loss = ops.mul(ops.sum_all(ops.square(diff)), 1.0 / x.data.size)
             if not np.isfinite(loss.item()):
                 raise DivergenceError(f"SDAE pretraining diverged at layer {depth}")
             w.zero_grad()
@@ -434,11 +443,14 @@ def train(
     init_rng, noise_rng, batch_rng, pretrain_rng = root.spawn(4)
     net = LadderNetwork(spec, init_rng, dtype=dtype)
 
-    labeled = np.asarray(split.labeled_train)
-    unlabeled = np.asarray(split.unlabeled_train if len(split.unlabeled_train) else labeled)
-    if len(labeled) == 0:
-        raise DataError("split has no labeled training points")
-    _sample_shape(patchset.patches, spec.input_shape)  # before any work on a mismatched set
+    # before any work on a set that does not fit the split or the net
+    k = spec.num_classes
+    labeled = check_rows(patchset, split.labeled_train, "labeled", k)
+    unlabeled = labeled
+    if len(split.unlabeled_train):
+        unlabeled = check_rows(patchset, split.unlabeled_train, "unlabeled")
+    check_rows(patchset, split.test, "test", k)
+    _sample_shape(patchset.patches, spec.input_shape)
 
     adam = Adam(net.params, config.learning_rate, max_norm=config.grad_clip)
     n_iter = config.iterations
@@ -503,26 +515,12 @@ def train(
             save_checkpoint(last_ckpt, net, adam, it + 1, noise_rng, batch_rng, config, so_far)
 
     seconds = time.perf_counter() - t0
-    metrics = evaluate(net, patchset, split.test)
     report = TrainReport(
-        c_super=curves["c_super"],
-        c_recon=curves["c_recon"],
-        c_total=curves["c_total"],
-        oa=metrics["oa"],
-        aa=metrics["aa"],
-        per_class=metrics["per_class"],
-        confusion=metrics["confusion"],
+        **curves,
+        **evaluate(net, patchset, split.test),
         seed=config.seed,
         seconds=seconds,
-        config_echo={
-            "mode": config.mode,
-            "learning_rate": config.learning_rate,
-            "batch_size": config.batch_size,
-            "iterations": config.iterations,
-            "noise_std": spec.noise_std,
-            "lambdas": ",".join(repr(v) for v in spec.lambdas),
-            "precision": config.precision,
-        },
+        config_echo=_resume_settings(config),
     )
     if out_dir is not None:
         report.write(out_dir)
@@ -544,13 +542,9 @@ def evaluate(net: LadderNetwork, patchset, test_indices) -> dict:
     ``net.predict_chunk_rows()`` rows, so the rows split into the chunks of
     one ``predict`` call and the predictions are the same bits, while only
     one block's inputs exist at a time."""
-    test_indices = np.asarray(test_indices)
-    if test_indices.size == 0:
-        raise DataError("empty test set")
-    y_true = patchset.labels[test_indices]
     k = net.spec.num_classes
-    if y_true.min() < 0 or y_true.max() >= k:
-        raise DataError(f"test labels {y_true.min()}..{y_true.max()} out of range [0, {k})")
+    test_indices = check_rows(patchset, test_indices, "test", k)
+    y_true = patchset.labels[test_indices]
     shape = net.spec.input_shape
     chunk = net.predict_chunk_rows()
     row_bytes = np.dtype(net.dtype).itemsize * math.prod(shape)

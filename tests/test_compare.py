@@ -96,7 +96,8 @@ class TestSummarize:
 
         wall = out["train_wall_s"]
         assert wall["pairs"] == 8 and wall["wins"] == 8
-        assert wall["resolved"] is True
+        # a pair that lacks the metric is no win: 8 of the 10 pairs run
+        assert wall["resolved"] is False
 
     def test_nine_wins_without_a_gap_wider_than_the_iqr_is_unresolved(self):
         parent = {"step_ms_p50": [100, 110, 90, 105, 95, 100, 110, 90, 105, 95]}
@@ -114,6 +115,17 @@ class TestSummarize:
         worse = {"eval_patches_per_s": [v - 2.0 for v in parent["eval_patches_per_s"]]}
         ev = compare.summarize(runs_from(parent, worse), METRICS)["eval_patches_per_s"]
         assert ev["losses"] == 10 and ev["resolved"] is False
+
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_fewer_than_ten_pairs_never_resolve(self, n):
+        parent = {"step_ms_p50": [100.0 + (i % 3) for i in range(n)]}
+        change = {"step_ms_p50": [50.0] * n}
+        step = compare.summarize(runs_from(parent, change), METRICS)["step_ms_p50"]
+        assert step["wins"] == step["pairs"] == n
+        assert step["resolved"] is False
+        parent["step_ms_p50"].append(101.0)
+        change["step_ms_p50"].append(50.0)
+        assert compare.summarize(runs_from(parent, change), METRICS)["step_ms_p50"]["resolved"] is (n == 9)
 
     def test_a_single_pair_and_a_missing_metric(self):
         runs = runs_from({"step_ms_p50": [20.0]}, {"step_ms_p50": [20.0]})

@@ -145,6 +145,15 @@ class TestConvert:
         cube_io.convert_raw(raw, (2, 3, 4), "f32", b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("dims", [(2.9, 4), (2, 4.0), ("2", 4)])
+    def test_non_integer_dims_rejected_by_name(self, tmp_path, dims):
+        raw = tmp_path / "dump.raw"
+        raw.write_bytes(b"\x00" * 64)
+        out = tmp_path / "cube.hsicube"
+        with pytest.raises(ConfigError, match="^dims must be an integer"):
+            cube_io.convert_raw(raw, dims, "f64", out)
+        assert not out.exists()
+
 
 class TestLoadCube:
     def _write_pair(self, tmp_path, data, gt):
@@ -178,6 +187,15 @@ class TestLoadCube:
         dp, gp = self._write_pair(tmp_path, np.zeros((4, 4, 2)), gt)
         with pytest.raises(DataError):
             load_cube(dp, gp, expected_classes=9)
+
+    @pytest.mark.parametrize("k", [3.7, 2.9, "3"])
+    def test_non_integer_class_count_rejected_by_name(self, tmp_path, k):
+        gt = np.zeros((4, 4), dtype=np.uint8)
+        gt[1, 1] = 3
+        dp, gp = self._write_pair(tmp_path, np.zeros((4, 4, 2)), gt)
+        with pytest.raises(ConfigError, match="^expected_classes must be an integer"):
+            load_cube(dp, gp, expected_classes=k)
+        assert load_cube(dp, gp, expected_classes=np.int64(3)).num_classes == 3
 
     def test_non_integer_ground_truth_rejected(self, tmp_path):
         dp, gp = self._write_pair(tmp_path, np.zeros((4, 4, 2)), np.zeros((4, 4)))
@@ -265,8 +283,9 @@ class TestPatches:
         assert full.flags.c_contiguous and full.flags.owndata
         np.testing.assert_array_equal(full, want)
         np.testing.assert_array_equal(np.asarray(ps.patches, dtype=want.dtype), want)
-        with pytest.raises(TypeError, match="gather_input"):  # a cast holds two copies
-            np.asarray(ps.patches, dtype=np.float32)
+        cast = np.asarray(ps.patches, dtype=np.float32)  # gathered and cast a chunk at a time
+        assert cast.dtype == np.float32 and cast.flags.c_contiguous
+        np.testing.assert_array_equal(cast, want.astype(np.float32))
 
     @pytest.mark.parametrize("window", [1, 3, 7])
     @pytest.mark.parametrize(
@@ -324,6 +343,18 @@ class TestPatches:
         # centers, labels)
         assert peak < 1.1 * padded_bytes + 8 * 8 * n
         assert live < padded_bytes + 4 * 8 * n
+
+    def test_cast_read_peaks_at_one_copy(self):
+        ps = extract_patches(make_synthetic_cube(9, height=96, width=96, bands=15, block=8), 7)
+        assert ps.patches.shape == (9216, 7, 7, 15) and ps.patches.dtype == np.float64
+        tracemalloc.start()
+        try:
+            full = np.asarray(ps.patches, np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a gather then a cast would hold the f64 copy beside the f32 result (3x)
+        assert full.dtype == np.float32 and peak <= 1.1 * full.nbytes
 
     def test_window_one_keeps_only_the_labeled_spectra(self):
         cube = make_synthetic_cube(9, height=40, width=40, bands=10, block=4)

@@ -415,20 +415,20 @@ class TestSavedArrays:
     def test_a_closure_lets_go_of_its_arrays_before_the_next_node_runs(self):
         x = Tensor(np.random.default_rng(14).standard_normal((4, 3)), requires_grad=True)
         with GradTape() as tape:
-            e = ops.exp(ops.scale(x, 2.0))
+            e = ops.exp(ops.mul(x, 2.0))
             e_data = weakref.ref(e.data)  # read by the exp backward only
             loss = ops.sum_all(e)
             del e
-        assert [node.name for node in tape.nodes] == ["scale", "exp", "sum_all"]
-        scale_node = tape.nodes[0]
-        scale_backward = scale_node.backward_fn
+        assert [node.name for node in tape.nodes] == ["mul", "exp", "sum_all"]
+        mul_node = tape.nodes[0]
+        mul_backward = mul_node.backward_fn
         alive = []
 
         def watched(g):
             alive.append(e_data() is not None)
-            return scale_backward(g)
+            return mul_backward(g)
 
-        scale_node.backward_fn = watched
+        mul_node.backward_fn = watched
         tape.backward(loss)
         assert alive == [False]
         np.testing.assert_array_equal(x.grad, 2.0 * np.exp(2.0 * x.data))
@@ -446,9 +446,9 @@ class TestSavedArrays:
 
     def test_tensor_from_another_tape_is_a_leaf_there(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        z = ops.scale(x, 3.0)  # produced on no tape
+        z = ops.mul(x, 3.0)  # produced on no tape
         with GradTape() as first:
-            y = ops.scale(x, 2.0)
+            y = ops.mul(x, 2.0)
         with GradTape() as second:
             loss = ops.sum_all(ops.add(ops.square(y), z))
         second.backward(loss)
@@ -538,7 +538,7 @@ class TestFiniteDifferences:
             t = ops.add(t, 0.7)
             t = ops.sqrt(ops.square(t))
             t = ops.sigmoid(t)
-            t = ops.exp(ops.scale(t, 0.3))
+            t = ops.exp(ops.mul(t, 0.3))
             return ops.sum_all(t)
 
         fd_gradcheck(loss, [x])

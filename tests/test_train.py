@@ -22,6 +22,7 @@ from hsiladder import (
     Tensor,
 )
 from hsiladder import checkpoint as ckpt
+from hsiladder import data as data_mod
 from hsiladder import ladder as ladder_mod
 from hsiladder.errors import first_non_finite
 from hsiladder import train as train_mod
@@ -117,11 +118,30 @@ class TestAdam:
 
     def test_gather_reads_none_as_zeros(self):
         out = np.full(7, 9.0)
-        arrays = [np.ones((2, 2)), None, np.array(5.0), None]
-        assert first_non_finite(arrays, out=out, sizes=[4, 1, 1, 1]) is None
+        arrays = [np.ones((2, 2)), np.zeros(1), np.array(5.0), np.zeros(1)]
+        assert first_non_finite(arrays, out=out) is None
         np.testing.assert_array_equal(out, [1, 1, 1, 1, 0, 5, 0])
         assert first_non_finite([np.ones(3), np.array([0.0, -np.inf])]) == 1
-        assert first_non_finite([np.array([np.nan]), None, np.array([np.nan])], sizes=[1, 2, 1]) == 0
+        assert first_non_finite([np.array([np.nan]), np.zeros(2), np.array([np.nan])]) == 0
+        # Adam reads a missing gradient as zeros: the same steps as explicit
+        # zero gradients and as the per-parameter oracle
+        rng = np.random.default_rng(6)
+        shapes = {"a": (2, 2), "b": (3,), "c": (), "d": (5,)}
+        init = {n: rng.standard_normal(s) for n, s in shapes.items()}
+        sets = [{n: Tensor(x.copy(), requires_grad=True) for n, x in init.items()} for _ in range(3)]
+        missing, zeros, oracle = sets
+        opts = [Adam(missing, 0.05), Adam(zeros, 0.05), AdamOracle(oracle, 0.05)]
+        for step in range(6):
+            for n, s in shapes.items():
+                g = None if n in ("b", "d") or step % 2 and n == "a" else rng.standard_normal(s)
+                missing[n].grad = g
+                zeros[n].grad = np.zeros(s) if g is None else g.copy()
+                oracle[n].grad = g
+            for opt in opts:
+                opt.step()
+            for n in shapes:
+                np.testing.assert_array_equal(missing[n].data, zeros[n].data)
+                np.testing.assert_array_equal(missing[n].data, oracle[n].data)
 
     def test_nan_gradient_named_next_to_missing_gradients(self):
         params = {n: Tensor(np.ones(s), requires_grad=True)
@@ -399,6 +419,68 @@ class TestMetrics:
             evaluate(net, prepared.patches, np.array([], dtype=int))
 
 
+class TestSplitCheck:
+    """``train`` refuses a split that does not fit the patch set or the head
+    before iteration 0, naming the set; ``evaluate`` its own test rows."""
+
+    @staticmethod
+    def _split(prepared, **change):
+        s = prepared.split
+        sets = {"labeled_train": s.labeled_train, "unlabeled_train": s.unlabeled_train, "test": s.test}
+        return SimpleNamespace(**{**sets, **change})
+
+    @pytest.mark.parametrize("which", ["labeled_train", "unlabeled_train", "test"])
+    @pytest.mark.parametrize(
+        "bad, why",
+        [
+            (lambda n, rows: np.append(rows, n), r"index {n} out of range \[0, {n}\)"),
+            (lambda n, rows: np.append(rows, -1), r"index -1 out of range \[0, {n}\)"),
+            (lambda n, rows: rows.astype(np.float64), "indices must be 1-d integers"),
+        ],
+        ids=["past-the-end", "negative", "float"],
+    )
+    def test_bad_index_named_before_training(self, prepared, tmp_path, which, bad, why):
+        n = len(prepared.patches)
+        split = self._split(prepared, **{which: bad(n, getattr(prepared.split, which))})
+        name = {"labeled_train": "labeled", "unlabeled_train": "unlabeled", "test": "test"}[which]
+        config = small_config(iterations=3, checkpoint_interval=1)
+        with pytest.raises(DataError, match=f"^{name} " + why.format(n=n)):
+            train(config, prepared.patches, split, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_test_set_refused_before_training(self, prepared, tmp_path):
+        split = self._split(prepared, test=np.array([], dtype=np.int64))
+        config = small_config(iterations=3, checkpoint_interval=1)
+        with pytest.raises(DataError, match="^test set is empty$"):
+            train(config, prepared.patches, split, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("which", ["labeled_train", "test"])
+    def test_labels_beyond_the_head_refused(self, prepared, which):
+        rows = getattr(prepared.split, which)
+        labels = prepared.patches.labels.copy()
+        labels[rows[0]] = 3  # the head has 3 classes
+        patchset = SimpleNamespace(patches=prepared.patches.patches, labels=labels)
+        name = "labeled" if which == "labeled_train" else "test"
+        with pytest.raises(DataError, match=rf"^{name} labels 0..3 out of range \[0, 3\)"):
+            train(small_config(iterations=2), patchset, prepared.split)
+
+    def test_unlabeled_rows_may_hold_any_label(self, prepared):
+        labels = prepared.patches.labels.copy()
+        labels[prepared.split.unlabeled_train] = 7
+        patchset = SimpleNamespace(patches=prepared.patches.patches, labels=labels)
+        _, report = train(small_config(iterations=2), patchset, prepared.split)
+        assert 0.0 <= report.oa <= 1.0
+
+    def test_evaluate_checks_its_rows(self, prepared):
+        net, _ = train(small_config(iterations=2), prepared.patches, prepared.split)
+        n = len(prepared.patches)
+        with pytest.raises(DataError, match=rf"^test index {n} out of range"):
+            evaluate(net, prepared.patches, np.array([0, n]))
+        with pytest.raises(DataError, match=r"^test index -2 out of range"):
+            evaluate(net, prepared.patches, [0, -2])
+
+
 class TestGatherInput:
     @pytest.mark.parametrize(
         "src, dst", [(np.float64, np.float32), (np.float32, np.float64), (np.float64, np.float64)]
@@ -408,7 +490,7 @@ class TestGatherInput:
     def test_matches_gather_then_cast(self, src, dst, input_shape, chunk_bytes, monkeypatch):
         if chunk_bytes is not None:
             # 3 f64 or 6 f32 rows of 7x7x3 per chunk, the last one partial
-            monkeypatch.setattr(train_mod, "GATHER_CHUNK_BYTES", chunk_bytes)
+            monkeypatch.setattr(data_mod, "GATHER_CHUNK_BYTES", chunk_bytes)
         rng = np.random.default_rng(8)
         patches = rng.standard_normal((300, 7, 7, 3)).astype(src)
         idx = rng.integers(0, len(patches), 250)  # with repeats
@@ -777,6 +859,73 @@ class TestCheckpoint:
         assert lines[0] == "iteration,c_super,c_recon,c_total"
         assert len(lines) == 6
         assert (out / "final.ckpt").exists()
+
+    def test_report_echoes_every_checkpoint_setting_as_json(self, prepared, tmp_path):
+        out = tmp_path / "run"
+        config = small_config(seed=9, iterations=5, grad_clip=0.5, lr_decay="linear")
+        train(config, prepared.patches, prepared.split, out_dir=out)
+        echoed = {}
+        for line in (out / "report.txt").read_text().splitlines():
+            if line.startswith("config."):
+                key, value = line[len("config."):].split(" = ", 1)
+                echoed[key] = json.loads(value)
+        _, entries = ckpt.load_entries(out / "final.ckpt")
+        saved = json.loads(entries["config"].tobytes().decode("utf-8"))
+        assert echoed == saved
+        assert echoed["ladder.noise_std"] == 0.5 and echoed["grad_clip"] == 0.5
+        assert echoed["ladder.lambdas"] == [0.1, 0.1, 0.1, 0.1]
+
+    def test_load_writes_into_the_live_arrays(self, tmp_path):
+        path, net, adam, noise, batch = self._saved_state(tmp_path)
+        iteration, entries = ckpt.load_entries(path)
+        for key, value in entries.items():  # a later state than the live objects
+            if key.startswith(("param/", "adam/m", "adam/v")) or key.endswith(("/mean", "/var")):
+                entries[key] = value + 1.0
+        entries["running/1/init"][0] = 1
+        entries["adam/t"][0] = 4
+        ckpt.save_entries(path, iteration, entries)
+        arrays = [p.data for p in net.params.values()]
+        arrays += [a for rs in net.running.values() for a in (rs.mean, rs.var)]
+        arrays += [adam.flat_m, adam.flat_v]
+        load_checkpoint(path, net, adam, noise, batch, small_config(seed=3))
+        live = [p.data for p in net.params.values()]
+        live += [a for rs in net.running.values() for a in (rs.mean, rs.var)]
+        live += [adam.flat_m, adam.flat_v]
+        assert all(a is b for a, b in zip(arrays, live))
+        for name, p in net.params.items():
+            np.testing.assert_array_equal(p.data, entries[f"param/{name}"])
+        for l, rs in net.running.items():
+            np.testing.assert_array_equal(rs.mean, entries[f"running/{l}/mean"])
+            np.testing.assert_array_equal(rs.var, entries[f"running/{l}/var"])
+            assert rs.initialized == bool(entries[f"running/{l}/init"][0])
+        np.testing.assert_array_equal(adam.flat_m, entries["adam/m"])
+        np.testing.assert_array_equal(adam.flat_v, entries["adam/v"])
+        assert adam.t == 4 and net.running[1].initialized
+        np.testing.assert_array_equal(noise.state_words(), entries["rng/noise"])
+        np.testing.assert_array_equal(batch.state_words(), entries["rng/batch"])
+
+    def test_conv_resume_is_bit_identical_continuation(self, tmp_path):
+        cube = make_synthetic_cube(12, height=16, width=16, bands=6, classes=3, block=4)
+        data = prepare_dataset(cube, window=5, pca_components=3, n_per_class=5, seed=12)
+        layers = (
+            LayerSpec("conv3x3", 4),
+            LayerSpec("fc", 6),
+            LayerSpec("softmax_head", 3, activation="none"),
+        )
+        spec = LadderSpec(layers, 0.3, (0.1,) * 4, (5, 5, 3))
+        full = TrainConfig(spec, learning_rate=0.01, iterations=12, seed=12, batch_size=8, precision="f32")
+        net_full, rep_full = train(full, data.patches, data.split)
+        out = tmp_path / "half"
+        train(dataclasses.replace(full, iterations=6), data.patches, data.split, out_dir=out)
+        net_res, rep_res = train(full, data.patches, data.split, resume=out / "final.ckpt")
+        for name in CURVES:
+            np.testing.assert_array_equal(getattr(rep_full, name), getattr(rep_res, name))
+        for name in net_full.params:
+            np.testing.assert_array_equal(net_full.params[name].data, net_res.params[name].data)
+        for l, rs in net_full.running.items():
+            np.testing.assert_array_equal(rs.mean, net_res.running[l].mean)
+            np.testing.assert_array_equal(rs.var, net_res.running[l].var)
+        np.testing.assert_array_equal(rep_full.confusion, rep_res.confusion)
 
 
 class TestDivergence:

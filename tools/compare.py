@@ -10,9 +10,10 @@ pair.  ``tools/fingerprint.py`` runs once on each side (where it exists).
 
 Per end-to-end metric of ``BENCHMARK.json`` the file records the median and
 quartiles of both sides, the change/parent ratio of the medians, the pairs
-the change won and lost (a tie counts for neither), ``resolved`` (the change
-won at least 9 pairs in 10 and its median beats the parent's by more than
-the parent's interquartile range) and ``parent_iqr_over_bound`` (the
+the change won and lost (a tie counts for neither), ``resolved`` (at least
+10 pairs ran, the change won at least 9 in 10 of them, a pair that lacks
+the metric counting as no win, and its median beats the parent's by more
+than the parent's interquartile range) and ``parent_iqr_over_bound`` (the
 parent's interquartile range, as a share of its median, is wider than the
 metric's bound, so the metric cannot resolve a change of that size).  It
 also records every run's result line, both manifests and both fingerprints.
@@ -37,7 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-WIN_SHARE = 0.9  # of the pairs the change must win for ``resolved``
+WIN_SHARE = 0.9  # of the pairs run that the change must win for ``resolved``
+MIN_PAIRS = 10  # pairs run, fewest for ``resolved``
 
 
 def benchmark_spec() -> dict:
@@ -126,10 +128,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: both sides' quartiles, the ratio of the
     medians, wins and losses of the change over the pairs where both sides
-    report the metric, ``resolved`` and ``parent_iqr_over_bound``."""
+    report the metric, ``resolved`` (wins counted over every pair run) and
+    ``parent_iqr_over_bound``."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+    ran = len(by_pair)
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -156,7 +160,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "ratio": change[1] / parent[1] if parent[1] else None,
             "wins": wins,
             "losses": losses,
-            "resolved": wins >= WIN_SHARE * len(pairs) and gain > iqr,
+            "resolved": ran >= MIN_PAIRS and wins >= WIN_SHARE * ran and gain > iqr,
             "parent_iqr_over_bound": bool(parent[1]) and iqr / abs(parent[1]) > m["bound"],
         }
     return out
