@@ -32,6 +32,8 @@ class HsiCube:
         r, g = self.reflectance, self.ground_truth
         if r.ndim != 3:
             raise DataError(f"reflectance must be (h, w, bands), got shape {r.shape}")
+        if 0 in r.shape:
+            raise DataError(f"reflectance has an empty axis, shape {r.shape}")
         if g.shape != r.shape[:2]:
             raise DataError(
                 f"ground truth shape {g.shape} does not match image {r.shape[:2]}"
@@ -59,9 +61,12 @@ class WindowReader:
     array (integers, negative or repeated, slices, boolean masks; an
     out-of-range index raises ``IndexError``) and gathers only those rows'
     windows into a fresh C-contiguous array.  ``np.asarray(reader, dtype)``
-    gathers every row with :func:`gather_rows`.  No window exists until it is
-    read, so n patches of an h x w scene hold ``(h + win - 1) * (w + win - 1)
-    * c`` values of padded cube instead of ``n * win * win * c``.
+    gathers every row with :func:`gather_rows`;
+    :meth:`~hsiladder.ladder.LadderNetwork.predict` reads a reader a chunk
+    of rows at a time instead, so a map of every pixel never holds them all.
+    No window exists until it is read, so n patches of an h x w scene hold
+    ``(h + win - 1) * (w + win - 1) * c`` values of padded cube instead of
+    ``n * win * win * c``.
     """
 
     def __init__(self, padded: np.ndarray, rows: np.ndarray, cols: np.ndarray, window: int):
@@ -164,6 +169,9 @@ def load_cube(data_path, gt_path, expected_classes: int | None = None, scale: bo
         raise DataError(f"{data_path}: expected a 3-d cube, got shape {data.shape}")
     if not np.issubdtype(gt.dtype, np.integer):
         raise DataError(f"{gt_path}: ground truth must be an integer array, got {gt.dtype}")
+    for path, arr in ((data_path, data), (gt_path, gt)):
+        if arr.size == 0:
+            raise DataError(f"{path}: empty array of shape {arr.shape}")
     if data.dtype == np.float32:
         data = data.astype(np.float64)
     elif data.dtype != np.float64:
@@ -236,12 +244,13 @@ def pca_fit(spectra: np.ndarray, k: int) -> PcaModel:
 
     Components are returned in descending eigenvalue order with a
     deterministic sign: each component's largest-magnitude entry is positive.
-    ``k`` must be an integer in [1, bands], else ``ConfigError``."""
+    ``k`` must be an integer in [1, bands] and there must be at least 2
+    samples and as many as bands, else ``ConfigError``."""
     n, c = spectra.shape
     if not (1 <= as_index("k", k) <= c):
         raise ConfigError(f"need 1 <= k <= {c} components, got {k}")
-    if c > n:
-        raise ConfigError(f"PCA needs at least as many samples as bands ({n} < {c})")
+    if n < max(2, c):
+        raise ConfigError(f"PCA needs at least {max(2, c)} samples (2, and one per band), got {n}")
     mean = spectra.mean(axis=0)
     centered = spectra - mean
     cov = centered.T @ centered / (n - 1)

@@ -1,9 +1,10 @@
-"""Exception hierarchy shared by the whole package, the integer check that
-configuration fields share, and the finiteness check that the optimizer's
-gradients and prediction's parameters share."""
+"""Exception hierarchy shared by the whole package, the integer and real
+checks that configuration fields share, and the finiteness check that the
+optimizer's gradients and prediction's parameters share."""
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -40,6 +41,14 @@ def as_index(field: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigError(f"{field} must be an integer, got {value!r}") from None
+
+
+def as_real(field: str, value) -> float:
+    """``value`` as a Python float when it is a Python or numpy real number;
+    otherwise ``ConfigError`` naming ``field`` (a string is never parsed)."""
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise ConfigError(f"{field} must be a real number, got {value!r}")
 
 
 def first_non_finite(arrays, out=None) -> int | None:

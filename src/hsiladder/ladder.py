@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, ops
-from .errors import ConfigError, GraphError, ShapeError, as_index, first_non_finite
+from .data import WindowReader, gather_rows
+from .errors import ConfigError, GraphError, ShapeError, as_index, as_real, first_non_finite
 from .rng import Rng
 from .tensor import Tensor
 
@@ -56,6 +57,21 @@ def pre_activation(layer: LayerSpec, h: np.ndarray, w: np.ndarray) -> np.ndarray
     return h.reshape(len(h), -1) @ w
 
 
+def sample_shape(patches, input_shape: tuple) -> tuple:
+    """The shape one of ``patches`` takes as model input: ``input_shape``,
+    which must equal the patch shape or, for a flat input, hold as many
+    values; else ``ShapeError``."""
+    if len(input_shape) == 1:
+        flat = math.prod(patches.shape[1:])
+        if flat != input_shape[0]:
+            raise ShapeError(
+                f"patches with {flat} values per sample do not fit input {input_shape}"
+            )
+    elif patches.shape[1:] != input_shape:
+        raise ShapeError(f"patch shape {patches.shape[1:]} does not match input {input_shape}")
+    return tuple(input_shape)
+
+
 def he_weight(rng: Rng, shape: tuple[int, ...], dtype) -> np.ndarray:
     """N(0, 2 / fan_in) weights with ``fan_in = prod(shape[:-1])``, the inputs
     that feed one output unit (He et al. 2015, arXiv 1502.01852)."""
@@ -65,7 +81,7 @@ def he_weight(rng: Rng, shape: tuple[int, ...], dtype) -> np.ndarray:
 def check_lambdas(values, levels: int) -> tuple[float, ...]:
     """``values`` as a tuple of floats after checking the cost's rule: one
     finite multiplier lambda_l >= 0 per level 0..L; else ``ConfigError``."""
-    lambdas = tuple(float(v) for v in values)
+    lambdas = tuple(as_real("lambdas", v) for v in values)
     if len(lambdas) != levels:
         raise ConfigError(
             f"need {levels} denoising multipliers (input level + one per layer), got {len(lambdas)}"
@@ -111,6 +127,7 @@ class LadderSpec:
             raise ConfigError("final layer must be a softmax head")
         if any(l.kind == SOFTMAX_HEAD for l in self.layers[:-1]):
             raise ConfigError("softmax head must be the final layer only")
+        object.__setattr__(self, "noise_std", as_real("noise_std", self.noise_std))
         if not (0 <= self.noise_std < math.inf):
             raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         object.__setattr__(self, "lambdas", check_lambdas(self.lambdas, self.num_levels))
@@ -291,13 +308,6 @@ class LadderNetwork:
 
     # -- encoder ------------------------------------------------------------
 
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.shape[1:] != self.spec.input_shape:
-            raise ShapeError(
-                f"input sample shape {x.shape[1:]} does not match "
-                f"model input {self.spec.input_shape}"
-            )
-
     def _encode(self, x: Tensor, corrupted: bool, rng: Rng | None = None):
         """Shared encoder walk; every batchnorm uses batch statistics, and the
         clean pass folds them into ``self.running``.
@@ -306,8 +316,13 @@ class LadderNetwork:
         normalized z or None on the corrupted pass, top activation,
         log-probabilities).
         """
-        self._check_input(x.data)
         spec = self.spec
+        # exactly the input shape, not just as many values: an (n, 1, 1, c)
+        # batch for a flat input would broadcast in the level-0 cost
+        if x.data.shape[1:] != spec.input_shape:
+            raise ShapeError(
+                f"input sample shape {x.data.shape[1:]} does not match model input {spec.input_shape}"
+            )
         noise = spec.noise_std if corrupted else 0.0
         if corrupted:
             if rng is None:
@@ -491,9 +506,20 @@ class LadderNetwork:
 
     # -- inference ----------------------------------------------------------
 
-    def predict_log_probs(self, x: np.ndarray) -> np.ndarray:
+    def predict_log_probs(self, x, rows=None) -> np.ndarray:
         """Clean-encoder log-probabilities under the running batch-norm
-        statistics (deterministic), a chunk of samples at a time.
+        statistics (deterministic) of the patches ``x``, a chunk of rows at
+        a time.
+
+        ``x`` is an array or a :class:`~hsiladder.data.WindowReader` in any
+        float dtype whose samples fit :func:`sample_shape`.  ``rows`` picks
+        rows of ``x`` as numpy indexes its first axis; by default every row
+        is read.  Each chunk of :meth:`predict_chunk_rows` rows is read
+        (:func:`~hsiladder.data.gather_rows` for picked rows), cast to the
+        net's dtype and reshaped to the input shape on its own, so only one
+        chunk's input exists at a time and an array already in the net's
+        dtype is read in place.  The result is the same bits as predicting
+        ``batch_input(x[rows], ...)``.
 
         A plain numpy walk without a tape.  Under fixed running statistics
         each level's batch-norm, beta shift and gamma scale is one per-unit
@@ -512,12 +538,13 @@ class LadderNetwork:
         the log-probabilities of their 1024-patch eval sets differ from that
         composition by at most 1.1e-13 in f64 and 5.3e-5 in f32, with the
         same argmax.
-
-        A chunk holds :meth:`predict_chunk_rows` samples.
         """
         self.assert_finite_params()
-        x = np.asarray(x)
-        self._check_input(x)
+        if not isinstance(x, WindowReader):
+            x = np.asarray(x)
+        shape = sample_shape(x, self.spec.input_shape)
+        if rows is not None:
+            rows = np.arange(len(x))[rows]
         folded = []
         for l, layer in enumerate(self.spec.layers, start=1):
             gamma = self.params[f"enc{l}/gamma"].data
@@ -525,9 +552,14 @@ class LadderNetwork:
             t = gamma * (self.params[f"enc{l}/beta"].data - self.running[l].mean / std)
             folded.append((layer, self.params[f"enc{l}/W"].data * (gamma / std), t))
         chunk = self.predict_chunk_rows()
-        out = np.empty((len(x), self.spec.num_classes), dtype=self.dtype)
-        for i in range(0, len(x), chunk):
-            h = x[i : i + chunk].astype(self.dtype, copy=False)
+        n = len(x) if rows is None else len(rows)
+        out = np.empty((n, self.spec.num_classes), dtype=self.dtype)
+        for i in range(0, n, chunk):
+            if rows is None:
+                h = np.asarray(x[i : i + chunk], self.dtype)
+            else:
+                h = gather_rows(x, rows[i : i + chunk], self.dtype)
+            h = h.reshape(len(h), *shape)
             for layer, w, t in folded:
                 z = pre_activation(layer, h, w)
                 z += t
@@ -545,8 +577,7 @@ class LadderNetwork:
         im2col row (``oh*ow*kh*kw*ci`` values) and output row (``oh*ow*co``),
         or the wider side of a dense level, in the network's dtype.  It
         keeps the working set near the CPU caches instead of growing with
-        the batch.  Predicting blocks of whole chunks splits the rows as one
-        call does, so the results are the same bits."""
+        the batch."""
         widest = 1  # values in the largest per-sample intermediate
         for l, layer in enumerate(self.spec.layers, start=1):
             shape = self.weight_shape(l)
@@ -558,7 +589,7 @@ class LadderNetwork:
                 widest = max(widest, *shape)
         return max(1, PREDICT_CHUNK_BYTES // (widest * self.dtype.itemsize))
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class indices via the clean encoder (no noise anywhere); the
-        folded walk and chunk sizing of :meth:`predict_log_probs`."""
-        return np.argmax(self.predict_log_probs(x), axis=1)
+    def predict(self, x, rows=None) -> np.ndarray:
+        """Class indices via the clean encoder (no noise anywhere): the
+        argmax of :meth:`predict_log_probs` of ``x`` or of its ``rows``."""
+        return np.argmax(self.predict_log_probs(x, rows), axis=1)

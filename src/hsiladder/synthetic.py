@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import HsiCube
-from .errors import ConfigError, as_index
+from .errors import ConfigError, as_index, as_real
 from .rng import Rng
 
 
@@ -25,7 +25,8 @@ def make_synthetic_cube(
     noise: float = 0.35,
     brightness_jitter: float = 0.45,
 ) -> HsiCube:
-    """A seeded scene; ``ConfigError`` names a size that is not an integer >= 1."""
+    """A seeded scene; ``ConfigError`` names a size that is not an integer >= 1
+    or a noise level that is not a real >= 0."""
     for name, value in (
         ("height", height),
         ("width", width),
@@ -36,7 +37,7 @@ def make_synthetic_cube(
         if as_index(name, value) < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
     for name, value in (("noise", noise), ("brightness_jitter", brightness_jitter)):
-        if not value >= 0:
+        if not as_real(name, value) >= 0:
             raise ConfigError(f"{name} must be >= 0, got {value}")
     rng = Rng(seed)
     bh = (height + block - 1) // block

@@ -24,7 +24,6 @@ states so a resumed run continues bit-identically.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -34,15 +33,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import ops
 from .data import gather_rows
-from .errors import (
-    ConfigError,
-    DataError,
-    DivergenceError,
-    ShapeError,
-    as_index,
-    first_non_finite,
-)
-from .ladder import SOFTMAX_HEAD, LadderNetwork, LadderSpec, he_weight, transposed
+from .errors import ConfigError, DataError, DivergenceError, as_index, as_real, first_non_finite
+from .ladder import SOFTMAX_HEAD, LadderNetwork, LadderSpec, he_weight, sample_shape, transposed
 from .rng import Rng
 from .tensor import GradTape, Tensor
 
@@ -75,6 +67,9 @@ class TrainConfig:
         integers = ("iterations", "seed", "batch_size", "pretrain_iterations", "checkpoint_interval")
         for name in integers:
             setattr(self, name, as_index(name, getattr(self, name)))
+        self.learning_rate = as_real("learning_rate", self.learning_rate)
+        if self.grad_clip is not None:
+            self.grad_clip = as_real("grad_clip", self.grad_clip)
         if not (0 < self.learning_rate < np.inf):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 2:
@@ -226,26 +221,12 @@ def _lr_scale(config: TrainConfig, iteration: int) -> float:
     return (config.iterations - iteration) / max(1, config.iterations - start)
 
 
-def _sample_shape(patches, input_shape: tuple) -> tuple:
-    """The shape one patch takes as model input: ``input_shape``, which must
-    equal the patch shape or, for a flat input, hold as many values."""
-    if len(input_shape) == 1:
-        flat = int(np.prod(patches.shape[1:]))
-        if flat != input_shape[0]:
-            raise ShapeError(
-                f"patches with {flat} values per sample do not fit input {input_shape}"
-            )
-    elif patches.shape[1:] != input_shape:
-        raise ShapeError(f"patch shape {patches.shape[1:]} does not match input {input_shape}")
-    return tuple(input_shape)
-
-
 def batch_input(patches, input_shape: tuple, dtype) -> np.ndarray:
     """(n, w, w, c) patches, an array or a
     :class:`~hsiladder.data.WindowReader`, as ``dtype`` in the model's input
     shape.  An array already in ``dtype`` is reshaped without a copy; a
     reader is gathered by ``np.asarray``, cast a chunk at a time."""
-    shape = _sample_shape(patches, input_shape)
+    shape = sample_shape(patches, input_shape)
     return np.asarray(patches, dtype).reshape(len(patches), *shape)
 
 
@@ -255,7 +236,7 @@ def gather_input(patches, indices, input_shape: tuple, dtype) -> np.ndarray:
     gathered straight into ``dtype`` by :func:`~hsiladder.data.gather_rows`,
     so f32 inputs from f64 patches never hold a full-size f64 copy.  The
     values are the same."""
-    shape = _sample_shape(patches, input_shape)
+    shape = sample_shape(patches, input_shape)
     out = gather_rows(patches, indices, dtype)
     return out.reshape(len(out), *shape)
 
@@ -450,7 +431,7 @@ def train(
     if len(split.unlabeled_train):
         unlabeled = check_rows(patchset, split.unlabeled_train, "unlabeled")
     check_rows(patchset, split.test, "test", k)
-    _sample_shape(patchset.patches, spec.input_shape)
+    sample_shape(patchset.patches, spec.input_shape)
 
     adam = Adam(net.params, config.learning_rate, max_norm=config.grad_clip)
     n_iter = config.iterations
@@ -529,32 +510,16 @@ def train(
     return net, report
 
 
-# Test inputs, in bytes of the net's dtype, that ``evaluate`` gathers and
-# predicts at a time (rounded down to whole prediction chunks, at least one).
-EVAL_BLOCK_BYTES = 8 << 20
-
-
 def evaluate(net: LadderNetwork, patchset, test_indices) -> dict:
     """Clean-encoder eval metrics: OA, AA, per-class recall, confusion.
 
-    The test patches are gathered straight into the net's dtype and
-    predicted a block at a time.  A block holds whole chunks of
-    ``net.predict_chunk_rows()`` rows, so the rows split into the chunks of
-    one ``predict`` call and the predictions are the same bits, while only
-    one block's inputs exist at a time."""
+    One :meth:`~hsiladder.ladder.LadderNetwork.predict` of the test rows of
+    ``patchset.patches``, which reads them a chunk at a time straight into
+    the net's dtype."""
     k = net.spec.num_classes
     test_indices = check_rows(patchset, test_indices, "test", k)
     y_true = patchset.labels[test_indices]
-    shape = net.spec.input_shape
-    chunk = net.predict_chunk_rows()
-    row_bytes = np.dtype(net.dtype).itemsize * math.prod(shape)
-    block = chunk * max(1, EVAL_BLOCK_BYTES // (chunk * row_bytes))
-    y_pred = np.concatenate(
-        [
-            net.predict(gather_input(patchset.patches, test_indices[i : i + block], shape, net.dtype))
-            for i in range(0, len(test_indices), block)
-        ]
-    )
+    y_pred = net.predict(patchset.patches, test_indices)
     confusion = np.bincount(y_true * k + y_pred, minlength=k * k).reshape(k, k)
     return metrics_from_confusion(confusion)
 

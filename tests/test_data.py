@@ -197,6 +197,14 @@ class TestLoadCube:
             load_cube(dp, gp, expected_classes=k)
         assert load_cube(dp, gp, expected_classes=np.int64(3)).num_classes == 3
 
+    @pytest.mark.parametrize("shape", [(0, 4, 2), (4, 0, 2), (4, 4, 0)])
+    def test_empty_axis_rejected(self, tmp_path, shape):
+        dp, gp = self._write_pair(tmp_path, np.zeros(shape), np.zeros(shape[:2], dtype=np.uint8))
+        with pytest.raises(DataError, match="empty"):
+            load_cube(dp, gp)
+        with pytest.raises(DataError, match="empty axis"):
+            HsiCube(np.zeros(shape), np.zeros(shape[:2], dtype=np.int64), 1)
+
     def test_non_integer_ground_truth_rejected(self, tmp_path):
         dp, gp = self._write_pair(tmp_path, np.zeros((4, 4, 2)), np.zeros((4, 4)))
         with pytest.raises(DataError):
@@ -453,6 +461,11 @@ class TestPca:
         dy = np.linalg.norm(y[:, None] - y[None, :], axis=2)
         assert np.abs(dx - dy).max() < 1e-8
 
+    @pytest.mark.parametrize("shape", [(1, 1), (0, 1)])
+    def test_fewer_than_two_samples_rejected(self, shape):
+        with pytest.raises(ConfigError, match="at least 2 samples"):
+            pca_fit(np.ones(shape), 1)
+
     def test_too_many_components_rejected(self):
         with pytest.raises(ConfigError):
             pca_fit(np.zeros((10, 3)), 4)
@@ -655,6 +668,8 @@ class TestSynthetic:
             ("bands", 4.0),
             ("classes", 3.0),
             ("block", 8.5),
+            ("noise", "a"),
+            ("brightness_jitter", "0.3"),
         ],
     )
     def test_bad_argument_rejected_by_name(self, arg, value):

@@ -21,8 +21,10 @@ from hsiladder import (
 from hsiladder import kernels, ops
 from hsiladder import ladder as ladder_mod
 from hsiladder.kernels import conv2d_forward
+from hsiladder.data import WindowReader, extract_patches
 from hsiladder.ladder import COMBINATOR_PARAM_NAMES, combinator_g
-from hsiladder.train import Adam
+from hsiladder.synthetic import make_synthetic_cube
+from hsiladder.train import Adam, batch_input
 
 from helpers import (
     clean_pass_oracle,
@@ -98,13 +100,25 @@ class TestSpecValidation:
         [
             ("noise_std", float("nan")),
             ("noise_std", float("inf")),
+            ("noise_std", "0.3"),
             ("lambdas", (0.1, float("nan"), 0.1)),
             ("lambdas", (0.1, float("inf"), 0.1)),
+            ("lambdas", ("a", 0.1, 0.1)),
             ("input_shape", (0,)),
             ("input_shape", (-2,)),
             ("input_shape", (7, 7, 0)),
         ],
-        ids=["noise-nan", "noise-inf", "lambda-nan", "lambda-inf", "zero", "negative", "no-bands"],
+        ids=[
+            "noise-nan",
+            "noise-inf",
+            "noise-str",
+            "lambda-nan",
+            "lambda-inf",
+            "lambda-str",
+            "zero",
+            "negative",
+            "no-bands",
+        ],
     )
     def test_bad_value_rejected_by_name(self, field, value):
         args = dict(
@@ -130,6 +144,16 @@ class TestSpecValidation:
     def test_non_integer_layer_width_rejected_by_name(self, width):
         with pytest.raises(ConfigError, match="width must be an integer"):
             LayerSpec("fc", width)
+
+    def test_numpy_reals_become_python_floats(self):
+        spec = LadderSpec(
+            (LayerSpec("fc", 4), LayerSpec("softmax_head", 2)),
+            np.float32(0.25),
+            (np.float64(0.5), np.int64(1), 0.1),
+            (5,),
+        )
+        assert (spec.noise_std, spec.lambdas) == (0.25, (0.5, 1.0, 0.1))
+        assert {type(v) for v in (spec.noise_std, *spec.lambdas)} == {float}
 
     def test_numpy_integer_sizes_become_python_ints(self):
         spec = LadderSpec(
@@ -555,6 +579,78 @@ class TestEvalMode:
         assert out.shape == (2048, 9)
         # ~11 MiB with 143-row chunks; 512-row chunks took ~38 MiB
         assert peak < 16 << 20
+
+    @staticmethod
+    def window_net(dtype, bands=3, conv=4, side=11):
+        """A conv ladder over 5x5 windows of ``bands`` values, and a
+        :class:`WindowReader` over every pixel of a random ``side`` x
+        ``side`` scene."""
+        rng = np.random.default_rng(8)
+        padded = rng.standard_normal((side + 4, side + 4, bands))
+        pixels = np.arange(side * side)
+        reader = WindowReader(padded, pixels // side, pixels % side, 5)
+        spec = LadderSpec(
+            (LayerSpec("conv3x3", conv), LayerSpec("fc", 5), LayerSpec("softmax_head", 3, "none")),
+            0.3,
+            (0.1, 0.1, 0.1, 0.1),
+            (5, 5, bands),
+        )
+        return LadderNetwork(spec, Rng(0), dtype=dtype), reader
+
+    @pytest.mark.parametrize(
+        "source", [None, np.float64, np.float32], ids=["reader", "array-f64", "array-f32"]
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_rows_predict_as_their_gathered_batch(self, source, dtype, monkeypatch):
+        net, reader = self.window_net(dtype)
+        net.clean_encoder(Tensor(np.asarray(reader, dtype)))
+        x = reader if source is None else np.asarray(reader, source)
+        # 3-row chunks: the conv's im2col rows of 3x3 windows of 3x3x3 values
+        monkeypatch.setattr(ladder_mod, "PREDICT_CHUNK_BYTES", 3 * 243 * net.dtype.itemsize)
+        assert net.predict_chunk_rows() == 3
+        shape = net.spec.input_shape
+        picks = (
+            np.array([5, 5, 0, 120, -1, 17, 5, 2]),  # repeated and negative
+            np.arange(121)[::-7],
+            np.arange(121) % 7 == 2,  # a boolean mask
+            np.array([], dtype=np.int64),
+        )
+        for rows in picks:
+            want = net.predict_log_probs(batch_input(x[rows], shape, dtype))
+            got = net.predict_log_probs(x, rows)
+            assert got.dtype == dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(net.predict(x, rows), np.argmax(want, axis=1))
+        want = net.predict_log_probs(batch_input(x, shape, dtype))
+        np.testing.assert_array_equal(net.predict_log_probs(x), want)
+        with pytest.raises(IndexError):
+            net.predict_log_probs(x, [0, 121])
+
+    def test_fc_net_reads_window_one_patches(self):
+        patches = extract_patches(make_synthetic_cube(3, height=12, width=12, bands=5), 1).patches
+        assert patches.shape[1:] == (1, 1, 5)
+        net, _ = tiny_net("fc")
+        flat = np.asarray(patches).reshape(len(patches), 5)
+        net.clean_encoder(Tensor(flat))
+        np.testing.assert_array_equal(net.predict_log_probs(patches), net.predict_log_probs(flat))
+        rows = np.arange(len(patches))[::-2]
+        np.testing.assert_array_equal(net.predict(patches, rows), net.predict(flat[rows]))
+
+    def test_reader_prediction_peaks_below_its_input(self, monkeypatch):
+        net, reader = self.window_net(np.float64, bands=16, conv=16, side=40)
+        # 12-row chunks: the conv's im2col rows of 3x3 windows of 3x3x16 values
+        monkeypatch.setattr(ladder_mod, "PREDICT_CHUNK_BYTES", 12 * 1296 * 8)
+        assert net.predict_chunk_rows() == 12
+        full = len(reader) * 5 * 5 * 16 * 8  # the (1600, 5, 5, 16) f64 input: 5.1 MB
+        net.predict(reader[:12])  # untraced, so numpy's lazy imports stay out of the peak
+        tracemalloc.start()
+        try:
+            labels = net.predict(reader)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full // 4
+        np.testing.assert_array_equal(labels, net.predict(batch_input(reader, (5, 5, 16), np.float64)))
 
     @pytest.mark.parametrize("arch", ["fc", "conv"])
     def test_f32_in_f32_out(self, arch):

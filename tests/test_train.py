@@ -284,6 +284,8 @@ class TestConfigValidation:
             ("grad_clip", float("inf")),
             ("learning_rate", float("nan")),
             ("learning_rate", float("inf")),
+            ("learning_rate", None),
+            ("grad_clip", "1"),
             ("checkpoint_interval", -3),
             ("pretrain_iterations", -3),
         ],
@@ -307,6 +309,13 @@ class TestConfigValidation:
     def test_non_integer_size_rejected_by_name(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             dataclasses.replace(small_config(), **{field: value})
+
+    def test_numpy_reals_become_python_floats(self):
+        config = dataclasses.replace(
+            small_config(), learning_rate=np.float32(0.5), grad_clip=np.int64(2)
+        )
+        assert (config.learning_rate, config.grad_clip) == (0.5, 2.0)
+        assert {type(v) for v in (config.learning_rate, config.grad_clip)} == {float}
 
     def test_numpy_integers_become_python_ints(self):
         config = dataclasses.replace(
@@ -351,26 +360,27 @@ class TestMetrics:
         y_true = rng.integers(0, k - 1, n)  # class k - 1 never occurs
         y_pred = rng.integers(0, k, n)
         # each patch holds its own row number, so the fake net predicts
-        # y_pred[row] whichever block the row is gathered in
+        # y_pred[row] for whichever rows it is asked to read
         patches = np.repeat(np.arange(n, dtype=np.float64), 2).reshape(n, 1, 1, 2)
         patchset = SimpleNamespace(patches=patches, labels=y_true)
         net = SimpleNamespace(
-            spec=SimpleNamespace(input_shape=(2,), num_classes=k),
-            dtype=np.float64,
-            predict_chunk_rows=lambda: 64,
-            predict=lambda x: y_pred[x[:, 0].astype(np.int64)],
+            spec=SimpleNamespace(num_classes=k),
+            predict=lambda x, rows: y_pred[x[rows][:, 0, 0, 0].astype(np.int64)],
         )
-        m = evaluate(net, patchset, np.arange(n))
+        test = rng.permutation(n)  # out of order: labels and predictions must stay paired
+        m = evaluate(net, patchset, test)
         expect = confusion_oracle(y_true, y_pred, k)
         np.testing.assert_array_equal(m["confusion"], expect)
         assert m["confusion"].dtype == np.int64 and not m["confusion"][k - 1].any()
         patchset.labels = np.where(y_true == 2, k, y_true)
         with pytest.raises(DataError, match="out of range"):
-            evaluate(net, patchset, np.arange(n))
+            evaluate(net, patchset, test)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
-    @pytest.mark.parametrize("chunks_per_block", [1, 2])
-    def test_blockwise_evaluate_equals_one_prediction(self, dtype, chunks_per_block, monkeypatch):
+    @pytest.mark.parametrize("tens", [1, 2])
+    def test_blockwise_evaluate_equals_one_prediction(self, dtype, tens, monkeypatch):
+        """``evaluate`` reads the test rows chunk by chunk in one prediction,
+        and its confusion is that of predicting the gathered test set."""
         cube = make_synthetic_cube(12, height=24, width=24, bands=6, classes=3, block=6)
         data = prepare_dataset(cube, window=5, pca_components=4, n_per_class=4, seed=12)
         spec = LadderSpec(
@@ -386,25 +396,30 @@ class TestMetrics:
         net, _ = train(config, data.patches, data.split)
         # the widest per-row intermediate: the conv's 3x3 im2col rows of 3x3x4
         widest = 3 * 3 * 3 * 3 * 4
-        monkeypatch.setattr(ladder_mod, "PREDICT_CHUNK_BYTES", 10 * widest * net.dtype.itemsize)
-        assert net.predict_chunk_rows() == 10
+        chunk = 10 * tens  # rows per prediction chunk
+        monkeypatch.setattr(ladder_mod, "PREDICT_CHUNK_BYTES", chunk * widest * net.dtype.itemsize)
+        assert net.predict_chunk_rows() == chunk
         test = data.split.test
-        assert len(test) > 2 * 10 * chunks_per_block and len(test) % 10
-        x = gather_input(data.patches.patches, test, spec.input_shape, net.dtype)
+        assert len(test) > 2 * chunk and len(test) % chunk
+        x = gather_input(data.patches.patches, test, spec.input_shape, dtype)
         whole = net.predict_log_probs(x)
-        row_bytes = 5 * 5 * 4 * net.dtype.itemsize
-        monkeypatch.setattr(train_mod, "EVAL_BLOCK_BYTES", 10 * chunks_per_block * row_bytes)
-        blocks = []
+        calls, reads = [], []
         predict_log_probs = net.predict_log_probs
 
-        def spy(x):
-            blocks.append(predict_log_probs(x))
-            return blocks[-1]
+        def spy(x, rows):
+            calls.append(predict_log_probs(x, rows))
+            return calls[-1]
+
+        def gather_spy(rows, indices, dtype):
+            reads.append(len(indices))
+            return data_mod.gather_rows(rows, indices, dtype)
 
         net.predict_log_probs = spy  # ``predict`` calls it through the instance
+        monkeypatch.setattr(ladder_mod, "gather_rows", gather_spy)
         m = evaluate(net, data.patches, test)
-        assert [len(b) for b in blocks[:-1]] == [10 * chunks_per_block] * (len(blocks) - 1)
-        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+        assert len(calls) == 1
+        assert reads == [min(chunk, len(test) - i) for i in range(0, len(test), chunk)]
+        np.testing.assert_array_equal(calls[0], whole)
         labels = data.patches.labels[test]
         np.testing.assert_array_equal(
             m["confusion"], confusion_oracle(labels, np.argmax(whole, axis=1), 3)

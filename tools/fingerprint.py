@@ -6,7 +6,8 @@ script before and after.  It trains a small FC ladder and a small conv ladder
 for 6 iterations each with ``train()``, in all three modes and in f64 and
 f32, on one synthetic scene.  Per run, the hash takes in every parameter,
 every running batch-norm statistic, the three loss curves and the
-log-probabilities of a fixed batch of patches.  It also prints the tape nodes
+log-probabilities that ``predict_log_probs`` reads for the first 16 test
+rows of the patch set's window reader.  It also prints the tape nodes
 of one training step per spec in ``ladder`` and in ``supervised-only`` mode,
 and, before the hash, the line count of ``src/hsiladder/*.py`` (the size of
 the source tree that produced it), the ``tracemalloc`` peak of the two
@@ -41,7 +42,7 @@ import numpy as np  # noqa: E402
 from hsiladder import GradTape, LadderNetwork, LadderSpec, LayerSpec, Rng  # noqa: E402
 from hsiladder.data import prepare_dataset  # noqa: E402
 from hsiladder.synthetic import make_synthetic_cube  # noqa: E402
-from hsiladder.train import MODES, TrainConfig, batch_input, train  # noqa: E402
+from hsiladder.train import MODES, TrainConfig, gather_input, train  # noqa: E402
 
 SEED = 5
 ITERATIONS = 6
@@ -76,7 +77,7 @@ def step(spec: LadderSpec, patches, labels, use_decoder: bool, traced: bool = Fa
     batch are built."""
     net = LadderNetwork(spec, Rng(SEED), dtype=np.float64)
     rows = np.arange(2 * BATCH) % len(patches)
-    batch = batch_input(patches[rows], spec.input_shape, np.float64)
+    batch = gather_input(patches, rows, spec.input_shape, np.float64)
     if traced:
         tracemalloc.start()
     with GradTape() as tape:
@@ -120,7 +121,6 @@ def main() -> int:
     total = hashlib.sha256()
     for name, (spec, prepared) in runs.items():
         patchset, split = prepared.patches, prepared.split
-        probe = patchset.patches[split.test[:16]]
         ladder, supervised = (
             len(step(spec, patchset.patches, patchset.labels, use_decoder)[0].nodes)
             for use_decoder in (True, False)
@@ -148,8 +148,7 @@ def main() -> int:
                     feed(run, f"running/{l}/init", np.array([rs.initialized]))
                 for curve in ("c_super", "c_recon", "c_total"):
                     feed(run, f"curve/{curve}", getattr(report, curve))
-                probs = net.predict_log_probs(batch_input(probe, spec.input_shape, net.dtype))
-                feed(run, "predict", probs)
+                feed(run, "predict", net.predict_log_probs(patchset.patches, split.test[:16]))
                 digest = run.hexdigest()
                 print(f"  {name} {mode} {precision}: {digest[:16]}")
                 total.update(f"{name}|{mode}|{precision}|{digest}".encode())
