@@ -28,7 +28,7 @@ import struct
 import numpy as np
 
 from . import cube_io
-from .errors import DataError
+from .errors import DataError, as_index
 
 MAGIC = b"LADCKPT1"
 VERSION = 2
@@ -54,8 +54,9 @@ def _name_bytes(name: str) -> bytes:
 def save_entries(path, iteration: int, entries: dict[str, np.ndarray]) -> None:
     """Write ``entries`` to ``path`` atomically: the iteration and every
     entry name and array are checked before the file is opened, and the
-    file only replaces an existing checkpoint once it is complete."""
-    iteration = int(iteration)
+    file only replaces an existing checkpoint once it is complete.  An
+    ``iteration`` that is not an integer raises ``ConfigError``."""
+    iteration = as_index("iteration", iteration)
     if not 0 <= iteration <= _MAX_ITERATION:
         raise DataError(f"checkpoint iteration {iteration} is outside 0..{_MAX_ITERATION}")
     records = [
@@ -70,6 +71,9 @@ def save_entries(path, iteration: int, entries: dict[str, np.ndarray]) -> None:
 
 
 def load_entries(path) -> tuple[int, dict[str, np.ndarray]]:
+    """The iteration and the entries, in file order, of the checkpoint at
+    ``path``; a malformed file, or one that names an entry twice, raises
+    ``DataError``."""
     with cube_io.open_records(path, MAGIC) as f:
         version, iteration, count = cube_io.read_header(f, "<IQI", path, "the checkpoint header")
         if version != VERSION:
@@ -84,5 +88,7 @@ def load_entries(path) -> tuple[int, dict[str, np.ndarray]]:
                 name = raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise DataError(f"{path}: the name of entry {i} is not utf-8") from None
+            if name in entries:
+                raise DataError(f"{path}: entry {name!r} appears twice")
             entries[name] = cube_io.read_record(f, f"{path} entry {name!r}")
     return iteration, entries

@@ -11,7 +11,8 @@ An HSICUBE1 file is the magic ``HSICUBE1`` followed by exactly one record.
 
 The converter turns a headerless raw dump (e.g. exported from a scientific
 array tool) into this format after validating the byte length against the
-declared dims and dtype.
+declared dims and dtype, which it takes by the numpy name (``float32``) or
+the short name (``f32``) of any dtype code above.
 """
 
 from __future__ import annotations
@@ -106,9 +107,10 @@ def atomic_write(path):
 
 @contextmanager
 def open_records(path, magic: bytes):
-    """Yield ``path`` opened just past its ``magic``; a byte the ``with``
-    body leaves unread raises ``DataError``."""
-    if not Path(path).exists():
+    """Yield ``path`` opened just past its ``magic``; a path that is not a
+    file (missing, or a directory) and a byte the ``with`` body leaves
+    unread raise ``DataError``."""
+    if not Path(path).is_file():
         raise DataError(f"no such file: {path}")
     with open(path, "rb") as f:
         got = f.read(len(magic))
@@ -134,14 +136,8 @@ def read_array(path) -> np.ndarray:
         return read_record(f, path)
 
 
-_NAME_TO_DTYPE = {
-    "f32": np.dtype("<f4"),
-    "float32": np.dtype("<f4"),
-    "f64": np.dtype("<f8"),
-    "float64": np.dtype("<f8"),
-    "u8": np.dtype("u1"),
-    "uint8": np.dtype("u1"),
-}
+# ``convert_raw``'s dtype names: each record dtype's numpy name and short form
+_RAW_DTYPES = {n: d for d in _DTYPE_CODES.values() for n in (d.name, f"{d.kind}{8 * d.itemsize}")}
 
 
 def convert_raw(raw_path, dims, dtype_name: str, out_path) -> None:
@@ -151,14 +147,14 @@ def convert_raw(raw_path, dims, dtype_name: str, out_path) -> None:
     so a failed conversion never leaves a partial output file.  A dim that
     is not an integer raises ``ConfigError`` naming ``dims``.
     """
-    dtype = _NAME_TO_DTYPE.get(str(dtype_name).lower())
+    dtype = _RAW_DTYPES.get(str(dtype_name).lower())
     if dtype is None:
-        raise DataError(f"unsupported raw dtype {dtype_name!r} (use f32, f64 or u8)")
+        raise DataError(f"unsupported raw dtype {dtype_name!r} (use {', '.join(_RAW_DTYPES)})")
     dims = tuple(as_index("dims", d) for d in dims)
     if any(d <= 0 for d in dims):
         raise DataError(f"dims must be positive, got {dims}")
     raw_path = Path(raw_path)
-    if not raw_path.exists():
+    if not raw_path.is_file():
         raise DataError(f"no such file: {raw_path}")
     expected = int(np.prod(dims)) * dtype.itemsize
     actual = raw_path.stat().st_size

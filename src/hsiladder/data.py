@@ -320,10 +320,14 @@ def make_split(labels: np.ndarray, n_per_class: int | None, seed: int = 0) -> Se
     The test set is drawn before any labeled sampling, so runs at different
     ``n_per_class`` under one seed share a test set.  ``n_per_class=None``
     uses every non-test point as labeled (full-label runs); any other value
-    must be an integer >= 1, else ``ConfigError``."""
+    must be an integer >= 1, else ``ConfigError``.  ``labels`` must be a
+    1-d integer vector, one class index per labeled pixel, else
+    ``DataError``."""
     labels = np.asarray(labels)
     if n_per_class is not None and as_index("n_per_class", n_per_class) < 1:
         raise ConfigError(f"n_per_class must be >= 1 or None, got {n_per_class}")
+    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise DataError(f"labels must be a 1-d integer vector, got {labels.dtype} {labels.shape}")
     if labels.size == 0:
         raise DataError("no labeled pixels to split: every ground-truth label is 0 (unlabeled)")
     classes = np.unique(labels)
@@ -333,7 +337,7 @@ def make_split(labels: np.ndarray, n_per_class: int | None, seed: int = 0) -> Se
     test_parts, rest_parts = [], []
     for c, t in zip(classes, test_counts):
         idx = np.nonzero(labels == c)[0]
-        perm = idx[rng.permutation(len(idx))]
+        perm = idx[rng.gen.permutation(len(idx))]
         test_parts.append(perm[:t])
         rest_parts.append(perm[t:])
     labeled_parts, unlabeled_parts = [], []
@@ -346,7 +350,7 @@ def make_split(labels: np.ndarray, n_per_class: int | None, seed: int = 0) -> Se
                 f"class {int(c) + 1} has only {len(rest)} non-test points, "
                 f"need {n_per_class} labeled"
             )
-        pick = rng.choice(len(rest), size=n_per_class, replace=False)
+        pick = rng.gen.choice(len(rest), size=n_per_class, replace=False)
         chosen = np.zeros(len(rest), dtype=bool)
         chosen[pick] = True
         labeled_parts.append(rest[chosen])
@@ -378,21 +382,17 @@ def prepare_dataset(
     """Split -> train-only band scaling -> train-only PCA -> patches.
 
     The split is computed on labels alone, so the scaling and PCA fits can
-    be restricted to training pixels; the disjointness of the fit set and
-    the test set is asserted here rather than assumed.
+    be restricted to training pixels.  That the split partitions the
+    labeled pixels, and so that the fit set and the test set are disjoint,
+    is checked here rather than assumed.
     """
     rows, cols = cube.labeled_coords()
     labels = cube.ground_truth[rows, cols].astype(np.int64) - 1
     split = make_split(labels, n_per_class, seed)
-    n = len(labels)
-    all_idx = np.sort(
-        np.concatenate([split.labeled_train, split.unlabeled_train, split.test])
-    )
-    if not np.array_equal(all_idx, np.arange(n)):
-        raise DataError("split does not partition the labeled pixels")
     train_idx = split.train_indices()
-    if np.intersect1d(train_idx, split.test).size:
-        raise DataError("train/test overlap detected")
+    covered = np.sort(np.concatenate([train_idx, split.test]))
+    if not np.array_equal(covered, np.arange(len(labels))):
+        raise DataError("split does not partition the labeled pixels")
     fit_coords = (rows[train_idx], cols[train_idx])
     cube = scale_bands(cube, fit_coords=fit_coords)
     pca = None

@@ -72,6 +72,17 @@ def sample_shape(patches, input_shape: tuple) -> tuple:
     return tuple(input_shape)
 
 
+def batch_input(patches, input_shape: tuple, dtype, rows=None) -> np.ndarray:
+    """(n, w, w, c) patches (an array or a ``WindowReader``), or their
+    integer ``rows``, as ``dtype`` in the :func:`sample_shape` input shape.
+    ``rows`` are gathered and cast a chunk at a time by ``gather_rows``, so
+    f32 input from f64 patches holds no full-size f64 copy; without them an
+    array already in ``dtype`` comes back as a view, not a copy."""
+    shape = sample_shape(patches, input_shape)
+    out = np.asarray(patches, dtype) if rows is None else gather_rows(patches, rows, dtype)
+    return out.reshape(len(out), *shape)
+
+
 def he_weight(rng: Rng, shape: tuple[int, ...], dtype) -> np.ndarray:
     """N(0, 2 / fan_in) weights with ``fan_in = prod(shape[:-1])``, the inputs
     that feed one output unit (He et al. 2015, arXiv 1502.01852)."""
@@ -135,6 +146,7 @@ class LadderSpec:
             raise ConfigError(
                 f"input_shape must be (features,) or (h, w, c) of sizes >= 1, got {self.input_shape}"
             )
+        self.level_shapes()  # a conv layer needs a spatial input at least 3x3
 
     @property
     def num_levels(self) -> int:
@@ -145,7 +157,9 @@ class LadderSpec:
         return self.layers[-1].width
 
     def level_shapes(self) -> list[tuple[int, ...]]:
-        """Per-sample representation shape at every level 0..L."""
+        """Per-sample representation shape at every level 0..L; a conv
+        layer on a flat input or on one smaller than 3x3 raises
+        ``ConfigError`` (when the spec is built)."""
         shapes = [self.input_shape]
         cur = self.input_shape
         for i, layer in enumerate(self.layers, start=1):
@@ -514,12 +528,11 @@ class LadderNetwork:
         ``x`` is an array or a :class:`~hsiladder.data.WindowReader` in any
         float dtype whose samples fit :func:`sample_shape`.  ``rows`` picks
         rows of ``x`` as numpy indexes its first axis; by default every row
-        is read.  Each chunk of :meth:`predict_chunk_rows` rows is read
-        (:func:`~hsiladder.data.gather_rows` for picked rows), cast to the
-        net's dtype and reshaped to the input shape on its own, so only one
-        chunk's input exists at a time and an array already in the net's
-        dtype is read in place.  The result is the same bits as predicting
-        ``batch_input(x[rows], ...)``.
+        is read.  Each chunk of :meth:`predict_chunk_rows` rows becomes
+        input on its own, by :func:`batch_input` of the chunk (of its
+        ``rows`` when given), so only one chunk's input exists at a time and
+        an array already in the net's dtype is read in place.  The result is
+        the same bits as predicting ``batch_input(x, ..., rows)``.
 
         A plain numpy walk without a tape.  Under fixed running statistics
         each level's batch-norm, beta shift and gamma scale is one per-unit
@@ -556,10 +569,9 @@ class LadderNetwork:
         out = np.empty((n, self.spec.num_classes), dtype=self.dtype)
         for i in range(0, n, chunk):
             if rows is None:
-                h = np.asarray(x[i : i + chunk], self.dtype)
+                h = batch_input(x[i : i + chunk], shape, self.dtype)
             else:
-                h = gather_rows(x, rows[i : i + chunk], self.dtype)
-            h = h.reshape(len(h), *shape)
+                h = batch_input(x, shape, self.dtype, rows[i : i + chunk])
             for layer, w, t in folded:
                 z = pre_activation(layer, h, w)
                 z += t

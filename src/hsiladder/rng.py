@@ -4,6 +4,10 @@ All stochastic behaviour in the package flows through :class:`Rng`, a thin
 wrapper around numpy's PCG64 bit generator.  A given (seed, numpy version)
 pair produces an identical stream on every platform, which is what makes
 whole training runs bit-reproducible.
+
+Integer draws, choices and permutations call the generator ``rng.gen``
+itself; :class:`Rng` adds substreams, f64-drawn Gaussian noise and the
+PCG64 state as u64 words for checkpoints.
 """
 
 from __future__ import annotations
@@ -34,15 +38,6 @@ class Rng:
         out = self.gen.standard_normal(size=shape, dtype=np.float64)
         out *= std
         return out.astype(dtype, copy=False)
-
-    def integers(self, low: int, high: int, size=None) -> np.ndarray:
-        return self.gen.integers(low, high, size=size)
-
-    def choice(self, a, size=None, replace=True) -> np.ndarray:
-        return self.gen.choice(a, size=size, replace=replace)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.gen.permutation(n)
 
     # PCG64 state as plain uint64 words so checkpoints can persist and
     # restore mid-run streams exactly.

@@ -50,7 +50,7 @@ def make_synthetic_cube(
         )
     # cycle the classes over the blocks, then shuffle: every class appears
     flat = (np.arange(n_blocks) % classes) + 1
-    block_map = flat[rng.permutation(n_blocks)].reshape(bh, bw)
+    block_map = flat[rng.gen.permutation(n_blocks)].reshape(bh, bw)
     gt = np.repeat(np.repeat(block_map, block, axis=0), block, axis=1)[:height, :width]
 
     centers = np.linspace(1.0, bands - 2.0, classes)

@@ -32,9 +32,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import ops
-from .data import gather_rows
 from .errors import ConfigError, DataError, DivergenceError, as_index, as_real, first_non_finite
-from .ladder import SOFTMAX_HEAD, LadderNetwork, LadderSpec, he_weight, sample_shape, transposed
+from .ladder import LadderNetwork, LadderSpec, batch_input, he_weight, sample_shape, transposed
 from .rng import Rng
 from .tensor import GradTape, Tensor
 
@@ -221,26 +220,6 @@ def _lr_scale(config: TrainConfig, iteration: int) -> float:
     return (config.iterations - iteration) / max(1, config.iterations - start)
 
 
-def batch_input(patches, input_shape: tuple, dtype) -> np.ndarray:
-    """(n, w, w, c) patches, an array or a
-    :class:`~hsiladder.data.WindowReader`, as ``dtype`` in the model's input
-    shape.  An array already in ``dtype`` is reshaped without a copy; a
-    reader is gathered by ``np.asarray``, cast a chunk at a time."""
-    shape = sample_shape(patches, input_shape)
-    return np.asarray(patches, dtype).reshape(len(patches), *shape)
-
-
-def gather_input(patches, indices, input_shape: tuple, dtype) -> np.ndarray:
-    """``batch_input(patches[indices], input_shape, dtype)`` for integer row
-    ``indices`` of an array or a :class:`~hsiladder.data.WindowReader`,
-    gathered straight into ``dtype`` by :func:`~hsiladder.data.gather_rows`,
-    so f32 inputs from f64 patches never hold a full-size f64 copy.  The
-    values are the same."""
-    shape = sample_shape(patches, input_shape)
-    out = gather_rows(patches, indices, dtype)
-    return out.reshape(len(out), *shape)
-
-
 def check_rows(patchset, indices, what: str, num_classes: int | None = None) -> np.ndarray:
     """``indices`` as an array of rows of ``patchset``.  ``DataError``
     naming ``what`` unless there is at least one, each is an integer in
@@ -381,15 +360,13 @@ def _sdae_pretrain(
     weights seed the encoder for the supervised fine-tuning stage.
     """
     dtype = net.dtype
-    for depth, layer in enumerate(net.spec.layers, start=1):
-        if layer.kind == SOFTMAX_HEAD:
-            break
+    for depth in range(1, len(net.spec.layers)):  # every layer below the head
         w = net.params[f"enc{depth}/W"]
         w_dec = Tensor(he_weight(rng, transposed(w.data.shape), dtype), requires_grad=True)
         opt = Adam({"w": w, "w_dec": w_dec}, config.learning_rate)
         for _ in range(config.pretrain_iterations):
-            idx = unlabeled[rng.integers(0, len(unlabeled), config.batch_size)]
-            h = Tensor(gather_input(patches, idx, net.spec.input_shape, dtype))
+            idx = unlabeled[rng.gen.integers(0, len(unlabeled), config.batch_size)]
+            h = Tensor(batch_input(patches, net.spec.input_shape, dtype, idx))
             for l in range(1, depth):
                 h = ops.relu(net.layer_map(l, h))
             x = Tensor(h.data)  # a constant: this layer's input, off the tape
@@ -456,10 +433,9 @@ def train(
         Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     for it in range(start_iter, n_iter):
-        li = labeled[batch_rng.integers(0, len(labeled), config.batch_size)]
-        ui = unlabeled[batch_rng.integers(0, len(unlabeled), config.batch_size)]
-        idx = np.concatenate([li, ui])
-        batch = gather_input(patchset.patches, idx, spec.input_shape, dtype)
+        li = labeled[batch_rng.gen.integers(0, len(labeled), config.batch_size)]
+        ui = unlabeled[batch_rng.gen.integers(0, len(unlabeled), config.batch_size)]
+        batch = batch_input(patchset.patches, spec.input_shape, dtype, np.concatenate([li, ui]))
         targets = patchset.labels[li]
         net.zero_grads()
         with GradTape() as tape:

@@ -155,6 +155,37 @@ class TestConvert:
         assert not out.exists()
 
 
+    def test_every_record_dtype_round_trips_by_each_name(self, tmp_path):
+        raw = tmp_path / "dump.raw"
+        for names, arr in [
+            (("f32", "float32", "F32"), np.linspace(-1, 1, 12, dtype="<f4")),
+            (("f64", "float64"), np.linspace(-1, 1, 12, dtype="<f8")),
+            (("u8", "uint8"), np.arange(12, dtype="u1")),
+            (("u64", "uint64", "UINT64"), np.arange(12, dtype="<u8") * (2**60 + 1)),
+        ]:
+            raw.write_bytes(arr.tobytes())
+            for name in names:
+                out = tmp_path / f"{name}.hsicube"
+                cube_io.convert_raw(raw, (3, 4), name, out)
+                back = cube_io.read_array(out)
+                assert back.dtype == arr.dtype
+                np.testing.assert_array_equal(back, arr.reshape(3, 4))
+
+    def test_unknown_dtype_names_the_choices(self, tmp_path):
+        raw = tmp_path / "dump.raw"
+        raw.write_bytes(b"\x00" * 8)
+        with pytest.raises(DataError, match="'i8'.*f32, float64, f64, uint8, u8, uint64, u64"):
+            cube_io.convert_raw(raw, (1,), "i8", tmp_path / "out.hsicube")
+
+    def test_directory_is_not_a_data_file(self, tmp_path):
+        out = tmp_path / "out.hsicube"
+        with pytest.raises(DataError, match="no such file"):
+            cube_io.read_array(tmp_path)
+        with pytest.raises(DataError, match="no such file"):
+            cube_io.convert_raw(tmp_path, (2,), "u8", out)
+        assert not out.exists()
+
+
 class TestLoadCube:
     def _write_pair(self, tmp_path, data, gt):
         cube_io.write_array(tmp_path / "data.hsicube", data)
@@ -589,6 +620,15 @@ class TestSplit:
         a, b = make_split(labels, np.int64(4), seed=17), make_split(labels, 4, seed=17)
         np.testing.assert_array_equal(a.labeled_train, b.labeled_train)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [np.zeros((4, 4), np.int64), np.array([0.5, 1.5, 0.5, 1.5]), np.array([[0], [1]])],
+        ids=["2-d", "float", "column"],
+    )
+    def test_labels_must_be_a_1d_integer_vector(self, labels):
+        with pytest.raises(DataError, match="labels must be a 1-d integer vector"):
+            make_split(labels, 1, seed=1)
+
     def test_full_label_split(self):
         labels = self._labels([30, 30])
         split = make_split(labels, None, seed=15)
@@ -604,6 +644,19 @@ class TestPipeline:
             prepare_dataset(cube, window=1, pca_components=None, n_per_class=5, seed=1)
         with pytest.raises(DataError, match="no labeled pixels"):
             make_split(np.array([], dtype=np.int64), None, seed=1)
+
+    def test_overlapping_split_refused(self, monkeypatch):
+        real = data_mod.make_split
+
+        def overlapping(labels, n_per_class, seed=0):
+            split = real(labels, n_per_class, seed)
+            # the first test pixel is also labeled, and one pixel is in no set
+            split.labeled_train[0] = split.test[0]
+            return split
+
+        monkeypatch.setattr(data_mod, "make_split", overlapping)
+        with pytest.raises(DataError, match="does not partition"):
+            prepare_dataset(make_synthetic_cube(3), window=1, pca_components=None, n_per_class=5)
 
     def test_prepare_dataset_deterministic_and_leak_free(self):
         cube = make_synthetic_cube(3)

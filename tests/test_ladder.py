@@ -76,24 +76,22 @@ class TestSpecValidation:
             LadderSpec((LayerSpec("fc", 3),), 0.3, (0.0, 0.0), (4,))
 
     def test_conv_on_flat_input_rejected(self):
-        spec = LadderSpec(
-            (LayerSpec("conv3x3", 4), LayerSpec("softmax_head", 2)),
-            0.3,
-            (0, 0, 0),
-            (7,),
-        )
-        with pytest.raises(ConfigError):
-            spec.level_shapes()
+        with pytest.raises(ConfigError, match="conv3x3 needs a spatial input"):
+            LadderSpec(
+                (LayerSpec("conv3x3", 4), LayerSpec("softmax_head", 2)),
+                0.3,
+                (0, 0, 0),
+                (7,),
+            )
 
     def test_kernel_larger_than_window_rejected(self):
-        spec = LadderSpec(
-            (LayerSpec("conv3x3", 4), LayerSpec("softmax_head", 2)),
-            0.3,
-            (0, 0, 0),
-            (2, 2, 3),
-        )
-        with pytest.raises(ConfigError):
-            spec.level_shapes()
+        with pytest.raises(ConfigError, match="3x3 kernel larger than input 2x2"):
+            LadderSpec(
+                (LayerSpec("conv3x3", 4), LayerSpec("softmax_head", 2)),
+                0.3,
+                (0, 0, 0),
+                (2, 2, 3),
+            )
 
     @pytest.mark.parametrize(
         "field, value",

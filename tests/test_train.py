@@ -32,8 +32,8 @@ from hsiladder.train import (
     CURVES,
     Adam,
     TrainConfig,
+    batch_input,
     evaluate,
-    gather_input,
     load_checkpoint,
     metrics_from_confusion,
     save_checkpoint,
@@ -401,7 +401,7 @@ class TestMetrics:
         assert net.predict_chunk_rows() == chunk
         test = data.split.test
         assert len(test) > 2 * chunk and len(test) % chunk
-        x = gather_input(data.patches.patches, test, spec.input_shape, dtype)
+        x = batch_input(data.patches.patches, spec.input_shape, dtype, test)
         whole = net.predict_log_probs(x)
         calls, reads = [], []
         predict_log_probs = net.predict_log_probs
@@ -497,6 +497,8 @@ class TestSplitCheck:
 
 
 class TestGatherInput:
+    """``batch_input`` with ``rows``, the one gather of model input."""
+
     @pytest.mark.parametrize(
         "src, dst", [(np.float64, np.float32), (np.float32, np.float64), (np.float64, np.float64)]
     )
@@ -510,10 +512,31 @@ class TestGatherInput:
         patches = rng.standard_normal((300, 7, 7, 3)).astype(src)
         idx = rng.integers(0, len(patches), 250)  # with repeats
         for rows in (idx, idx[:1], idx[:0]):
-            got = gather_input(patches, rows, input_shape, dst)
+            got = batch_input(patches, input_shape, dst, rows)
             want = gather_input_oracle(patches, rows, input_shape, dst)
             assert got.dtype == want.dtype == dst and got.shape == want.shape
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dst", [np.float64, np.float32])
+    @pytest.mark.parametrize("input_shape", [(3, 3, 4), (36,)], ids=["conv", "flat"])
+    def test_reader_rows_match_gather_then_cast(self, dst, input_shape, monkeypatch):
+        cube = make_synthetic_cube(4, height=12, width=12, bands=4, block=4)
+        reader = data_mod.extract_patches(cube, 3).patches  # f64 windows
+        monkeypatch.setattr(data_mod, "GATHER_CHUNK_BYTES", 1000)  # 3 rows per chunk
+        idx = np.random.default_rng(6).integers(0, len(reader), 40)  # with repeats
+        got = batch_input(reader, input_shape, dst, idx)
+        want = gather_input_oracle(np.asarray(reader), idx, input_shape, dst)
+        assert got.dtype == want.dtype == dst and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("input_shape", [(7, 7, 3), (147,)], ids=["conv", "flat"])
+    def test_array_in_dtype_is_a_view(self, input_shape):
+        patches = np.random.default_rng(7).standard_normal((20, 7, 7, 3)).astype(np.float32)
+        out = batch_input(patches, input_shape, np.float32)
+        assert out.shape == (20, *input_shape) and np.shares_memory(out, patches)
+        cast = batch_input(patches, input_shape, np.float64)
+        assert cast.dtype == np.float64 and not np.shares_memory(cast, patches)
+        np.testing.assert_array_equal(cast, patches.reshape(cast.shape))
 
     def test_f32_pool_from_f64_patches_peaks_at_one_copy(self):
         patches = np.random.default_rng(9).standard_normal((3000, 7, 7, 15))
@@ -521,7 +544,7 @@ class TestGatherInput:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            out = gather_input(patches, idx, (7, 7, 15), np.float32)
+            out = batch_input(patches, (7, 7, 15), np.float32, idx)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -530,10 +553,11 @@ class TestGatherInput:
 
     def test_shape_mismatch_rejected(self):
         patches = np.zeros((4, 3, 3, 2))
-        with pytest.raises(ShapeError):
-            gather_input(patches, np.arange(4), (3, 3, 5), np.float32)
-        with pytest.raises(ShapeError):
-            gather_input(patches, np.arange(4), (17,), np.float32)
+        for rows in (np.arange(4), None):
+            with pytest.raises(ShapeError):
+                batch_input(patches, (3, 3, 5), np.float32, rows)
+            with pytest.raises(ShapeError):
+                batch_input(patches, (17,), np.float32, rows)
 
 
 class TestDeterminism:
@@ -737,6 +761,26 @@ class TestCheckpoint:
             ckpt.save_entries(path, iteration, entries)
         assert list(tmp_path.iterdir()) == [path]
         assert ckpt.load_entries(path)[0] == 3
+
+    @pytest.mark.parametrize("iteration", [1.7, "3", None])
+    def test_non_integer_iteration_refused_by_name(self, tmp_path, iteration):
+        path = tmp_path / "a.ckpt"
+        with pytest.raises(ConfigError, match="^iteration must be an integer"):
+            ckpt.save_entries(path, iteration, {"w": np.arange(2.0)})
+        assert not path.exists()
+
+    def test_repeated_entry_refused_by_name(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        ckpt.save_entries(path, 2, {"entry_a": np.arange(2.0), "entry_b": np.ones(3)})
+        raw = path.read_bytes()
+        assert raw.count(b"entry_b") == 1
+        path.write_bytes(raw.replace(b"entry_b", b"entry_a"))
+        with pytest.raises(DataError, match="entry 'entry_a' appears twice"):
+            ckpt.load_entries(path)
+
+    def test_directory_refused(self, tmp_path):
+        with pytest.raises(DataError, match="no such file"):
+            ckpt.load_entries(tmp_path)
 
     def test_every_truncation_raises_data_error(self, tmp_path):
         path = tmp_path / "a.ckpt"

@@ -42,7 +42,7 @@ import numpy as np  # noqa: E402
 from hsiladder import GradTape, LadderNetwork, LadderSpec, LayerSpec, Rng  # noqa: E402
 from hsiladder.data import prepare_dataset  # noqa: E402
 from hsiladder.synthetic import make_synthetic_cube  # noqa: E402
-from hsiladder.train import MODES, TrainConfig, gather_input, train  # noqa: E402
+from hsiladder.train import MODES, TrainConfig, batch_input, train  # noqa: E402
 
 SEED = 5
 ITERATIONS = 6
@@ -77,7 +77,7 @@ def step(spec: LadderSpec, patches, labels, use_decoder: bool, traced: bool = Fa
     batch are built."""
     net = LadderNetwork(spec, Rng(SEED), dtype=np.float64)
     rows = np.arange(2 * BATCH) % len(patches)
-    batch = gather_input(patches, rows, spec.input_shape, np.float64)
+    batch = batch_input(patches, spec.input_shape, np.float64, rows)
     if traced:
         tracemalloc.start()
     with GradTape() as tape:
