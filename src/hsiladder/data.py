@@ -22,7 +22,7 @@ from .rng import Rng
 @dataclass
 class HsiCube:
     """height x width x bands reflectance plus an integer label map
-    (0 = unlabeled background, classes 1..K)."""
+    (0 = unlabeled background, classes 1..num_classes, num_classes >= 1)."""
 
     reflectance: np.ndarray
     ground_truth: np.ndarray
@@ -40,6 +40,9 @@ class HsiCube:
             )
         if not np.all(np.isfinite(r)):
             raise DataError("reflectance contains non-finite values")
+        if not np.issubdtype(g.dtype, np.integer):
+            raise DataError(f"ground truth must be an integer array, got {g.dtype}")
+        self.num_classes = as_index("num_classes", self.num_classes, 1)
         if g.min() < 0:
             raise DataError("ground-truth labels must be >= 0")
         if g.max() > self.num_classes:
@@ -161,7 +164,9 @@ def load_cube(data_path, gt_path, expected_classes: int | None = None, scale: bo
     With ``scale=True`` each band is min-max scaled to [0, 1] over the whole
     scene; pass ``scale=False`` when the split-aware :func:`scale_bands` will
     run later (as :func:`prepare_dataset` does).  ``expected_classes``, when
-    given, must be an integer, else ``ConfigError``.
+    given, must be an integer >= 1, else ``ConfigError``; without it the
+    class count is the largest label, and a ground truth with no labeled
+    pixel raises ``DataError``.
     """
     data = cube_io.read_array(data_path)
     gt = cube_io.read_array(gt_path)
@@ -176,7 +181,10 @@ def load_cube(data_path, gt_path, expected_classes: int | None = None, scale: bo
         data = data.astype(np.float64)
     elif data.dtype != np.float64:
         raise DataError(f"{data_path}: reflectance must be float32 or float64, got {data.dtype}")
-    k = int(gt.max()) if expected_classes is None else as_index("expected_classes", expected_classes)
+    if expected_classes is not None:
+        k = as_index("expected_classes", expected_classes, 1)
+    elif (k := int(gt.max())) < 1:
+        raise DataError(f"{gt_path}: no pixel is labeled, so the class count cannot be inferred")
     cube = HsiCube(data, gt.astype(np.int64), num_classes=k)
     if scale:
         cube = scale_bands(cube)
@@ -217,8 +225,8 @@ def extract_patches(cube: HsiCube, window: int) -> PatchSet:
     the padded cube is copied (at window 1, only the labeled spectra): the
     patches are read from it on demand.
     """
-    if as_index("window", window) < 1 or window % 2 == 0:
-        raise ConfigError(f"window must be odd and >= 1, got {window}")
+    if as_index("window", window, 1) % 2 == 0:
+        raise ConfigError(f"window must be odd, got {window}")
     rows, cols = cube.labeled_coords()
     labels = cube.ground_truth[rows, cols].astype(np.int64, copy=False) - 1
     centers = np.stack([rows, cols], axis=1).astype(np.int64, copy=False)
@@ -247,8 +255,7 @@ def pca_fit(spectra: np.ndarray, k: int) -> PcaModel:
     ``k`` must be an integer in [1, bands] and there must be at least 2
     samples and as many as bands, else ``ConfigError``."""
     n, c = spectra.shape
-    if not (1 <= as_index("k", k) <= c):
-        raise ConfigError(f"need 1 <= k <= {c} components, got {k}")
+    k = as_index("k", k, 1, c)
     if n < max(2, c):
         raise ConfigError(f"PCA needs at least {max(2, c)} samples (2, and one per band), got {n}")
     mean = spectra.mean(axis=0)
@@ -324,8 +331,8 @@ def make_split(labels: np.ndarray, n_per_class: int | None, seed: int = 0) -> Se
     1-d integer vector, one class index per labeled pixel, else
     ``DataError``."""
     labels = np.asarray(labels)
-    if n_per_class is not None and as_index("n_per_class", n_per_class) < 1:
-        raise ConfigError(f"n_per_class must be >= 1 or None, got {n_per_class}")
+    if n_per_class is not None:
+        as_index("n_per_class", n_per_class, 1)
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
         raise DataError(f"labels must be a 1-d integer vector, got {labels.dtype} {labels.shape}")
     if labels.size == 0:

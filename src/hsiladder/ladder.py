@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels, ops
 from .data import WindowReader, gather_rows
-from .errors import ConfigError, GraphError, ShapeError, as_index, as_real, first_non_finite
+from .errors import ConfigError, GraphError, ShapeError, as_index, as_real, first_non_finite, one_of
 from .rng import Rng
 from .tensor import Tensor
 
@@ -97,8 +97,6 @@ def check_lambdas(values, levels: int) -> tuple[float, ...]:
         raise ConfigError(
             f"need {levels} denoising multipliers (input level + one per layer), got {len(lambdas)}"
         )
-    if not all(0 <= v < math.inf for v in lambdas):
-        raise ConfigError(f"lambdas must be finite and >= 0, got {lambdas}")
     return lambdas
 
 
@@ -109,13 +107,9 @@ class LayerSpec:
     activation: str = "relu"  # "relu" | "none"
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown layer kind {self.kind!r}")
-        object.__setattr__(self, "width", as_index("width", self.width))
-        if self.width < 1:
-            raise ConfigError(f"layer width must be >= 1, got {self.width}")
-        if self.activation not in ("relu", "none"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
+        one_of("kind", self.kind, _KINDS)
+        object.__setattr__(self, "width", as_index("width", self.width, 1))
+        one_of("activation", self.activation, ("relu", "none"))
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ class LadderSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(
-            self, "input_shape", tuple(as_index("input_shape", v) for v in self.input_shape)
+            self, "input_shape", tuple(as_index("input_shape", v, 1) for v in self.input_shape)
         )
         if not self.layers:
             raise ConfigError("ladder needs at least one layer")
@@ -139,13 +133,9 @@ class LadderSpec:
         if any(l.kind == SOFTMAX_HEAD for l in self.layers[:-1]):
             raise ConfigError("softmax head must be the final layer only")
         object.__setattr__(self, "noise_std", as_real("noise_std", self.noise_std))
-        if not (0 <= self.noise_std < math.inf):
-            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         object.__setattr__(self, "lambdas", check_lambdas(self.lambdas, self.num_levels))
-        if len(self.input_shape) not in (1, 3) or min(self.input_shape) < 1:
-            raise ConfigError(
-                f"input_shape must be (features,) or (h, w, c) of sizes >= 1, got {self.input_shape}"
-            )
+        if len(self.input_shape) not in (1, 3):
+            raise ConfigError(f"input_shape must be (features,) or (h, w, c), got {self.input_shape}")
         self.level_shapes()  # a conv layer needs a spatial input at least 3x3
 
     @property
@@ -223,9 +213,7 @@ class LadderNetwork:
 
     def __init__(self, spec: LadderSpec, rng: Rng, dtype=np.float64):
         self.spec = spec
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.float32, np.float64):
-            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype}")
+        self.dtype = one_of("dtype", np.dtype(dtype), (np.dtype(np.float32), np.dtype(np.float64)))
         self.level_shapes = spec.level_shapes()
         self.params: dict[str, Tensor] = {}
         self.running: dict[int, RunningStats] = {}

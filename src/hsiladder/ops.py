@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError, as_real
 from .rng import Rng
 from .tensor import GradTape, Tensor, active_tape
 
@@ -433,8 +433,7 @@ def batchnorm(x: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
 
 def add_gaussian_noise(x: Tensor, std: float, rng: Rng) -> Tensor:
     """x + eps with eps ~ N(0, std^2); eps is a constant in the backward pass."""
-    if not (0 <= std < np.inf):
-        raise ConfigError(f"noise std must be finite and >= 0, got {std}")
+    std = as_real("noise std", std)
     if std == 0.0:
         out = Tensor(x.data.copy(), requires_grad=x.requires_grad)
     else:

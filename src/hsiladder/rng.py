@@ -16,19 +16,16 @@ import numpy as np
 
 from .errors import ConfigError, as_index
 
+MAX_SEED = 2**64 - 1  # a seed is one unsigned 64-bit word
+
 
 class Rng:
     """Named deterministic generator (PCG64) with spawnable substreams."""
 
     def __init__(self, seed: int, _ss: np.random.SeedSequence | None = None):
-        seed = as_index("seed", seed)
-        if _ss is None:
-            if not (0 <= seed < 2**64):
-                raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
-            _ss = np.random.SeedSequence(seed)
-        self.seed = seed
-        self._ss = _ss
-        self.gen = np.random.Generator(np.random.PCG64(_ss))
+        self.seed = as_index("seed", seed, 0, MAX_SEED)
+        self._ss = np.random.SeedSequence(self.seed) if _ss is None else _ss
+        self.gen = np.random.Generator(np.random.PCG64(self._ss))
 
     def spawn(self, n: int) -> list["Rng"]:
         """Derive ``n`` independent substreams (init / noise / batching ...)."""

@@ -26,19 +26,12 @@ def make_synthetic_cube(
     brightness_jitter: float = 0.45,
 ) -> HsiCube:
     """A seeded scene; ``ConfigError`` names a size that is not an integer >= 1
-    or a noise level that is not a real >= 0."""
-    for name, value in (
-        ("height", height),
-        ("width", width),
-        ("bands", bands),
-        ("classes", classes),
-        ("block", block),
-    ):
-        if as_index(name, value) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+    or a noise level that is not a finite real >= 0."""
+    sizes = dict(height=height, width=width, bands=bands, classes=classes, block=block)
+    for name, value in sizes.items():
+        as_index(name, value, 1)
     for name, value in (("noise", noise), ("brightness_jitter", brightness_jitter)):
-        if not as_real(name, value) >= 0:
-            raise ConfigError(f"{name} must be >= 0, got {value}")
+        as_real(name, value)
     rng = Rng(seed)
     bh = (height + block - 1) // block
     bw = (width + block - 1) // block

@@ -32,9 +32,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import ops
-from .errors import ConfigError, DataError, DivergenceError, as_index, as_real, first_non_finite
+from .errors import ConfigError, DataError, DivergenceError, as_index, as_real, first_non_finite, one_of
 from .ladder import LadderNetwork, LadderSpec, batch_input, he_weight, sample_shape, transposed
-from .rng import Rng
+from .rng import MAX_SEED, Rng
 from .tensor import GradTape, Tensor
 
 MODES = ("ladder", "supervised-only", "sdae-pretrain")
@@ -63,30 +63,17 @@ class TrainConfig:
     checkpoint_interval: int = 0
 
     def __post_init__(self):
-        integers = ("iterations", "seed", "batch_size", "pretrain_iterations", "checkpoint_interval")
-        for name in integers:
-            setattr(self, name, as_index(name, getattr(self, name)))
-        self.learning_rate = as_real("learning_rate", self.learning_rate)
+        self.iterations = as_index("iterations", self.iterations, 1)
+        self.seed = as_index("seed", self.seed, 0, MAX_SEED)
+        self.batch_size = as_index("batch_size", self.batch_size, 2)
+        self.pretrain_iterations = as_index("pretrain_iterations", self.pretrain_iterations, 0)
+        self.checkpoint_interval = as_index("checkpoint_interval", self.checkpoint_interval, 0)
+        self.learning_rate = as_real("learning_rate", self.learning_rate, positive=True)
         if self.grad_clip is not None:
-            self.grad_clip = as_real("grad_clip", self.grad_clip)
-        if not (0 < self.learning_rate < np.inf):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.lr_decay not in ("none", "linear"):
-            raise ConfigError(f"lr_decay must be 'none' or 'linear', got {self.lr_decay!r}")
-        if self.precision not in ("f64", "f32"):
-            raise ConfigError(f"precision must be 'f64' or 'f32', got {self.precision!r}")
-        if self.grad_clip is not None and not (0 < self.grad_clip < np.inf):
-            raise ConfigError(f"grad_clip must be None or finite and > 0, got {self.grad_clip}")
-        if self.pretrain_iterations < 0:
-            raise ConfigError(f"pretrain_iterations must be >= 0, got {self.pretrain_iterations}")
-        if self.checkpoint_interval < 0:
-            raise ConfigError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
+            self.grad_clip = as_real("grad_clip", self.grad_clip, positive=True)
+        one_of("mode", self.mode, MODES)
+        one_of("lr_decay", self.lr_decay, ("none", "linear"))
+        one_of("precision", self.precision, ("f64", "f32"))
 
     @property
     def dtype(self):

@@ -1,4 +1,5 @@
-"""``tools/compare.py``: parsing ``run.py``'s lines and the paired summary."""
+"""``tools/compare.py``: parsing ``run.py``'s lines, the paired summary and
+the two fingerprints."""
 
 import importlib.util
 import json
@@ -135,3 +136,25 @@ class TestSummarize:
         assert step["parent"] == {"q1": 20.0, "median": 20.0, "q3": 20.0}
         assert (step["wins"], step["losses"], step["ratio"]) == (0, 0, 1.0)
         assert step["resolved"] is False
+
+
+class TestFingerprints:
+    def test_hashes_and_src_lines_of_both_sides(self, tmp_path):
+        def tree(name: str, summary: str) -> Path:
+            (tmp_path / name / "tools").mkdir(parents=True)
+            script = f"print({'  fc ladder f64: 0123'!r})\nprint({summary!r})\n"
+            (tmp_path / name / "tools" / "fingerprint.py").write_text(script)
+            return tmp_path / name
+
+        parent = compare.fingerprint(tree("parent", "src lines 2722\nstep peak 320 KiB\nsha256 ab"))
+        change = compare.fingerprint(tree("change", "src lines 2702\nsha256 ab"))
+        assert parent == {
+            "exit": 0,
+            "sha256": "ab",
+            "src_lines": 2722,
+            "lines": ["src lines 2722", "step peak 320 KiB", "sha256 ab"],
+        }
+        out = compare.compare_fingerprints({"parent": parent, "change": change})
+        assert out == {"fingerprints_equal": True, "src_lines": {"parent": 2722, "change": 2702}}
+        out = compare.compare_fingerprints({"parent": None, "change": change})
+        assert out == {"fingerprints_equal": None, "src_lines": {"parent": None, "change": 2702}}

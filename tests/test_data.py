@@ -145,7 +145,7 @@ class TestConvert:
         cube_io.convert_raw(raw, (2, 3, 4), "f32", b)
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("dims", [(2.9, 4), (2, 4.0), ("2", 4)])
+    @pytest.mark.parametrize("dims", [(2.9, 4), (2, 4.0), ("2", 4), (True, 8), (np.True_, 8)])
     def test_non_integer_dims_rejected_by_name(self, tmp_path, dims):
         raw = tmp_path / "dump.raw"
         raw.write_bytes(b"\x00" * 64)
@@ -219,7 +219,7 @@ class TestLoadCube:
         with pytest.raises(DataError):
             load_cube(dp, gp, expected_classes=9)
 
-    @pytest.mark.parametrize("k", [3.7, 2.9, "3"])
+    @pytest.mark.parametrize("k", [3.7, 2.9, "3", True])
     def test_non_integer_class_count_rejected_by_name(self, tmp_path, k):
         gt = np.zeros((4, 4), dtype=np.uint8)
         gt[1, 1] = 3
@@ -240,6 +240,20 @@ class TestLoadCube:
         dp, gp = self._write_pair(tmp_path, np.zeros((4, 4, 2)), np.zeros((4, 4)))
         with pytest.raises(DataError):
             load_cube(dp, gp)
+
+    def test_cube_refuses_fractional_labels_and_a_bad_class_count(self):
+        gt = np.repeat([[1.5, 2.5]], 4, axis=0).repeat(2, axis=1)  # two 4x2 blocks
+        with pytest.raises(DataError, match="ground truth must be an integer array, got float64"):
+            HsiCube(np.zeros((4, 4, 2)), gt, 3)
+        for k, why in ((True, "must be an integer"), (0, "must be >= 1, got 0")):
+            with pytest.raises(ConfigError, match=f"^num_classes {why}"):
+                HsiCube(np.zeros((4, 4, 2)), np.zeros((4, 4), np.int64), k)
+
+    def test_unlabeled_ground_truth_needs_a_class_count(self, tmp_path):
+        dp, gp = self._write_pair(tmp_path, np.ones((4, 4, 2)), np.zeros((4, 4), np.uint8))
+        with pytest.raises(DataError, match="no pixel is labeled"):
+            load_cube(dp, gp)
+        assert load_cube(dp, gp, expected_classes=2).num_classes == 2
 
 
 class TestScaleBands:
@@ -435,7 +449,7 @@ class TestPatches:
         with pytest.raises(ConfigError):
             extract_patches(cube, 4)
 
-    @pytest.mark.parametrize("window", [3.9, 3.0, "3"])
+    @pytest.mark.parametrize("window", [3.9, 3.0, "3", True])
     def test_non_integer_window_rejected_by_name(self, window):
         cube = make_synthetic_cube(2, height=6, width=6, bands=2, block=2)
         with pytest.raises(ConfigError, match="window must be an integer"):
@@ -501,7 +515,7 @@ class TestPca:
         with pytest.raises(ConfigError):
             pca_fit(np.zeros((10, 3)), 4)
 
-    @pytest.mark.parametrize("k", [2.7, 2.0])
+    @pytest.mark.parametrize("k", [2.7, 2.0, True])
     def test_non_integer_k_rejected_by_name(self, k):
         x = np.random.default_rng(9).standard_normal((50, 5))
         with pytest.raises(ConfigError, match="k must be an integer"):
@@ -610,7 +624,7 @@ class TestSplit:
             make_split(labels, 10, seed=13)
         assert "class 2" in str(e.value)
 
-    @pytest.mark.parametrize("n", [-1, 0, 2.0, 2.5])
+    @pytest.mark.parametrize("n", [-1, 0, 2.0, 2.5, True])
     def test_bad_budget_rejected_by_name(self, n):
         with pytest.raises(ConfigError, match="n_per_class"):
             make_split(self._labels([30, 30]), n, seed=17)
@@ -723,6 +737,10 @@ class TestSynthetic:
             ("block", 8.5),
             ("noise", "a"),
             ("brightness_jitter", "0.3"),
+            ("noise", float("inf")),
+            ("height", True),
+            ("noise", True),
+            ("brightness_jitter", np.True_),
         ],
     )
     def test_bad_argument_rejected_by_name(self, arg, value):

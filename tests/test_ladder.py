@@ -105,6 +105,9 @@ class TestSpecValidation:
             ("input_shape", (0,)),
             ("input_shape", (-2,)),
             ("input_shape", (7, 7, 0)),
+            ("noise_std", True),
+            ("lambdas", (0.1, True, 0.1)),
+            ("input_shape", (True,)),
         ],
         ids=[
             "noise-nan",
@@ -116,6 +119,9 @@ class TestSpecValidation:
             "zero",
             "negative",
             "no-bands",
+            "noise-bool",
+            "lambda-bool",
+            "bool",
         ],
     )
     def test_bad_value_rejected_by_name(self, field, value):
@@ -131,14 +137,16 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize(
         "input_shape",
-        [(4.7,), (5.0,), (7, 7.5, 3), (np.float64(5),)],
-        ids=["fc", "float", "conv", "numpy"],
+        [(4.7,), (5.0,), (7, 7.5, 3), (np.float64(5),), (np.True_,)],
+        ids=["fc", "float", "conv", "numpy", "numpy-bool"],
     )
     def test_non_integer_input_shape_rejected_by_name(self, input_shape):
         with pytest.raises(ConfigError, match="input_shape must be an integer"):
             LadderSpec((LayerSpec("softmax_head", 2),), 0.3, (0.1, 0.1), input_shape)
 
-    @pytest.mark.parametrize("width", [2.5, 3.0, np.float32(4)], ids=["fraction", "float", "numpy"])
+    @pytest.mark.parametrize(
+        "width", [2.5, 3.0, np.float32(4), True], ids=["fraction", "float", "numpy", "bool"]
+    )
     def test_non_integer_layer_width_rejected_by_name(self, width):
         with pytest.raises(ConfigError, match="width must be an integer"):
             LayerSpec("fc", width)

@@ -312,7 +312,7 @@ class TestGaussianNoise:
         with pytest.raises(ConfigError):
             ops.add_gaussian_noise(Tensor(np.zeros(2)), -0.1, Rng(0))
 
-    @pytest.mark.parametrize("std", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("std", [float("nan"), float("inf"), True])
     def test_non_finite_std_rejected(self, std):
         from hsiladder import ConfigError
 

@@ -288,6 +288,10 @@ class TestConfigValidation:
             ("grad_clip", "1"),
             ("checkpoint_interval", -3),
             ("pretrain_iterations", -3),
+            ("learning_rate", True),
+            ("grad_clip", np.True_),
+            ("seed", -1),
+            ("seed", 2**64),
         ],
     )
     def test_bad_value_rejected_by_name(self, field, value):
@@ -304,6 +308,9 @@ class TestConfigValidation:
             ("pretrain_iterations", 4.5),
             ("pretrain_iterations", np.float64(4)),
             ("seed", 1.5),
+            ("iterations", True),
+            ("batch_size", np.True_),
+            ("seed", True),
         ],
     )
     def test_non_integer_size_rejected_by_name(self, field, value):
@@ -762,7 +769,7 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == [path]
         assert ckpt.load_entries(path)[0] == 3
 
-    @pytest.mark.parametrize("iteration", [1.7, "3", None])
+    @pytest.mark.parametrize("iteration", [1.7, "3", None, True, np.True_])
     def test_non_integer_iteration_refused_by_name(self, tmp_path, iteration):
         path = tmp_path / "a.ckpt"
         with pytest.raises(ConfigError, match="^iteration must be an integer"):

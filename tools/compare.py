@@ -16,7 +16,8 @@ the metric counting as no win, and its median beats the parent's by more
 than the parent's interquartile range) and ``parent_iqr_over_bound`` (the
 parent's interquartile range, as a share of its median, is wider than the
 metric's bound, so the metric cannot resolve a change of that size).  It
-also records every run's result line, both manifests and both fingerprints.
+also records every run's result line, both manifests and both fingerprints,
+and prints each side's ``src lines`` next to whether the hashes are equal.
 The exit code is non-zero when any run was not ``correct``.
 
 Usage, from the repository root:
@@ -106,14 +107,27 @@ def parse_run(stdout: str) -> dict:
 
 def fingerprint(root: Path) -> dict | None:
     """The summary lines that ``tools/fingerprint.py`` prints after its
-    per-run hashes (``src lines``, the traced peaks, ``sha256``)."""
+    per-run hashes (``src lines``, the traced peaks, ``sha256``), with the
+    hash and the line count read out of them."""
     script = root / "tools" / "fingerprint.py"
     if not script.is_file():
         return None
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, cwd=root)
     lines = [l for l in proc.stdout.splitlines() if l and not l.startswith(" ") and ":" not in l]
     sha = next((l.split()[1] for l in lines if l.startswith("sha256 ")), None)
-    return {"exit": proc.returncode, "sha256": sha, "lines": lines}
+    src = next((int(l.split()[2]) for l in lines if l.startswith("src lines ")), None)
+    return {"exit": proc.returncode, "sha256": sha, "src_lines": src, "lines": lines}
+
+
+def compare_fingerprints(prints: dict) -> dict:
+    """Whether both sides' hashes are equal (None when a side has none) and
+    each side's ``src lines``."""
+    found = {side: prints[side] or {} for side in SIDES}
+    hashes = [found[side].get("sha256") for side in SIDES]
+    return {
+        "fingerprints_equal": None if None in hashes else hashes[0] == hashes[1],
+        "src_lines": {side: found[side].get("src_lines") for side in SIDES},
+    }
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -194,7 +208,6 @@ def main(argv=None) -> int:
         side: next((r["manifest"] for r in runs if r["side"] == side and r["manifest"]), None)
         for side in SIDES
     }
-    hashes = [p.get("sha256") if p else None for p in prints.values()]
     report = {
         "workload": args.workload,
         "pairs": args.pairs,
@@ -205,7 +218,7 @@ def main(argv=None) -> int:
         "change": {"rev": "working tree", "commit": git("rev-parse", "HEAD"),
                    "modified": bool(git("status", "--porcelain", "--untracked-files=no")),
                    "manifest": manifests["change"], "fingerprint": prints["change"]},
-        "fingerprints_equal": None if None in hashes else hashes[0] == hashes[1],
+        **compare_fingerprints(prints),
         "all_correct": all(r["correct"] for r in runs),
         "metrics": summarize(runs, spec["end_to_end"]),
         "runs": [{k: v for k, v in r.items() if k != "manifest"} for r in runs],
@@ -219,7 +232,11 @@ def main(argv=None) -> int:
             f" -> {s['change']['median']:>12.6g} ({ratio}, won {s['wins']}/{s['pairs']}"
             f"{', resolved' if s['resolved'] else ''}{', parent IQR over bound' if s['parent_iqr_over_bound'] else ''})"
         )
-    print(f"fingerprints equal: {report['fingerprints_equal']}; wrote {args.out}")
+    src = report["src_lines"]
+    print(
+        f"fingerprints equal: {report['fingerprints_equal']}; "
+        f"src lines {src['parent']} -> {src['change']}; wrote {args.out}"
+    )
     return 0 if report["all_correct"] else 1
 
 
