@@ -156,7 +156,7 @@ def convert_raw(raw_path, dims, dtype_name: str, out_path) -> None:
     raw_path = Path(raw_path)
     if not raw_path.is_file():
         raise DataError(f"no such file: {raw_path}")
-    expected = int(np.prod(dims)) * dtype.itemsize
+    expected = math.prod(dims) * dtype.itemsize
     actual = raw_path.stat().st_size
     if actual != expected:
         raise DataError(

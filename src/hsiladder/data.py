@@ -290,7 +290,7 @@ def pca_reduce_cube(cube: HsiCube, model: PcaModel) -> HsiCube:
     )
     step = max(1, PCA_BLOCK_BYTES // (flat.itemsize * c))
     for i in range(0, len(flat), step):
-        np.matmul(flat[i : i + step] - model.mean, model.components, out=reduced[i : i + step])
+        reduced[i : i + step] = pca_transform(model, flat[i : i + step])
     return HsiCube(reduced.reshape(h, w, -1), cube.ground_truth, cube.num_classes)
 
 
@@ -309,13 +309,11 @@ def _stratified_test_counts(class_counts: np.ndarray) -> np.ndarray:
     total_test = int(round(TEST_FRACTION * class_counts.sum()))
     quotas = TEST_FRACTION * class_counts
     base = np.floor(quotas).astype(np.int64)
+    # never negative: each quota is exact in binary, so the floors sum to at
+    # most floor(TEST_FRACTION * total) <= total_test
     remainder = total_test - int(base.sum())
-    if remainder > 0:
-        order = np.argsort(-(quotas - base), kind="stable")
-        base[order[:remainder]] += 1
-    elif remainder < 0:
-        order = np.argsort(quotas - base, kind="stable")
-        base[order[: -remainder]] -= 1
+    order = np.argsort(-(quotas - base), kind="stable")
+    base[order[:remainder]] += 1
     return base
 
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the whole package, the one rule that every
 setting is checked by (an integer in its bounds, a finite non-negative real
-or one of a list of choices), and the finiteness check that the optimizer's
-gradients and prediction's parameters share."""
+or one of a list of choices), and the finiteness check that names the first
+non-finite array for the optimizer, the training step and prediction."""
 
 from __future__ import annotations
 
@@ -76,15 +76,15 @@ def one_of(field: str, value, choices: tuple):
     return value
 
 
-def first_non_finite(arrays, out=None) -> int | None:
-    """Index of the first of ``arrays`` that holds a NaN or an infinity, or
-    None when every value is finite.
+def first_non_finite(named, out=None) -> str | None:
+    """Name of the first of the ``(name, array)`` pairs ``named`` whose array
+    holds a NaN or an infinity, or None when every value is finite.
 
     One ``np.concatenate`` gathers the arrays, flattened, into one flat
     buffer (``out`` when given, which must hold exactly their values) and
     one ``np.isfinite(...).all()`` tests it; only on failure does a scan of
     the arrays one by one find the first bad one.
     """
-    if np.isfinite(np.concatenate(arrays, axis=None, out=out)).all():
+    if np.isfinite(np.concatenate([a for _, a in named], axis=None, out=out)).all():
         return None
-    return next(i for i, a in enumerate(arrays) if not np.isfinite(a).all())
+    return next(name for name, a in named if not np.isfinite(a).all())

@@ -286,27 +286,20 @@ class LadderNetwork:
         for t in self.params.values():
             t.zero_grad()
 
-    def assert_finite_params(self) -> None:
-        """Raise ``GraphError`` unless every parameter and every level's
-        running mean and variance is finite; prediction calls it first.
+    def named_running_stats(self) -> list[tuple[str, np.ndarray]]:
+        """Each level's running mean and variance, named for ``first_non_finite``."""
+        levels = ((f"running statistics of level {l}", rs) for l, rs in self.running.items())
+        return [(name, a) for name, rs in levels for a in (rs.mean, rs.var)]
 
-        One gathered reduction (:func:`~hsiladder.errors.first_non_finite`)
-        tests the parameters in ``params`` order, then each level's running
-        mean and variance.  The message names the first parameter that holds
-        a NaN or an infinity, or else the first level whose running
-        statistics do.  Signed zeros and subnormals are finite and pass.
-        """
-        names = list(self.params)
-        arrays = [t.data for t in self.params.values()]
-        for rs in self.running.values():
-            arrays += (rs.mean, rs.var)
-        bad = first_non_finite(arrays)
-        if bad is None:
-            return
-        if bad < len(names):
-            raise GraphError(f"parameter {names[bad]} contains non-finite values")
-        level = list(self.running)[(bad - len(names)) // 2]
-        raise GraphError(f"running statistics of level {level} contain non-finite values")
+    def assert_finite_params(self) -> None:
+        """Raise ``GraphError`` naming the first parameter (in ``params``
+        order), else the first of :meth:`named_running_stats`, that holds a
+        NaN or an infinity; prediction calls it first.  Signed zeros and
+        subnormals are finite and pass."""
+        params = [(f"parameter {name}", t.data) for name, t in self.params.items()]
+        bad = first_non_finite(params + self.named_running_stats())
+        if bad is not None:
+            raise GraphError(f"non-finite values in {bad}")
 
     # -- encoder ------------------------------------------------------------
 

@@ -14,9 +14,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, as_index
+from .errors import DataError, as_index
 
 MAX_SEED = 2**64 - 1  # a seed is one unsigned 64-bit word
+
+
+def check_state_words(what: str, words) -> list[int]:
+    """The six u64 words of :meth:`Rng.state_words` as ints.  ``DataError``
+    naming ``what`` unless ``has_uint32`` is 0 or 1 and ``uinteger`` fits in
+    32 bits, as in every state numpy's PCG64 produces."""
+    w = [int(x) for x in np.asarray(words, dtype=np.uint64)]
+    if len(w) != 6:
+        raise DataError(f"{what} needs 6 words, got {len(w)}")
+    if w[4] > 1:
+        raise DataError(f"{what}: has_uint32 word is {w[4]}, must be 0 or 1")
+    if w[5] >= 2**32:
+        raise DataError(f"{what}: uinteger word is {w[5]}, must be below 2**32")
+    return w
 
 
 class Rng:
@@ -53,9 +67,7 @@ class Rng:
         return np.array(words, dtype=np.uint64)
 
     def set_state_words(self, words: np.ndarray) -> None:
-        w = [int(x) for x in np.asarray(words, dtype=np.uint64)]
-        if len(w) != 6:
-            raise ConfigError(f"PCG64 state needs 6 words, got {len(w)}")
+        w = check_state_words("PCG64 state", words)
         self.gen.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": w[0] | (w[1] << 64), "inc": w[2] | (w[3] << 64)},

@@ -34,7 +34,7 @@ from . import checkpoint as ckpt
 from . import ops
 from .errors import ConfigError, DataError, DivergenceError, as_index, as_real, first_non_finite, one_of
 from .ladder import LadderNetwork, LadderSpec, batch_input, he_weight, sample_shape, transposed
-from .rng import MAX_SEED, Rng
+from .rng import MAX_SEED, Rng, check_state_words
 from .tensor import GradTape, Tensor
 
 MODES = ("ladder", "supervised-only", "sdae-pretrain")
@@ -162,10 +162,10 @@ class Adam:
 
     def step(self, lr_scale: float = 1.0) -> None:
         g, upd = self._grad, self._upd
-        grads = [self._zeros[: b - a] if p.grad is None else p.grad for _, p, a, b in self._spans]
+        grads = [(n, self._zeros[: b - a] if p.grad is None else p.grad) for n, p, a, b in self._spans]
         bad = first_non_finite(grads, out=g)
         if bad is not None:
-            raise DivergenceError(f"non-finite gradient for parameter {self._spans[bad][0]}")
+            raise DivergenceError(f"non-finite gradient for parameter {bad}")
         if self.max_norm is not None:
             with np.errstate(over="ignore"):
                 norm = float(np.sqrt(np.square(g, dtype=np.float64).sum()))
@@ -204,7 +204,7 @@ def _lr_scale(config: TrainConfig, iteration: int) -> float:
     start = int(config.iterations * (1.0 - LR_DECAY_FRACTION))
     if iteration < start:
         return 1.0
-    return (config.iterations - iteration) / max(1, config.iterations - start)
+    return (config.iterations - iteration) / (config.iterations - start)
 
 
 def check_rows(patchset, indices, what: str, num_classes: int | None = None) -> np.ndarray:
@@ -280,8 +280,9 @@ def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_
     """Restore ``path`` into the live objects and return ``(iteration,
     curves)``.  All or nothing: before changing anything it refuses a
     checkpoint written under other trajectory settings (``ConfigError``
-    naming the field) or whose entries differ in name, shape or dtype from
-    what ``save_checkpoint`` writes for these objects (``DataError``)."""
+    naming the field), or one whose entries differ in name, shape or dtype
+    from what ``save_checkpoint`` writes for these objects or whose RNG
+    words no PCG64 state holds (``DataError``)."""
     iteration, entries = ckpt.load_entries(path)
     if "config" not in entries:
         raise DataError("checkpoint missing config")
@@ -316,6 +317,8 @@ def load_checkpoint(path, net: LadderNetwork, adam: Adam, noise_rng: Rng, batch_
     unknown = [key for key in entries if key not in expected and key != "config"]
     if unknown:
         raise DataError(f"checkpoint has entry {unknown[0]}, which this run never saves")
+    for key in ("rng/noise", "rng/batch"):
+        check_state_words(f"checkpoint {key}", entries[key])
 
     # the parameters, running statistics and moments are the live arrays;
     # the flags, counters and RNG states are read back from their copies
@@ -435,13 +438,10 @@ def train(
             )
         # the running statistics the clean pass just updated can overflow
         # while the loss stays finite
-        stats = [a for rs in net.running.values() for a in (rs.mean, rs.var)]
-        bad = first_non_finite([c_total.data, *stats])
+        bad = first_non_finite([("loss", c_total.data), *net.named_running_stats()])
         if bad is not None:
-            level = list(net.running)[(bad - 1) // 2] if bad else None
-            what = f"running statistics of level {level}" if bad else "loss"
             raise DivergenceError(
-                f"{what} became non-finite at iteration {it}"
+                f"{bad} became non-finite at iteration {it}"
                 + (f"; last checkpoint retained at {last_ckpt}" if last_ckpt else "")
             )
         tape.backward(c_total)

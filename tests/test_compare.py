@@ -139,12 +139,17 @@ class TestSummarize:
 
 
 class TestFingerprints:
+    @staticmethod
+    def tree(root: Path, name: str, printed: str) -> Path:
+        """A tree whose ``tools/fingerprint.py`` prints ``printed``."""
+        (root / name / "tools").mkdir(parents=True)
+        script = f"print({printed!r})\n"
+        (root / name / "tools" / "fingerprint.py").write_text(script)
+        return root / name
+
     def test_hashes_and_src_lines_of_both_sides(self, tmp_path):
         def tree(name: str, summary: str) -> Path:
-            (tmp_path / name / "tools").mkdir(parents=True)
-            script = f"print({'  fc ladder f64: 0123'!r})\nprint({summary!r})\n"
-            (tmp_path / name / "tools" / "fingerprint.py").write_text(script)
-            return tmp_path / name
+            return self.tree(tmp_path, name, f"  fc ladder f64: 0123\n{summary}")
 
         parent = compare.fingerprint(tree("parent", "src lines 2722\nstep peak 320 KiB\nsha256 ab"))
         change = compare.fingerprint(tree("change", "src lines 2702\nsha256 ab"))
@@ -153,8 +158,33 @@ class TestFingerprints:
             "sha256": "ab",
             "src_lines": 2722,
             "lines": ["src lines 2722", "step peak 320 KiB", "sha256 ab"],
+            "tape_nodes": [],
         }
         out = compare.compare_fingerprints({"parent": parent, "change": change})
-        assert out == {"fingerprints_equal": True, "src_lines": {"parent": 2722, "change": 2702}}
+        assert out == {
+            "fingerprints_equal": True,
+            "tape_nodes_equal": None,
+            "src_lines": {"parent": 2722, "change": 2702},
+        }
         out = compare.compare_fingerprints({"parent": None, "change": change})
-        assert out == {"fingerprints_equal": None, "src_lines": {"parent": None, "change": 2702}}
+        assert out == {
+            "fingerprints_equal": None,
+            "tape_nodes_equal": None,
+            "src_lines": {"parent": None, "change": 2702},
+        }
+
+    def test_tape_node_lines_recorded_and_compared(self, tmp_path):
+        fc = "fc: tape nodes per step 156 (ladder), 22 (supervised-only)"
+        conv = "conv: tape nodes per step 159 (ladder), 23 (supervised-only)"
+        runs = "  fc ladder f64: 0123\n  conv ladder f64: 4567"
+        summary = "src lines 2708\nsha256 ab"
+        parent = compare.fingerprint(self.tree(tmp_path, "parent", f"{fc}\n{conv}\n{runs}\n{summary}"))
+        assert parent["tape_nodes"] == [fc, conv]
+        assert parent["lines"] == ["src lines 2708", "sha256 ab"]
+        same = compare.fingerprint(self.tree(tmp_path, "same", f"{fc}\n{runs}\n{conv}\n{summary}"))
+        fewer = conv.replace("159", "158")
+        other = compare.fingerprint(self.tree(tmp_path, "other", f"{fc}\n{fewer}\n{summary}"))
+        out = compare.compare_fingerprints({"parent": parent, "change": same})
+        assert out["tape_nodes_equal"] is True and out["fingerprints_equal"] is True
+        out = compare.compare_fingerprints({"parent": parent, "change": other})
+        assert out["tape_nodes_equal"] is False and out["fingerprints_equal"] is True

@@ -136,6 +136,15 @@ class TestConvert:
         assert "480" in str(e.value) and "64" in str(e.value)
         assert not out.exists()
 
+    def test_expected_size_does_not_wrap(self, tmp_path):
+        # 2**64 elements: a product in int64 wraps to 0 bytes, which an empty dump matches
+        raw = tmp_path / "dump.raw"
+        raw.write_bytes(b"")
+        out = tmp_path / "cube.hsicube"
+        with pytest.raises(DataError, match=f"is 0 bytes .* require {2**67} bytes$"):
+            cube_io.convert_raw(raw, (2**21, 2**21, 2**22), "f64", out)
+        assert not out.exists()
+
     def test_converting_twice_is_byte_identical(self, tmp_path):
         arr = np.random.default_rng(3).standard_normal(24).astype("<f4")
         raw = tmp_path / "dump.raw"

@@ -119,10 +119,11 @@ class TestAdam:
     def test_gather_reads_none_as_zeros(self):
         out = np.full(7, 9.0)
         arrays = [np.ones((2, 2)), np.zeros(1), np.array(5.0), np.zeros(1)]
-        assert first_non_finite(arrays, out=out) is None
+        assert first_non_finite(list(zip("abcd", arrays)), out=out) is None
         np.testing.assert_array_equal(out, [1, 1, 1, 1, 0, 5, 0])
-        assert first_non_finite([np.ones(3), np.array([0.0, -np.inf])]) == 1
-        assert first_non_finite([np.array([np.nan]), np.zeros(2), np.array([np.nan])]) == 0
+        assert first_non_finite([("a", np.ones(3)), ("b", np.array([0.0, -np.inf]))]) == "b"
+        named = [("a", np.array([np.nan])), ("b", np.zeros(2)), ("c", np.array([np.nan]))]
+        assert first_non_finite(named) == "a"
         # Adam reads a missing gradient as zeros: the same steps as explicit
         # zero gradients and as the per-parameter oracle
         rng = np.random.default_rng(6)
@@ -870,8 +871,16 @@ class TestCheckpoint:
                 lambda e: e.update({"param/enc9/W": np.ones(3)}),
                 "checkpoint has entry param/enc9/W, which this run never saves",
             ),
+            (
+                lambda e: e["rng/noise"].__setitem__(5, 2**40),
+                r"^checkpoint rng/noise: uinteger word is 1099511627776, must be below 2\*\*32$",
+            ),
+            (
+                lambda e: e["rng/batch"].__setitem__(4, 7),
+                "^checkpoint rng/batch: has_uint32 word is 7, must be 0 or 1$",
+            ),
         ],
-        ids=["missing-last-entry", "u8-parameter", "unknown-entry"],
+        ids=["missing-last-entry", "u8-parameter", "unknown-entry", "rng-uinteger", "rng-has-uint32"],
     )
     def test_refused_resume_changes_nothing(self, tmp_path, corrupt, why):
         path, net, adam, noise, batch = self._saved_state(tmp_path)

@@ -16,8 +16,9 @@ the metric counting as no win, and its median beats the parent's by more
 than the parent's interquartile range) and ``parent_iqr_over_bound`` (the
 parent's interquartile range, as a share of its median, is wider than the
 metric's bound, so the metric cannot resolve a change of that size).  It
-also records every run's result line, both manifests and both fingerprints,
-and prints each side's ``src lines`` next to whether the hashes are equal.
+also records every run's result line, both manifests and both fingerprints
+with their tape-node lines, and prints each side's ``src lines`` next to
+whether the hashes and the tape-node counts are equal.
 The exit code is non-zero when any run was not ``correct``.
 
 Usage, from the repository root:
@@ -108,24 +109,30 @@ def parse_run(stdout: str) -> dict:
 def fingerprint(root: Path) -> dict | None:
     """The summary lines that ``tools/fingerprint.py`` prints after its
     per-run hashes (``src lines``, the traced peaks, ``sha256``), with the
-    hash and the line count read out of them."""
+    hash and the line count read out of them, and its per-spec tape-node
+    lines (``fc: tape nodes per step ...``)."""
     script = root / "tools" / "fingerprint.py"
     if not script.is_file():
         return None
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, cwd=root)
-    lines = [l for l in proc.stdout.splitlines() if l and not l.startswith(" ") and ":" not in l]
+    printed = proc.stdout.splitlines()
+    lines = [l for l in printed if l and not l.startswith(" ") and ":" not in l]
     sha = next((l.split()[1] for l in lines if l.startswith("sha256 ")), None)
     src = next((int(l.split()[2]) for l in lines if l.startswith("src lines ")), None)
-    return {"exit": proc.returncode, "sha256": sha, "src_lines": src, "lines": lines}
+    nodes = [l for l in printed if ": tape nodes " in l]
+    return {"exit": proc.returncode, "sha256": sha, "src_lines": src, "lines": lines, "tape_nodes": nodes}
 
 
 def compare_fingerprints(prints: dict) -> dict:
-    """Whether both sides' hashes are equal (None when a side has none) and
-    each side's ``src lines``."""
+    """Whether both sides' hashes are equal and whether their tape-node
+    lines are (each None when a side has none), and each side's ``src
+    lines``."""
     found = {side: prints[side] or {} for side in SIDES}
     hashes = [found[side].get("sha256") for side in SIDES]
+    nodes = [found[side].get("tape_nodes") or None for side in SIDES]
     return {
         "fingerprints_equal": None if None in hashes else hashes[0] == hashes[1],
+        "tape_nodes_equal": None if None in nodes else nodes[0] == nodes[1],
         "src_lines": {side: found[side].get("src_lines") for side in SIDES},
     }
 
@@ -235,6 +242,7 @@ def main(argv=None) -> int:
     src = report["src_lines"]
     print(
         f"fingerprints equal: {report['fingerprints_equal']}; "
+        f"tape nodes equal: {report['tape_nodes_equal']}; "
         f"src lines {src['parent']} -> {src['change']}; wrote {args.out}"
     )
     return 0 if report["all_correct"] else 1
