@@ -12,6 +12,7 @@ Prediction always uses the clean encoder with running batch-norm statistics.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from . import kernels, ops
 from .data import WindowReader, gather_rows
 from .errors import ConfigError, GraphError, ShapeError, as_index, as_real, first_non_finite, one_of
 from .rng import Rng
-from .tensor import Tensor
+from .tensor import Tensor, untaped
 
 FC = "fc"
 CONV3X3 = "conv3x3"
@@ -47,14 +48,6 @@ def transposed(shape: tuple[int, ...]) -> tuple[int, ...]:
     """``shape`` with its last two axes swapped: the weight that maps a
     layer's output back to its input."""
     return (*shape[:-2], shape[-1], shape[-2])
-
-
-def pre_activation(layer: LayerSpec, h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:meth:`LadderNetwork.layer_map` on plain arrays, off the tape: a valid
-    3x3 convolution by ``w``, or a matmul by it after flattening ``h``."""
-    if layer.kind == CONV3X3:
-        return kernels.conv2d_forward(h, w)
-    return h.reshape(len(h), -1) @ w
 
 
 def sample_shape(patches, input_shape: tuple) -> tuple:
@@ -307,9 +300,7 @@ class LadderNetwork:
         """Shared encoder walk; every batchnorm uses batch statistics, and the
         clean pass folds them into ``self.running``.
 
-        Returns (z levels 0..L, per-level (mean, std) of the clean pass's
-        normalized z or None on the corrupted pass, top activation,
-        log-probabilities).
+        Returns (z levels 0..L, top activation, log-probabilities).
         """
         spec = self.spec
         # exactly the input shape, not just as many values: an (n, 1, 1, c)
@@ -326,23 +317,13 @@ class LadderNetwork:
         else:
             h = x
         zs: list[Tensor] = [h]
-        stats: list[tuple[Tensor, Tensor] | None] = [None]
         y_logp: Tensor | None = None
         for l, layer in enumerate(spec.layers, start=1):
             z, batch_mean, batch_var = ops.batchnorm(self.layer_map(l, h))
             if corrupted:
-                stats.append(None)
                 z = ops.add_gaussian_noise(z, noise, rng)
             else:
                 self.running[l].update(batch_mean, batch_var)
-                # batch statistics of the clean representation itself; the
-                # decoded signal is standardized by these before the
-                # reconstruction distance
-                axes = (0,) if z.data.ndim == 2 else (0, 1, 2)
-                mu = ops.reduce_mean(z, axes)
-                var = ops.reduce_mean(ops.square(ops.sub(z, mu)), axes)
-                sigma = ops.sqrt(ops.add(var, ops.BN_EPS))
-                stats.append((mu, sigma))
             zs.append(z)
             scaled = ops.mul(
                 self.params[f"enc{l}/gamma"], ops.add(z, self.params[f"enc{l}/beta"])
@@ -354,49 +335,23 @@ class LadderNetwork:
                 h = ops.relu(scaled)
             else:
                 h = scaled
-        return zs, stats, h, y_logp
+        return zs, h, y_logp
 
     def corrupted_encoder(self, x: Tensor, rng: Rng):
         """Noisy training pass; returns (z_tilde levels, top activation,
         corrupted log-probabilities)."""
-        zs, _, h_top, y_logp = self._encode(x, corrupted=True, rng=rng)
-        return zs, h_top, y_logp
+        return self._encode(x, corrupted=True, rng=rng)
 
     def clean_encoder(self, x: Tensor):
         """Noise-free training pass, normalized by batch statistics; returns
-        (z levels, per-level (mean, std) reconstruction-target normalizers,
-        log-probabilities) and folds each level's batch pre-activation mean
-        and variance into ``self.running``.  :meth:`training_loss` calls it
-        only when the decoder runs and reads its levels as reconstruction
-        targets; otherwise :meth:`_fold_clean_statistics` folds the same
-        statistics off the tape.  Prediction does not come here (see
+        (z levels, log-probabilities) and folds each level's batch
+        pre-activation mean and variance into ``self.running``.
+        :meth:`training_loss` runs it on the tape when the decoder reads its
+        levels as reconstruction targets, and in an ``untaped`` block
+        otherwise.  Prediction does not come here (see
         :meth:`predict_log_probs`)."""
-        zs, stats, _, y_logp = self._encode(x, corrupted=False)
-        return zs, stats, y_logp
-
-    def _fold_clean_statistics(self, x: np.ndarray) -> None:
-        """The clean pass's one job when no decoder reads it: fold each
-        level's batch pre-activation mean and variance into ``self.running``.
-
-        A numpy walk without a tape, with the float operations of
-        :meth:`clean_encoder` (``ops.batchnorm``'s normalization, then
-        ``gamma * (z + beta)`` and relu), so the running statistics are
-        bit-identical.  It stops after the head's statistics: no
-        reconstruction-target statistics, no log-softmax.
-        """
-        h = x
-        for l, layer in enumerate(self.spec.layers, start=1):
-            pre = pre_activation(layer, h, self.params[f"enc{l}/W"].data)
-            z, mean, var, _ = ops._bn_normalize(ops._bn_rows(pre))
-            self.running[l].update(mean, var)
-            if layer.kind == SOFTMAX_HEAD:
-                return
-            z = z.reshape(pre.shape)
-            z += self.params[f"enc{l}/beta"].data
-            z *= self.params[f"enc{l}/gamma"].data
-            if layer.activation == "relu":
-                np.maximum(z, 0, out=z)
-            h = z
+        zs, _, y_logp = self._encode(x, corrupted=False)
+        return zs, y_logp
 
     # -- decoder ------------------------------------------------------------
 
@@ -426,13 +381,18 @@ class LadderNetwork:
     def reconstruction_cost(
         self,
         z_clean: list[Tensor],
-        clean_stats: list,
         z_hat: dict[int, Tensor],
         lambdas=None,
     ) -> Tensor:
         """Sum over levels of lambda_l * ||z_l - z_hat_l||^2 / units_l,
-        averaged over the batch; zero-multiplier levels contribute exactly 0.
-        ``lambdas`` overrides ``spec.lambdas``; ``ConfigError`` if :func:`check_lambdas` fails."""
+        averaged over the batch; zero-multiplier levels contribute exactly 0
+        and record nothing.
+
+        Under ``spec.normalize_targets`` each z_hat_l above the input level
+        is first standardized by the batch mean and std (eps ``BN_EPS``) of
+        the clean z_l over every axis but the last, computed here on the
+        tape.  ``lambdas`` overrides ``spec.lambdas``; ``ConfigError`` if
+        :func:`check_lambdas` fails."""
         spec = self.spec
         lambdas = spec.lambdas if lambdas is None else check_lambdas(lambdas, spec.num_levels)
         batch = z_clean[0].data.shape[0]
@@ -442,16 +402,13 @@ class LadderNetwork:
                 continue
             if l not in z_hat:
                 raise GraphError(f"decoder did not produce level {l} needed by lambda_{l}")
-            zh = z_hat[l]
+            zh, z = z_hat[l], z_clean[l]
             if spec.normalize_targets and l > 0:
-                if clean_stats is None or clean_stats[l] is None:
-                    raise GraphError(
-                        "normalized reconstruction cost requested but clean batch "
-                        f"statistics for level {l} are missing"
-                    )
-                mu, sigma = clean_stats[l]
-                zh = ops.div(ops.sub(zh, mu), sigma)
-            diff = ops.sub(zh, z_clean[l])
+                axes = tuple(range(z.data.ndim - 1))
+                mu = ops.reduce_mean(z, axes)
+                var = ops.reduce_mean(ops.square(ops.sub(z, mu)), axes)
+                zh = ops.div(ops.sub(zh, mu), ops.sqrt(ops.add(var, ops.BN_EPS)))
+            diff = ops.sub(zh, z)
             units = int(np.prod(self.level_shapes[l]))
             level_cost = ops.mul(ops.sum_all(ops.square(diff)), lam / (units * batch))
             total = level_cost if total is None else ops.add(total, level_cost)
@@ -478,23 +435,23 @@ class LadderNetwork:
 
         ``lambdas`` overrides ``spec.lambdas``; ``ConfigError`` if :func:`check_lambdas` fails.
         The levels with a positive multiplier, none when ``use_decoder`` is
-        False, decide whether the clean pass runs on the tape, how far down
-        the decoder runs, and the cost.  Returns (c_total, c_super, c_recon,
-        z_hat), ``z_hat`` being the decoded levels (``{}`` without a decoder).
+        False, decide whether :meth:`clean_encoder` runs on the tape or in an
+        ``untaped`` block, how far down the decoder runs, and the cost.
+        Returns (c_total, c_super, c_recon, z_hat), ``z_hat`` being the
+        decoded levels (``{}`` without a decoder).
         """
         spec = self.spec
         lambdas = spec.lambdas if lambdas is None else check_lambdas(lambdas, spec.num_levels)
         active = [l for l, lam in enumerate(lambdas) if lam > 0.0] if use_decoder else []
         x = Tensor(batch, dtype=self.dtype)
         z_tilde, h_top, y_tilde = self.corrupted_encoder(x, rng)
-        if active:
-            z_clean, stats, _ = self.clean_encoder(x)
-        else:
-            self._fold_clean_statistics(x.data)
+        # without a decoder the clean pass only folds its batch statistics
+        with contextlib.nullcontext() if active else untaped():
+            z_clean, _ = self.clean_encoder(x)
         c_super = self.supervised_cost(ops.slice_rows(y_tilde, labeled_count), targets)
         if active:
             z_hat = self.decoder(z_tilde, h_top, min_level=active[0])
-            c_recon = self.reconstruction_cost(z_clean, stats, z_hat, lambdas)
+            c_recon = self.reconstruction_cost(z_clean, z_hat, lambdas)
         else:
             z_hat, c_recon = {}, Tensor(np.asarray(0.0, dtype=self.dtype))
         return ops.add(c_recon, c_super), c_super, c_recon, z_hat
@@ -554,7 +511,11 @@ class LadderNetwork:
             else:
                 h = batch_input(x, shape, self.dtype, rows[i : i + chunk])
             for layer, w, t in folded:
-                z = pre_activation(layer, h, w)
+                # layer_map on plain arrays
+                if layer.kind == CONV3X3:
+                    z = kernels.conv2d_forward(h, w)
+                else:
+                    z = h.reshape(len(h), -1) @ w
                 z += t
                 if layer.kind == SOFTMAX_HEAD:
                     out[i : i + chunk] = ops._log_softmax(z)

@@ -228,6 +228,8 @@ def log_softmax(x: Tensor) -> Tensor:
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer ``targets`` under log-probs."""
     targets = np.asarray(targets)
+    if targets.dtype.kind not in "iu":
+        raise ShapeError(f"targets must be integer class indices, got dtype {targets.dtype}")
     n, c = log_probs.data.shape
     if targets.shape != (n,):
         raise ShapeError(f"targets shape {targets.shape} does not match batch {n}")
@@ -376,27 +378,6 @@ def reduce_mean(x: Tensor, axes: tuple) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _bn_rows(x: np.ndarray) -> np.ndarray:
-    """(rows, features) view: one row per sample (2-d) or per pixel (4-d NHWC)."""
-    if x.ndim not in (2, 4):
-        raise ShapeError(f"batchnorm expects 2-d or 4-d input, got shape {x.shape}")
-    return x.reshape(-1, x.shape[-1])
-
-
-def _bn_normalize(x2: np.ndarray):
-    """Standardize the columns of ``x2`` by their batch statistics; returns
-    (xhat, mean, var, 1/sqrt(var + BN_EPS))."""
-    n = x2.shape[0]
-    if n < 2:
-        raise ShapeError("batchnorm needs a batch of at least 2")
-    mu = x2.sum(axis=0) / n
-    xhat = x2 - mu
-    var = np.einsum("ij,ij->j", xhat, xhat) / n
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv_std
-    return xhat, mu, var, inv_std
-
-
 def batchnorm(x: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Per-feature standardization by batch statistics; returns ``(out, mean,
     var)``, the standardized tensor and the batch mean and (biased) variance
@@ -408,10 +389,19 @@ def batchnorm(x: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
     plain arrays off the tape.  Prediction normalizes by running statistics
     without this op (:meth:`~hsiladder.ladder.LadderNetwork.predict_log_probs`).
     """
-    x2 = _bn_rows(x.data)
-    n = x2.shape[0]
-    xhat, mu, var, inv_std = _bn_normalize(x2)
     shape = x.data.shape
+    if len(shape) not in (2, 4):
+        raise ShapeError(f"batchnorm expects 2-d or 4-d input, got shape {shape}")
+    # one row per sample (2-d) or per pixel (4-d NHWC)
+    x2 = x.data.reshape(-1, shape[-1])
+    n = x2.shape[0]
+    if n < 2:
+        raise ShapeError("batchnorm needs a batch of at least 2")
+    mu = x2.sum(axis=0) / n
+    xhat = x2 - mu
+    var = np.einsum("ij,ij->j", xhat, xhat) / n
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv_std
     out = Tensor(xhat.reshape(shape), requires_grad=x.requires_grad)
 
     def backward(g):

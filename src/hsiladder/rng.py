@@ -21,11 +21,14 @@ MAX_SEED = 2**64 - 1  # a seed is one unsigned 64-bit word
 
 def check_state_words(what: str, words) -> list[int]:
     """The six u64 words of :meth:`Rng.state_words` as ints.  ``DataError``
-    naming ``what`` unless ``has_uint32`` is 0 or 1 and ``uinteger`` fits in
-    32 bits, as in every state numpy's PCG64 produces."""
+    naming ``what`` unless the increment is odd (``inc = (initseq << 1) |
+    1``), ``has_uint32`` is 0 or 1 and ``uinteger`` fits in 32 bits, as in
+    every state numpy's PCG64 produces."""
     w = [int(x) for x in np.asarray(words, dtype=np.uint64)]
     if len(w) != 6:
         raise DataError(f"{what} needs 6 words, got {len(w)}")
+    if not w[2] & 1:
+        raise DataError(f"{what}: increment word is {w[2]}, must be odd")
     if w[4] > 1:
         raise DataError(f"{what}: has_uint32 word is {w[4]}, must be 0 or 1")
     if w[5] >= 2**32:

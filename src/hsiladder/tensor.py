@@ -21,6 +21,7 @@ cannot be replayed: outputs that no backward reads are not kept.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable, Optional, Sequence, Union
 
@@ -97,12 +98,24 @@ class TapeNode:
         self.tape_id = tape_id
 
 
-_TAPE_STACK: list["GradTape"] = []
+# innermost last; None is an ``untaped`` block
+_TAPE_STACK: list[Optional["GradTape"]] = []
 _TAPE_IDS = itertools.count()
 
 
 def active_tape() -> Optional["GradTape"]:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
+
+
+@contextlib.contextmanager
+def untaped():
+    """A block whose ops record on no tape, even inside ``with GradTape()``:
+    their results are plain values that no backward reaches."""
+    _TAPE_STACK.append(None)
+    try:
+        yield
+    finally:
+        _TAPE_STACK.pop()
 
 
 class GradTape:

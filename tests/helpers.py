@@ -174,7 +174,7 @@ def clean_pass_oracle(net, batch: np.ndarray) -> dict:
     """The running statistics that the on-tape clean pass leaves: a deep copy
     of ``net`` runs ``clean_encoder`` on ``batch`` under a tape and its
     ``running`` is returned; ``net`` is left as it was.  The reference for
-    the tape-free fold of training steps that run no decoder."""
+    the untaped clean pass of training steps that run no decoder."""
     twin = copy.deepcopy(net)
     with GradTape():
         twin.clean_encoder(Tensor(batch, dtype=twin.dtype))

@@ -1,6 +1,7 @@
 """Ladder model: collapse identities, combinator oracle, shapes, costs, backward."""
 
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from hsiladder.kernels import conv2d_forward
 from hsiladder.data import WindowReader, extract_patches
 from hsiladder.ladder import COMBINATOR_PARAM_NAMES, combinator_g
 from hsiladder.synthetic import make_synthetic_cube
+from hsiladder.tensor import active_tape, untaped
 from hsiladder.train import Adam, batch_input
 
 from helpers import (
@@ -196,7 +198,7 @@ class TestEncoderShapes:
     def test_conv_architecture_level_shapes(self):
         net = LadderNetwork(paper_conv_spec(), Rng(0))
         x = Tensor(Rng(1).normal(1.0, (4, 7, 7, 15)))
-        z, _, _ = net.clean_encoder(x)
+        z, _ = net.clean_encoder(x)
         shapes = [t.data.shape for t in z]
         assert shapes == [
             (4, 7, 7, 15),
@@ -277,12 +279,12 @@ class TestZeroNoiseCollapse:
             x = Tensor(Rng(1).normal(1.0, (6, 5, 5, 2)))
         net = LadderNetwork(spec, Rng(0))
         z_tilde, _, _ = net.corrupted_encoder(x, Rng(2))
-        z_clean, _, _ = net.clean_encoder(x)
+        z_clean, _ = net.clean_encoder(x)
         for zt, zc in zip(z_tilde, z_clean):
             assert np.abs(zt.data - zc.data).max() < 1e-12
 
 
-def tiny_net(arch, dtype=np.float64):
+def tiny_net(arch, dtype=np.float64, normalize_targets=True):
     """A small FC or conv ladder with nonzero gammas/betas, and a batch for it."""
     if arch == "fc":
         spec = fc_spec([6, 4], classes=3, bands=5)
@@ -299,6 +301,7 @@ def tiny_net(arch, dtype=np.float64):
             (5, 4, 2),
         )
         x = Rng(1).normal(1.0, (6, 5, 4, 2))
+    spec = dataclasses.replace(spec, normalize_targets=normalize_targets)
     net = LadderNetwork(spec, Rng(0), dtype=dtype)
     rng = np.random.default_rng(3)
     for l in range(1, len(spec.layers) + 1):
@@ -443,10 +446,10 @@ class TestCleanPassOffTape:
         with GradTape() as expected:
             xt = Tensor(x)
             z_tilde, h_top, y = twin.corrupted_encoder(xt, Rng(2))
-            z_clean, stats, _ = twin.clean_encoder(xt)
+            z_clean, _ = twin.clean_encoder(xt)
             c_super = twin.supervised_cost(ops.slice_rows(y, 3), TARGETS)
             z_hat = twin.decoder(z_tilde, h_top)
-            ops.add(twin.reconstruction_cost(z_clean, stats, z_hat), c_super)
+            ops.add(twin.reconstruction_cost(z_clean, z_hat), c_super)
         with GradTape() as tape:
             net.training_loss(x, 3, TARGETS, Rng(2))
         assert tape_names(tape) == tape_names(expected)
@@ -454,9 +457,54 @@ class TestCleanPassOffTape:
 
     def test_batch_of_one_rejected_before_any_fold(self):
         net, x = tiny_net("fc")
-        with pytest.raises(ShapeError, match="at least 2"):
-            net._fold_clean_statistics(x[:1])
+        with GradTape() as tape:
+            with pytest.raises(ShapeError, match="at least 2"), untaped():
+                net.clean_encoder(Tensor(x[:1]))
+            # the failed block gives the enclosing tape back
+            assert active_tape() is tape
+        assert not tape.nodes
         assert not any(rs.initialized for rs in net.running.values())
+
+
+class TestTargetStatistics:
+    """The cost records the batch statistics of a clean level only where it
+    standardizes a decoded level by them: above the input, at a positive
+    multiplier, under ``normalize_targets``."""
+
+    @pytest.mark.parametrize(
+        "lambdas, normalize, levels",
+        [
+            ((0.1, 0.1, 0.1, 0.1), True, 3),
+            ((0.0, 0.0, 0.0, 1.0), True, 1),
+            ((1.0, 0.0, 0.0, 0.0), True, 0),
+            ((0.1, 0.1, 0.1, 0.1), False, 0),
+        ],
+        ids=["every-level", "top-only", "input-only", "raw-targets"],
+    )
+    @pytest.mark.parametrize("arch", ["fc", "conv"])
+    def test_statistics_nodes_only_where_the_cost_reads_them(self, arch, lambdas, normalize, levels):
+        net, x = tiny_net(arch, normalize_targets=normalize)
+        with GradTape() as tape:
+            net.training_loss(x, 3, TARGETS, Rng(2), lambdas=lambdas)
+        names = tape_names(tape)
+        assert names.count("reduce_mean") == 2 * levels
+        assert names.count("sqrt") == levels
+
+    @pytest.mark.parametrize("level", [1, 3])
+    def test_decoded_level_standardized_by_its_clean_level(self, level):
+        # level 1 of the conv net is spatial: statistics over (n, h, w)
+        net, x = tiny_net("conv")
+        xt = Tensor(x)
+        z_tilde, h_top, _ = net.corrupted_encoder(xt, Rng(2))
+        z_clean, _ = net.clean_encoder(xt)
+        z_hat = net.decoder(z_tilde, h_top, min_level=level)
+        lambdas = [0.0] * 4
+        lambdas[level] = 2.0
+        cost = net.reconstruction_cost(z_clean, z_hat, lambdas=lambdas)
+        z, zh = z_clean[level].data, z_hat[level].data
+        axes = tuple(range(z.ndim - 1))
+        zh = (zh - z.mean(axis=axes)) / np.sqrt(z.var(axis=axes) + ops.BN_EPS)
+        np.testing.assert_allclose(cost.item(), 2.0 * ((zh - z) ** 2).sum() / z.size, rtol=1e-12)
 
 
 class TestEvalMode:
@@ -879,9 +927,9 @@ class TestCosts:
         net = self._net()
         x = Tensor(Rng(1).normal(1.0, (5, 4)))
         z_tilde, h_top, _ = net.corrupted_encoder(x, Rng(2))
-        z_clean, stats, _ = net.clean_encoder(x)
+        z_clean, _ = net.clean_encoder(x)
         z_hat = net.decoder(z_tilde, h_top)
-        cost = net.reconstruction_cost(z_clean, stats, z_hat, lambdas=(0.0, 0.0, 0.0))
+        cost = net.reconstruction_cost(z_clean, z_hat, lambdas=(0.0, 0.0, 0.0))
         assert cost.item() == 0.0
 
     def test_perfect_reconstruction_is_zero_raw_mode(self):
@@ -894,9 +942,9 @@ class TestCosts:
         )
         net = LadderNetwork(spec, Rng(0))
         x = Tensor(Rng(1).normal(1.0, (5, 4)))
-        z_clean, stats, _ = net.clean_encoder(x)
+        z_clean, _ = net.clean_encoder(x)
         z_hat = {0: z_clean[0], 1: z_clean[1]}
-        cost = net.reconstruction_cost(z_clean, stats, z_hat)
+        cost = net.reconstruction_cost(z_clean, z_hat)
         assert cost.item() == 0.0
 
     def test_single_level_hand_value(self):
@@ -911,26 +959,15 @@ class TestCosts:
         net = LadderNetwork(spec, Rng(0))
         z_clean = [Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))]
         z_hat = {1: Tensor(np.ones((1, 2)))}
-        cost = net.reconstruction_cost(z_clean, [None, None], z_hat)
+        cost = net.reconstruction_cost(z_clean, z_hat)
         assert cost.item() == 2.0
 
     def test_lambda_length_mismatch(self):
         net = self._net()
         x = Tensor(Rng(1).normal(1.0, (5, 4)))
-        z_clean, stats, _ = net.clean_encoder(x)
+        z_clean, _ = net.clean_encoder(x)
         with pytest.raises(ConfigError, match="need 3 denoising multipliers"):
-            net.reconstruction_cost(z_clean, stats, {}, lambdas=(0.0,))
-
-    def test_missing_stats_when_normalizing(self):
-        net = self._net()
-        x = Tensor(Rng(1).normal(1.0, (5, 4)))
-        z_tilde, h_top, _ = net.corrupted_encoder(x, Rng(2))
-        z_clean, _, _ = net.clean_encoder(x)
-        z_hat = net.decoder(z_tilde, h_top)
-        from hsiladder import GraphError
-
-        with pytest.raises(GraphError):
-            net.reconstruction_cost(z_clean, [None, None], z_hat)
+            net.reconstruction_cost(z_clean, {}, lambdas=(0.0,))
 
     def test_supervised_cost_values(self):
         # perfect one-hot predictions
@@ -1009,10 +1046,10 @@ class TestLambdaOverrides:
         net = self._net()
         x = Tensor(Rng(1).normal(1.0, (5, 4)))
         z_tilde, h_top, _ = net.corrupted_encoder(x, Rng(2))
-        z_clean, stats, _ = net.clean_encoder(x)
+        z_clean, _ = net.clean_encoder(x)
         z_hat = net.decoder(z_tilde, h_top)
         with pytest.raises(ConfigError, match=message):
-            net.reconstruction_cost(z_clean, stats, z_hat, lambdas=lambdas)
+            net.reconstruction_cost(z_clean, z_hat, lambdas=lambdas)
 
     def test_all_zero_override_of_the_right_length_is_supervised_only(self):
         # the benchmark's supervised-only workloads pass this override

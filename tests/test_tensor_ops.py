@@ -280,6 +280,11 @@ class TestActivationsAndLoss:
         with pytest.raises(ShapeError):
             ops.nll_loss(ops.log_softmax(Tensor(np.zeros((2, 3)))), np.array([0, 3]))
 
+    @pytest.mark.parametrize("targets", [np.array([0.0, 2.0]), np.array([True, False])])
+    def test_non_integer_targets_refused(self, targets):
+        with pytest.raises(ShapeError, match=f"integer class indices, got dtype {targets.dtype}$"):
+            ops.nll_loss(ops.log_softmax(Tensor(np.zeros((2, 3)))), targets)
+
     def test_nll_hand_example(self):
         # two rows with probability 0.5 and 0.25 on the true class
         logp = Tensor(np.log(np.array([[0.5, 0.5], [0.25, 0.75]])))

@@ -879,8 +879,16 @@ class TestCheckpoint:
                 lambda e: e["rng/batch"].__setitem__(4, 7),
                 "^checkpoint rng/batch: has_uint32 word is 7, must be 0 or 1$",
             ),
+            (
+                # the increment word is odd in every PCG64 state
+                lambda e: e["rng/noise"].__setitem__(2, e["rng/noise"][2] - np.uint64(1)),
+                r"^checkpoint rng/noise: increment word is \d+, must be odd$",
+            ),
         ],
-        ids=["missing-last-entry", "u8-parameter", "unknown-entry", "rng-uinteger", "rng-has-uint32"],
+        ids=[
+            "missing-last-entry", "u8-parameter", "unknown-entry", "rng-uinteger",
+            "rng-has-uint32", "rng-even-increment",
+        ],
     )
     def test_refused_resume_changes_nothing(self, tmp_path, corrupt, why):
         path, net, adam, noise, batch = self._saved_state(tmp_path)
@@ -913,6 +921,16 @@ class TestCheckpoint:
         assert adam.t == t
         np.testing.assert_array_equal(noise.state_words(), states[0])
         np.testing.assert_array_equal(batch.state_words(), states[1])
+
+    def test_even_increment_refused_before_any_assignment(self):
+        rng = Rng(3)
+        before = rng.state_words()
+        words = before.copy()
+        words[2] -= np.uint64(1)
+        with pytest.raises(DataError, match=r"^PCG64 state: increment word is \d+, must be odd$"):
+            rng.set_state_words(words)
+        np.testing.assert_array_equal(rng.state_words(), before)
+        np.testing.assert_array_equal(rng.gen.integers(0, 10, 3), Rng(3).gen.integers(0, 10, 3))
 
     @staticmethod
     def _saved_state(tmp_path):

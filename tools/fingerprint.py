@@ -8,8 +8,10 @@ f32, on one synthetic scene.  Per run, the hash takes in every parameter,
 every running batch-norm statistic, the three loss curves and the
 log-probabilities that ``predict_log_probs`` reads for the first 16 test
 rows of the patch set's window reader.  It also prints the tape nodes
-of one training step per spec in ``ladder`` and in ``supervised-only`` mode,
-and, before the hash, the line count of ``src/hsiladder/*.py`` (the size of
+of one training step per spec in ``ladder`` mode, in ``ladder`` mode with a
+positive multiplier on the top level only (the cost records the target
+statistics of that level alone) and in ``supervised-only`` mode, and,
+before the hash, the line count of ``src/hsiladder/*.py`` (the size of
 the source tree that produced it), the ``tracemalloc`` peak of the two
 ``prepare_dataset`` calls and that of one ladder-mode forward and backward
 of the conv ladder, so memory drift in the data pipeline and in a training
@@ -71,10 +73,11 @@ def feed(h, label: str, array) -> None:
     h.update(a.tobytes())
 
 
-def step(spec: LadderSpec, patches, labels, use_decoder: bool, traced: bool = False):
-    """The forward of one f64 training step on a fresh network: its tape and
-    loss.  With ``traced``, ``tracemalloc`` starts after the network and the
-    batch are built."""
+def step(spec: LadderSpec, patches, labels, use_decoder: bool, lambdas=None, traced: bool = False):
+    """The forward of one f64 training step on a fresh network, with
+    ``lambdas`` in place of the spec's when given: its tape and loss.  With
+    ``traced``, ``tracemalloc`` starts after the network and the batch are
+    built."""
     net = LadderNetwork(spec, Rng(SEED), dtype=np.float64)
     rows = np.arange(2 * BATCH) % len(patches)
     batch = batch_input(patches, spec.input_shape, np.float64, rows)
@@ -82,7 +85,7 @@ def step(spec: LadderSpec, patches, labels, use_decoder: bool, traced: bool = Fa
         tracemalloc.start()
     with GradTape() as tape:
         loss, *_ = net.training_loss(
-            batch, BATCH, labels[rows[:BATCH]], Rng(SEED + 1), use_decoder=use_decoder
+            batch, BATCH, labels[rows[:BATCH]], Rng(SEED + 1), lambdas, use_decoder
         )
     return tape, loss
 
@@ -121,11 +124,15 @@ def main() -> int:
     total = hashlib.sha256()
     for name, (spec, prepared) in runs.items():
         patchset, split = prepared.patches, prepared.split
-        ladder, supervised = (
-            len(step(spec, patchset.patches, patchset.labels, use_decoder)[0].nodes)
-            for use_decoder in (True, False)
+        top_only = (0.0,) * (spec.num_levels - 1) + (1.0,)
+        ladder, top, supervised = (
+            len(step(spec, patchset.patches, patchset.labels, use_decoder, lambdas)[0].nodes)
+            for use_decoder, lambdas in ((True, None), (True, top_only), (False, None))
         )
-        print(f"{name}: tape nodes per step {ladder} (ladder), {supervised} (supervised-only)")
+        print(
+            f"{name}: tape nodes per step {ladder} (ladder), {top} (top-only lambda), "
+            f"{supervised} (supervised-only)"
+        )
         for mode in MODES:
             for precision in PRECISIONS:
                 config = TrainConfig(
