@@ -300,9 +300,9 @@ def conv2d_transpose(x: Tensor, k: Tensor) -> Tensor:
         raise ShapeError(
             f"conv2d_transpose channel mismatch: input {x.data.shape}, kernel {k.data.shape}"
         )
-    _, h, w, _ = x.data.shape
-    kh, kw = k.data.shape[0], k.data.shape[1]
-    oh, ow = h + kh - 1, w + kw - 1
+    x_shape = x.data.shape
+    kh, kw, ci, co = k.data.shape
+    oh, ow = x_shape[1] + kh - 1, x_shape[2] + kw - 1
     y = kernels.conv2d_input_grad(x.data, k.data.transpose(0, 1, 3, 2), oh, ow)
     out = Tensor(y, requires_grad=x.requires_grad or k.requires_grad)
     nx, nk = x.requires_grad, k.requires_grad
@@ -310,8 +310,13 @@ def conv2d_transpose(x: Tensor, k: Tensor) -> Tensor:
     kd = k.data if nx else None
 
     def backward(g):
-        gx = kernels.conv2d_forward(g, kd.transpose(0, 1, 3, 2)) if nx else None
-        gk = kernels.conv2d_kernel_grad(g, xd, kh, kw).transpose(0, 1, 3, 2) if nk else None
+        # one im2col of g serves both gradients: gx = cols @ K, gk from xᵀ @ cols
+        cols = kernels.im2col(g, kh, kw)
+        gx = gk = None
+        if nx:
+            gx = (cols @ kd.transpose(0, 1, 3, 2).reshape(-1, ci)).reshape(x_shape)
+        if nk:
+            gk = kernels.kernel_grad_t(xd, cols).reshape(ci, kh, kw, co).transpose(1, 2, 0, 3)
         return gx, gk
 
     return _record("conv2d_transpose", (x, k), out, backward)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hsiladder import GradTape, Tensor
+from hsiladder import GradTape, Tensor, kernels
 from hsiladder.train import batch_input
 
 
@@ -79,6 +79,27 @@ def conv2d_kernel_grad_oracle(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -
                                 acc += x[n, i + p, j + q, c] * gy[n, i, j, o]
                     out[p, q, c, o] = acc
     return out
+
+
+def conv2d_kernel_grad_gemm_oracle(x: np.ndarray, gy: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The kernel gradient as ``im2col(x).T @ gy``, one GEMM in the
+    (kh*kw*ci, co) orientation: the reference for ``conv2d_kernel_grad`` at
+    shapes too large for the loop oracle."""
+    ci, co = x.shape[3], gy.shape[3]
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (b,oh,ow,ci,kh,kw)
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * ci)
+    return (cols.T @ gy.reshape(-1, co)).reshape(kh, kw, ci, co)
+
+
+def conv2d_transpose_grads_oracle(x: np.ndarray, k: np.ndarray, g: np.ndarray):
+    """(gx, gk) of ``ops.conv2d_transpose(x, k)`` for the output gradient
+    ``g`` as two separate calls, each building its own im2col of ``g``: the
+    forward conv of ``g`` with the channel-swapped kernel, and the GEMM
+    kernel gradient of ``g`` against ``x``, channel-swapped back."""
+    kh, kw = k.shape[:2]
+    gx = kernels.conv2d_forward(g, k.transpose(0, 1, 3, 2))
+    gk = conv2d_kernel_grad_gemm_oracle(g, x, kh, kw).transpose(0, 1, 3, 2)
+    return gx, gk
 
 
 def sigmoid_oracle(v: np.ndarray) -> np.ndarray:

@@ -11,8 +11,10 @@ from hsiladder import kernels, ops
 
 from helpers import (
     conv2d_input_grad_oracle,
+    conv2d_kernel_grad_gemm_oracle,
     conv2d_kernel_grad_oracle,
     conv2d_oracle,
+    conv2d_transpose_grads_oracle,
     fd_gradcheck,
     matmul_oracle,
     sigmoid_oracle,
@@ -89,6 +91,15 @@ class TestConvKernels:
         (1, 1, 1, 1, 1, 1, 1),
     ]
 
+    # the paper conv ladder's three layers
+    PAPER_SHAPES = [
+        (200, 7, 7, 15, 3, 3, 90),
+        (200, 5, 5, 90, 3, 3, 30),
+        (200, 3, 3, 30, 3, 3, 15),
+    ]
+    # relative bound on a GEMM whose summation order may differ from the oracle's
+    DTYPE_RTOL = [(np.float64, 1e-13), (np.float32, 1e-5)]
+
     @staticmethod
     def _shapes():
         rng = np.random.default_rng(4)
@@ -118,6 +129,69 @@ class TestConvKernels:
             got = kernels.conv2d_kernel_grad(x, gy, kh, kw)
             assert got.shape == (kh, kw, ci, co)
             assert np.abs(got - conv2d_kernel_grad_oracle(x, gy, kh, kw)).max() < 1e-12
+
+    @staticmethod
+    def _assert_matches(got, want, rtol):
+        """Equal bits, or every entry within ``rtol`` of want's largest magnitude."""
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if not np.array_equal(got, want):
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+    @pytest.mark.parametrize("dtype, rtol", DTYPE_RTOL)
+    def test_kernel_grad_matches_gemm_oracle(self, dtype, rtol):
+        rng = np.random.default_rng(9)
+        for b, h, w, ci, kh, kw, co in self.EDGE_SHAPES + self.PAPER_SHAPES:
+            x = rng.standard_normal((b, h, w, ci)).astype(dtype)
+            gy = rng.standard_normal((b, h - kh + 1, w - kw + 1, co)).astype(dtype)
+            got = kernels.conv2d_kernel_grad(x, gy, kh, kw)
+            self._assert_matches(got, conv2d_kernel_grad_gemm_oracle(x, gy, kh, kw), rtol)
+
+    @pytest.mark.parametrize("dtype, rtol", DTYPE_RTOL)
+    def test_transpose_backward_matches_two_call_oracle(self, dtype, rtol):
+        # the decoder's mirror of each conv: (b, oh, ow, co) -> (b, h, w, ci)
+        rng = np.random.default_rng(10)
+        for b, h, w, ci, kh, kw, co in self.EDGE_SHAPES + self.PAPER_SHAPES:
+            xd = rng.standard_normal((b, h - kh + 1, w - kw + 1, co)).astype(dtype)
+            x = Tensor(xd, requires_grad=True)
+            k = Tensor(rng.standard_normal((kh, kw, co, ci)).astype(dtype), requires_grad=True)
+            g = rng.standard_normal((b, h, w, ci)).astype(dtype)
+            with GradTape() as tape:
+                ops.conv2d_transpose(x, k)
+            gx, gk = tape.nodes[-1].backward_fn(g)
+            want_gx, want_gk = conv2d_transpose_grads_oracle(x.data, k.data, g)
+            np.testing.assert_array_equal(gx, want_gx)  # the same GEMM on the same im2col
+            assert gx.dtype == dtype
+            self._assert_matches(gk, want_gk, rtol)
+
+    @pytest.mark.parametrize(
+        "call, names",
+        [
+            # a consistent gradient and kernel, but the wrong input size, large and small
+            (lambda: kernels.conv2d_input_grad(np.ones((1, 3, 3, 1)), np.ones((3, 3, 1, 1)), 9, 9),
+             ["(1, 3, 3, 1)", "(3, 3, 1, 1)", "(5, 5)", "(9, 9)"]),
+            (lambda: kernels.conv2d_input_grad(np.ones((1, 3, 3, 1)), np.ones((3, 3, 1, 1)), 2, 2),
+             ["(5, 5)", "(2, 2)"]),
+            (lambda: kernels.conv2d_input_grad(np.ones((1, 3, 3, 2)), np.ones((3, 3, 1, 1)), 5, 5),
+             ["(1, 3, 3, 2)", "(3, 3, 1, 1)"]),
+            (lambda: kernels.conv2d_input_grad(np.ones((3, 3, 1)), np.ones((3, 3, 1, 1)), 5, 5),
+             ["(3, 3, 1)", "4-d"]),
+            (lambda: kernels.conv2d_kernel_grad(np.ones((1, 5, 5, 1)), np.ones((1, 4, 4, 1)), 3, 3),
+             ["(1, 5, 5, 1)", "(1, 4, 4, 1)", "(1, 3, 3)"]),
+            (lambda: kernels.conv2d_kernel_grad(np.ones((2, 5, 5, 1)), np.ones((1, 3, 3, 1)), 3, 3),
+             ["(2, 5, 5, 1)", "(1, 3, 3, 1)"]),
+            (lambda: kernels.conv2d_kernel_grad(np.ones((1, 2, 2, 1)), np.ones((1, 0, 0, 1)), 3, 3),
+             ["(1, 2, 2, 1)", "(3, 3)"]),
+            (lambda: kernels.conv2d_kernel_grad(np.ones((1, 5, 5, 1)), np.ones((3, 3, 1)), 3, 3),
+             ["(3, 3, 1)", "4-d"]),
+        ],
+        ids=["ig-large-hw", "ig-small-hw", "ig-channels", "ig-3d", "kg-spatial", "kg-batch",
+             "kg-kernel-larger", "kg-3d"],
+    )
+    def test_gradient_geometry_refused(self, call, names):
+        with pytest.raises(ShapeError) as e:
+            call()
+        for name in names:
+            assert name in str(e.value)
 
     def test_f32_operands_give_f32(self):
         rng = np.random.default_rng(7)
