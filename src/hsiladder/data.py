@@ -3,7 +3,9 @@
 Everything here is pure given (inputs, seed).  The combined pipeline is in
 :func:`prepare_dataset`, which enforces the no-leakage rules in code: band
 scaling and PCA are fit on training pixels only, and the labeled/unlabeled/
-test index sets partition the labeled pixels.
+test index sets partition every pixel of the scene.  Pixels are indexed
+row-major (pixel ``(r, c)`` of an h x w scene is row ``r * w + c``), and a
+pixel whose ground truth is 0 carries label -1 and joins the unlabeled pool.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ class HsiCube:
                 f"ground truth contains label {int(g.max())} but only "
                 f"{self.num_classes} classes are declared"
             )
-
-    def labeled_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of all pixels with a nonzero label, row-major order."""
-        return np.nonzero(self.ground_truth)
 
 
 class WindowReader:
@@ -119,7 +117,8 @@ def gather_rows(rows, indices, dtype) -> np.ndarray:
 
 @dataclass
 class PatchSet:
-    """One window per labeled pixel plus its (0-based) class index.
+    """One window per pixel of the scene, row-major, plus its (0-based)
+    class index, -1 where the ground truth is 0 (unlabeled).
 
     ``patches`` reads each pixel's window from the mirror-padded cube when
     it is indexed (:class:`WindowReader`); the full ``(n, w, w, c)`` array is
@@ -127,8 +126,8 @@ class PatchSet:
     """
 
     patches: WindowReader
-    labels: np.ndarray  # (n,) in 0..K-1
-    centers: np.ndarray  # (n, 2) row, col
+    labels: np.ndarray  # (h * w,) in -1..K-1
+    centers: np.ndarray  # (h * w, 2) row, col
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -143,7 +142,8 @@ class PcaModel:
 
 @dataclass
 class SemiSplit:
-    """Disjoint index sets over patch centers; covers all labeled pixels."""
+    """Disjoint index sets over a :class:`PatchSet`'s rows that cover every
+    pixel; unlabeled (-1) pixels are only ever in ``unlabeled_train``."""
 
     labeled_train: np.ndarray
     unlabeled_train: np.ndarray
@@ -216,30 +216,27 @@ def scale_bands(cube: HsiCube, fit_coords: tuple[np.ndarray, np.ndarray] | None 
 # ---------------------------------------------------------------------------
 
 
+def _pixel_labels(ground_truth: np.ndarray) -> np.ndarray:
+    """Ground truth - 1 per pixel, row-major, so -1 marks an unlabeled pixel;
+    cast first, since an unsigned ground truth would wrap."""
+    return ground_truth.reshape(-1).astype(np.int64) - 1
+
+
 def extract_patches(cube: HsiCube, window: int) -> PatchSet:
-    """One window x window x bands patch per labeled pixel; ``ConfigError``
-    unless ``window`` is an odd integer >= 1.
+    """One window x window x bands patch per pixel of the scene, row-major,
+    labeled or not; ``ConfigError`` unless ``window`` is an odd integer >= 1.
 
     Mirror padding (symmetric reflection including the border pixel) keeps
-    labeled border pixels; window 1 yields plain per-pixel spectra.  Only
-    the padded cube is copied (at window 1, only the labeled spectra): the
-    patches are read from it on demand.
+    border pixels; window 1 yields plain per-pixel spectra.  Only the padded
+    cube is copied: the patches are read from it on demand.
     """
     if as_index("window", window, 1) % 2 == 0:
         raise ConfigError(f"window must be odd, got {window}")
-    rows, cols = cube.labeled_coords()
-    labels = cube.ground_truth[rows, cols].astype(np.int64, copy=False) - 1
-    centers = np.stack([rows, cols], axis=1).astype(np.int64, copy=False)
+    centers = np.indices(cube.ground_truth.shape).reshape(2, -1).T  # (h * w, 2) row, col
     pad = window // 2
-    if pad == 0:
-        # the labeled spectra, never more values than the cube, which is
-        # then free to go
-        spectra = cube.reflectance[rows, cols][:, None, :]  # (n, 1, c)
-        n = len(rows)
-        reader = WindowReader(spectra, np.arange(n), np.zeros(n, np.int64), 1)
-        return PatchSet(reader, labels, centers)
     padded = np.pad(cube.reflectance, ((pad, pad), (pad, pad), (0, 0)), mode="symmetric")
-    return PatchSet(WindowReader(padded, centers[:, 0], centers[:, 1], window), labels, centers)
+    reader = WindowReader(padded, centers[:, 0], centers[:, 1], window)
+    return PatchSet(reader, _pixel_labels(cube.ground_truth), centers)
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +317,25 @@ def _stratified_test_counts(class_counts: np.ndarray) -> np.ndarray:
 def make_split(labels: np.ndarray, n_per_class: int | None, seed: int = 0) -> SemiSplit:
     """Stratified draw of :data:`TEST_FRACTION` of each class as the test
     set first, then n labeled points per class from the remainder;
-    everything else becomes the unlabeled pool.
+    everything else, the unlabeled (-1) points included, becomes the
+    unlabeled pool.
 
     The test set is drawn before any labeled sampling, so runs at different
     ``n_per_class`` under one seed share a test set.  ``n_per_class=None``
-    uses every non-test point as labeled (full-label runs); any other value
-    must be an integer >= 1, else ``ConfigError``.  ``labels`` must be a
-    1-d integer vector, one class index per labeled pixel, else
-    ``DataError``."""
+    uses every non-test labeled point as labeled (full-label runs); any
+    other value must be an integer >= 1, else ``ConfigError``.  ``labels``
+    must be a 1-d integer vector, one class index or -1 per pixel, with at
+    least one class index, else ``DataError``."""
     labels = np.asarray(labels)
     if n_per_class is not None:
         as_index("n_per_class", n_per_class, 1)
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
         raise DataError(f"labels must be a 1-d integer vector, got {labels.dtype} {labels.shape}")
-    if labels.size == 0:
+    if (labels < -1).any():
+        raise DataError(f"labels must be >= -1 (-1 marks an unlabeled pixel), got {labels.min()}")
+    classes = np.unique(labels[labels >= 0])
+    if classes.size == 0:
         raise DataError("no labeled pixels to split: every ground-truth label is 0 (unlabeled)")
-    classes = np.unique(labels)
     counts = np.array([(labels == c).sum() for c in classes])
     test_counts = _stratified_test_counts(counts)
     rng = Rng(seed)
@@ -345,7 +345,7 @@ def make_split(labels: np.ndarray, n_per_class: int | None, seed: int = 0) -> Se
         perm = idx[rng.gen.permutation(len(idx))]
         test_parts.append(perm[:t])
         rest_parts.append(perm[t:])
-    labeled_parts, unlabeled_parts = [], []
+    labeled_parts, unlabeled_parts = [], [np.flatnonzero(labels < 0)]
     for c, rest in zip(classes, rest_parts):
         if n_per_class is None:
             labeled_parts.append(rest)
@@ -362,9 +362,7 @@ def make_split(labels: np.ndarray, n_per_class: int | None, seed: int = 0) -> Se
         unlabeled_parts.append(rest[~chosen])
     return SemiSplit(
         labeled_train=np.sort(np.concatenate(labeled_parts)),
-        unlabeled_train=np.sort(np.concatenate(unlabeled_parts))
-        if unlabeled_parts
-        else np.array([], dtype=np.int64),
+        unlabeled_train=np.sort(np.concatenate(unlabeled_parts)),
         test=np.sort(np.concatenate(test_parts)),
     )
 
@@ -387,18 +385,18 @@ def prepare_dataset(
     """Split -> train-only band scaling -> train-only PCA -> patches.
 
     The split is computed on labels alone, so the scaling and PCA fits can
-    be restricted to training pixels.  That the split partitions the
-    labeled pixels, and so that the fit set and the test set are disjoint,
-    is checked here rather than assumed.
+    be restricted to training pixels: every pixel but the test pixels,
+    unlabeled ones included, which leaks no label.  That the split
+    partitions the scene's pixels, and so that the fit set and the test set
+    are disjoint, is checked here rather than assumed.
     """
-    rows, cols = cube.labeled_coords()
-    labels = cube.ground_truth[rows, cols].astype(np.int64) - 1
+    labels = _pixel_labels(cube.ground_truth)
     split = make_split(labels, n_per_class, seed)
     train_idx = split.train_indices()
     covered = np.sort(np.concatenate([train_idx, split.test]))
     if not np.array_equal(covered, np.arange(len(labels))):
-        raise DataError("split does not partition the labeled pixels")
-    fit_coords = (rows[train_idx], cols[train_idx])
+        raise DataError("split does not partition the scene's pixels")
+    fit_coords = np.unravel_index(train_idx, cube.ground_truth.shape)
     cube = scale_bands(cube, fit_coords=fit_coords)
     pca = None
     if pca_components is not None:

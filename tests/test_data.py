@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hsiladder import ConfigError, DataError
+from hsiladder import ConfigError, DataError, LadderSpec, LayerSpec
 from hsiladder import cube_io
 from hsiladder import data as data_mod
+from hsiladder import train as train_mod
 from hsiladder.data import (
     TEST_FRACTION,
     HsiCube,
@@ -298,21 +299,35 @@ class TestScaleBands:
 class TestPatches:
     def test_window_one_equals_spectra(self):
         cube = make_synthetic_cube(0, height=6, width=5, bands=4, block=2)
-        ps = extract_patches(cube, 1)
-        rows, cols = cube.labeled_coords()
+        gt = cube.ground_truth.copy()
+        gt[1, 2] = 0  # an unlabeled pixel keeps its spectrum
+        ps = extract_patches(HsiCube(cube.reflectance, gt, cube.num_classes), 1)
         np.testing.assert_array_equal(
-            np.asarray(ps.patches).reshape(len(ps), 4), cube.reflectance[rows, cols]
+            np.asarray(ps.patches).reshape(len(ps), 4), cube.reflectance.reshape(-1, 4)
         )
 
-    def test_patch_count_equals_labeled_pixels(self):
+    def test_one_patch_per_pixel_labeled_or_not(self):
         cube = make_synthetic_cube(1, height=10, width=8, bands=3, block=2)
         gt = cube.ground_truth.copy()
         gt[::3, ::2] = 0  # unlabel some pixels
         cube = HsiCube(cube.reflectance, gt, cube.num_classes)
+        rows, cols = np.divmod(np.arange(80), 8)  # row-major
         for window in (1, 3, 5):
             ps = extract_patches(cube, window)
-            assert len(ps) == np.count_nonzero(gt)
-            assert ps.patches.shape[1:] == (window, window, 3)
+            assert len(ps) == 80 and ps.patches.shape[1:] == (window, window, 3)
+            np.testing.assert_array_equal(ps.centers, np.stack([rows, cols], axis=1))
+            np.testing.assert_array_equal(ps.labels, gt[rows, cols] - 1)
+            assert ps.labels.dtype == np.int64
+            np.testing.assert_array_equal(np.flatnonzero(ps.labels == -1), np.flatnonzero(gt == 0))
+
+    def test_unsigned_ground_truth_gives_minus_one_for_unlabeled(self):
+        scene = make_synthetic_cube(2, height=6, width=7, bands=3, classes=3, block=2)
+        gt = scene.ground_truth.astype(np.uint8)
+        gt[0, :3] = 0
+        ps = extract_patches(HsiCube(scene.reflectance, gt, scene.num_classes), 3)
+        assert ps.labels.dtype == np.int64
+        assert set(ps.labels.tolist()) == {-1, 0, 1, 2}
+        np.testing.assert_array_equal(ps.labels, gt.reshape(-1).astype(np.int64) - 1)
 
     def test_corner_patch_mirror_padded_hand_layout(self):
         vals = np.arange(9.0).reshape(3, 3)
@@ -326,14 +341,13 @@ class TestPatches:
 
     @staticmethod
     def _bordered(window):
-        """A 9x11 scene with every border pixel labeled and one inner pixel
-        not, its patches and the oracle's."""
-        cube = make_synthetic_cube(8, height=9, width=11, bands=4, block=3)
+        """A 7x14 scene with one unlabeled inner pixel, its patches and the
+        oracle's: one window per pixel, row-major, border pixels included."""
+        cube = make_synthetic_cube(8, height=7, width=14, bands=4, block=3)
         gt = cube.ground_truth.copy()
-        gt[4, 5] = 0
+        gt[3, 5] = 0
         cube = HsiCube(cube.reflectance, gt, cube.num_classes)
-        rows, cols = cube.labeled_coords()
-        assert {0, 8} <= set(rows) and {0, 10} <= set(cols)  # border pixels included
+        rows, cols = np.unravel_index(np.arange(gt.size), gt.shape)
         want = extract_patches_oracle(cube.reflectance, rows, cols, window)
         return extract_patches(cube, window), want
 
@@ -401,8 +415,8 @@ class TestPatches:
             tracemalloc.stop()
         n = len(ps)
         assert ps.patches.shape == (n, 7, 7, 10) and n * 7 * 7 * 10 * 8 > 30 * padded_bytes
-        # the padded cube plus a few int64 per labeled pixel (coordinates,
-        # centers, labels)
+        # the padded cube plus a few int64 per pixel (coordinates, centers,
+        # labels)
         assert peak < 1.1 * padded_bytes + 8 * 8 * n
         assert live < padded_bytes + 4 * 8 * n
 
@@ -417,28 +431,6 @@ class TestPatches:
             tracemalloc.stop()
         # a gather then a cast would hold the f64 copy beside the f32 result (3x)
         assert full.dtype == np.float32 and peak <= 1.1 * full.nbytes
-
-    def test_window_one_keeps_only_the_labeled_spectra(self):
-        cube = make_synthetic_cube(9, height=40, width=40, bands=10, block=4)
-        gt = cube.ground_truth.copy()
-        gt[np.random.default_rng(4).random(gt.shape) < 0.8] = 0  # about 20% labeled
-        cube = HsiCube(cube.reflectance, gt, cube.num_classes)
-        rows, cols = cube.labeled_coords()
-        want = extract_patches_oracle(cube.reflectance, rows, cols, 1)
-        tracemalloc.start()
-        try:
-            ps = extract_patches(cube, 1)
-            live, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        n = len(ps)
-        assert 4 * want.nbytes < cube.reflectance.nbytes
-        # the spectra plus a few int64 per labeled pixel (coordinates,
-        # centers, labels, the reader's rows and columns), not the cube
-        assert peak < want.nbytes + 8 * 8 * n
-        assert live < want.nbytes + 6 * 8 * n
-        del cube
-        np.testing.assert_array_equal(np.asarray(ps.patches), want)
 
     def test_gather_peak_memory_is_one_copy(self):
         cube = make_synthetic_cube(9, height=40, width=40, bands=10, block=4)
@@ -658,6 +650,32 @@ class TestSplit:
         assert len(split.unlabeled_train) == 0
         assert len(split.labeled_train) + len(split.test) == 60
 
+    @pytest.mark.parametrize("n", [3, None])
+    def test_unlabeled_points_join_only_the_unlabeled_pool(self, n):
+        labels = self._labels([20, 20, 20, 20])
+        labels[labels == 3] = -1  # the fourth "class" is unlabeled
+        split = make_split(labels, n, seed=19)
+        unlabeled = np.flatnonzero(labels == -1)
+        assert np.isin(unlabeled, split.unlabeled_train).all()
+        assert (labels[split.labeled_train] >= 0).all() and (labels[split.test] >= 0).all()
+        assert len(split.test) == round(TEST_FRACTION * 60)  # drawn from the labeled points only
+        union = np.concatenate([split.labeled_train, split.unlabeled_train, split.test])
+        np.testing.assert_array_equal(np.sort(union), np.arange(80))
+
+    def test_unlabeled_points_leave_the_labeled_draw_unchanged(self):
+        labels = self._labels([30, 30])
+        masked = np.concatenate([labels, np.full(7, -1)])
+        a, b = make_split(labels, 4, seed=23), make_split(masked, 4, seed=23)
+        np.testing.assert_array_equal(a.labeled_train, b.labeled_train)
+        np.testing.assert_array_equal(a.test, b.test)
+        np.testing.assert_array_equal(b.unlabeled_train, np.append(a.unlabeled_train, np.arange(60, 67)))
+
+    @pytest.mark.parametrize("bad", [-2, np.iinfo(np.int64).min])
+    def test_label_below_minus_one_rejected(self, bad):
+        labels = np.array([-1, -1, bad, 0, 0, 0, 0, 1, 1, 1, 1])
+        with pytest.raises(DataError, match=f"labels must be >= -1 .*got {bad}"):
+            make_split(labels, 2, seed=1)
+
 
 class TestPipeline:
     def test_cube_without_labeled_pixels_names_the_problem(self):
@@ -678,8 +696,45 @@ class TestPipeline:
             return split
 
         monkeypatch.setattr(data_mod, "make_split", overlapping)
-        with pytest.raises(DataError, match="does not partition"):
+        with pytest.raises(DataError, match="does not partition the scene's pixels"):
             prepare_dataset(make_synthetic_cube(3), window=1, pca_components=None, n_per_class=5)
+
+    @staticmethod
+    def _masked(seed=4, height=24, width=20):
+        """A synthetic scene with about 70% of its ground truth set to 0."""
+        scene = make_synthetic_cube(seed, height=height, width=width, bands=6, block=4)
+        gt = scene.ground_truth.copy()
+        gt[np.random.default_rng(seed).random(gt.shape) < 0.7] = 0
+        return HsiCube(scene.reflectance, gt, scene.num_classes)
+
+    @pytest.mark.parametrize("n_per_class", [3, None])
+    def test_masked_scene_split_covers_every_pixel(self, n_per_class):
+        cube = self._masked()
+        gt = cube.ground_truth.reshape(-1)
+        prep = prepare_dataset(cube, window=3, pca_components=None, n_per_class=n_per_class, seed=2)
+        split, labels = prep.split, prep.patches.labels
+        assert len(prep.patches) == gt.size
+        np.testing.assert_array_equal(labels, gt - 1)
+        assert (labels[split.labeled_train] >= 0).all() and (labels[split.test] >= 0).all()
+        assert np.isin(np.flatnonzero(gt == 0), split.unlabeled_train).all()
+        union = np.concatenate([split.labeled_train, split.unlabeled_train, split.test])
+        np.testing.assert_array_equal(np.sort(union), np.arange(gt.size))
+
+    def test_masked_scene_map_predicts_every_pixel(self):
+        cube = self._masked(seed=6, height=9, width=7)
+        prep = prepare_dataset(cube, window=3, pca_components=4, n_per_class=2, seed=3)
+        spec = LadderSpec(
+            (LayerSpec("conv3x3", 5), LayerSpec("softmax_head", cube.num_classes, "none")),
+            0.3, (1.0, 0.1, 0.1), (3, 3, 4),
+        )
+        # a short ladder run whose unlabeled pool holds every unlabeled pixel
+        config = train_mod.TrainConfig(spec, 0.05, 20, seed=1, batch_size=8)
+        net, _ = train_mod.train(config, prep.patches, prep.split)
+        reader = prep.patches.patches
+        got = net.predict(reader)
+        assert got.shape == (9 * 7,) and len(np.unique(got)) > 1
+        one_by_one = [net.predict(reader[i : i + 1])[0] for i in range(len(reader))]
+        np.testing.assert_array_equal(got, one_by_one)
 
     def test_prepare_dataset_deterministic_and_leak_free(self):
         cube = make_synthetic_cube(3)
@@ -695,15 +750,19 @@ class TestPipeline:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_the_one_stage_at_a_time_oracles(self, tmp_path, dtype, pca_components):
         scene = make_synthetic_cube(10, height=20, width=16, bands=6, block=4)
+        gt = scene.ground_truth.astype(np.uint8)
+        gt[np.random.default_rng(10).random(gt.shape) < 0.5] = 0
         dp, gp = tmp_path / "data.hsicube", tmp_path / "gt.hsicube"
         cube_io.write_array(dp, scene.reflectance.astype(dtype))
-        cube_io.write_array(gp, scene.ground_truth.astype(np.uint8))
+        cube_io.write_array(gp, gt)
         cube = load_cube(dp, gp, scale=False)
         np.testing.assert_array_equal(cube.reflectance, read_array_oracle(dp).astype(np.float64))
-        rows, cols = cube.labeled_coords()
+        rows, cols = np.unravel_index(np.arange(20 * 16), (20, 16))
         for window in (1, 3, 7):
             prep = prepare_dataset(cube, window, pca_components, n_per_class=5, seed=21)
             train = prep.split.train_indices()
+            # every non-test pixel, the unlabeled ones included
+            assert train.size + prep.split.test.size == 20 * 16
             refl = scale_bands_oracle(cube.reflectance, (rows[train], cols[train]))
             if pca_components is not None:
                 pca = pca_fit(refl[rows[train], cols[train]], pca_components)

@@ -236,6 +236,19 @@ class TestConv2dTranspose:
         rhs = (ops.conv2d_transpose(Tensor(y), Tensor(kt)).data * x).sum()
         assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, match",
+        [
+            ((5, 5, 7), (3, 3, 7, 4), r"needs 4-d operands, got \(5, 5, 7\) and \(3, 3, 7, 4\)"),
+            ((2, 5, 5, 7), (3, 7, 4), r"needs 4-d operands, got \(2, 5, 5, 7\) and \(3, 7, 4\)"),
+            ((2, 5, 5, 7), (3, 3, 6, 4), r"channel mismatch: input \(2, 5, 5, 7\), kernel \(3, 3, 6, 4\)"),
+        ],
+        ids=["3d-input", "3d-kernel", "channels"],
+    )
+    def test_bad_operands_refused(self, x_shape, k_shape, match):
+        with pytest.raises(ShapeError, match=match):
+            ops.conv2d_transpose(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)))
+
 
 class TestBatchnorm:
     def test_two_point_column(self):
