@@ -18,17 +18,23 @@ The kernel gradient contracts over the b*oh*ow rows with the small
 backward of ``ops.conv2d_transpose`` builds ``im2col`` of its output
 gradient once and reads it for both of its gradients: the input's as
 ``cols @ K`` and the kernel's as ``x.T @ cols`` (``kernel_grad_t``).
-The kernels equal the brute-force definition to floating-point rounding;
-the tests check them against loop oracles.  ``benchmarks/bench_kernels.py``
-times them at the paper conv ladder's three shapes.
+Each large result (an im2col matrix, a GEMM product, a col2im sum) is
+written into :func:`~hsiladder.tensor.empty`, so inside a training step it
+comes from the step arena.  The kernels equal the brute-force definition to
+floating-point rounding; the tests check them against loop oracles.
+``benchmarks/bench_kernels.py`` times them at the paper conv ladder's three
+shapes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
+from .tensor import ARENA_MIN_BYTES, empty
 
 
 def active_backend() -> str:
@@ -48,16 +54,27 @@ def _check_conv_shapes(x: np.ndarray, k: np.ndarray) -> None:
         raise ShapeError(f"kernel {k.shape[:2]} larger than input {x.shape[1:3]}")
 
 
+def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of two matrices, into :func:`~hsiladder.tensor.empty` when
+    the product holds at least ``ARENA_MIN_BYTES``."""
+    if a.shape[0] * b.shape[1] * a.itemsize < ARENA_MIN_BYTES:
+        return a @ b
+    return np.matmul(a, b, out=empty((a.shape[0], b.shape[1]), np.result_type(a, b)))
+
+
 def im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(b*oh*ow, kh*kw*ci) matrix of every window of x, one copy."""
     win = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (b,oh,ow,ci,kh,kw)
-    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
+    win = win.transpose(0, 1, 2, 4, 5, 3)
+    cols = empty((math.prod(win.shape[:3]), kh * kw * x.shape[3]), x.dtype)
+    cols.reshape(win.shape)[...] = win
+    return cols
 
 
 def kernel_grad_t(gy: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(co, kh*kw*ci) transposed kernel gradient gy.T @ cols, for a
     (b, oh, ow, co) gradient and the (b*oh*ow, kh*kw*ci) windows it met."""
-    return gy.reshape(-1, gy.shape[3]).T @ cols
+    return gemm(gy.reshape(-1, gy.shape[3]).T, cols)
 
 
 def conv2d_forward(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -65,7 +82,7 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     _check_conv_shapes(x, k)
     kh, kw, _, co = k.shape
     b, h, w, _ = x.shape
-    y = im2col(x, kh, kw) @ k.reshape(-1, co)
+    y = gemm(im2col(x, kh, kw), k.reshape(-1, co))
     return y.reshape(b, h - kh + 1, w - kw + 1, co)
 
 
@@ -87,9 +104,10 @@ def conv2d_input_grad(gy: np.ndarray, k: np.ndarray, h: int, w: int) -> np.ndarr
             f"conv2d_input_grad: gradient {gy.shape} and kernel {k.shape} come from a "
             f"{(oh + kh - 1, ow + kw - 1)} input, not {(h, w)}"
         )
-    dcols = (gy.reshape(-1, co) @ k.reshape(-1, co).T).reshape(b, oh, ow, kh, kw, ci)
+    dcols = gemm(gy.reshape(-1, co), k.reshape(-1, co).T).reshape(b, oh, ow, kh, kw, ci)
     # col2im: each window row adds back onto the input pixels it was read from
-    dx = np.zeros((b, h, w, ci), dtype=dcols.dtype)
+    dx = empty((b, h, w, ci), dcols.dtype)
+    dx.fill(0)
     for p in range(kh):
         for q in range(kw):
             dx[:, p : p + oh, q : q + ow] += dcols[:, :, :, p, q]

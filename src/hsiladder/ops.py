@@ -12,6 +12,12 @@ output for ``relu``, ``sigmoid``, ``exp``, ``sqrt``, ``log_softmax`` and
 ``batchnorm``, and shapes alone for the rest.  Anything else a forward makes
 is freed as soon as the forward drops it; nothing is kept to replay one.
 
+Outputs come through :func:`~hsiladder.tensor.empty`: each op and backward
+closure calls its ufunc with ``out=ufunc_out(...)``, which is None for a
+small result (numpy allocates it) and a step-arena array for a large one
+inside a step.  The ufuncs and their order are those of the plain
+expressions, so the bits are too.
+
 Ops hold no state: each is a function of its inputs, and ``batchnorm``
 returns the batch mean and variance it normalized by next to its output.
 """
@@ -23,7 +29,7 @@ import numpy as np
 from . import kernels
 from .errors import ShapeError, as_real
 from .rng import Rng
-from .tensor import GradTape, Tensor, active_tape
+from .tensor import GradTape, Tensor, active_tape, empty, ufunc_out
 
 BN_EPS = 1e-6
 
@@ -60,9 +66,10 @@ def _as_tensor(x, like: Tensor) -> Tensor:
 
 def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
+    ad, bd = a.data, b.data
     na, nb = a.requires_grad, b.requires_grad
-    sa, sb = a.data.shape, b.data.shape
+    out = Tensor(np.add(ad, bd, out=ufunc_out(ad, bd)), requires_grad=na or nb)
+    sa, sb = ad.shape, bd.shape
 
     def backward(g):
         return (
@@ -75,14 +82,15 @@ def add(a: Tensor, b) -> Tensor:
 
 def sub(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
-    out = Tensor(a.data - b.data, requires_grad=a.requires_grad or b.requires_grad)
+    ad, bd = a.data, b.data
     na, nb = a.requires_grad, b.requires_grad
-    sa, sb = a.data.shape, b.data.shape
+    out = Tensor(np.subtract(ad, bd, out=ufunc_out(ad, bd)), requires_grad=na or nb)
+    sa, sb = ad.shape, bd.shape
 
     def backward(g):
         return (
             _unbroadcast(g, sa) if na else None,
-            _unbroadcast(-g, sb) if nb else None,
+            _unbroadcast(np.negative(g, out=ufunc_out(g)), sb) if nb else None,
         )
 
     return _record("sub", (a, b), out, backward)
@@ -90,17 +98,18 @@ def sub(a: Tensor, b) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
+    ad, bd = a.data, b.data
     na, nb = a.requires_grad, b.requires_grad
-    sa, sb = a.data.shape, b.data.shape
+    out = Tensor(np.multiply(ad, bd, out=ufunc_out(ad, bd)), requires_grad=na or nb)
+    sa, sb = ad.shape, bd.shape
     # each operand is kept only for the other's gradient
-    ad = a.data if nb else None
-    bd = b.data if na else None
+    ad = ad if nb else None
+    bd = bd if na else None
 
     def backward(g):
         return (
-            _unbroadcast(g * bd, sa) if na else None,
-            _unbroadcast(g * ad, sb) if nb else None,
+            _unbroadcast(np.multiply(g, bd, out=ufunc_out(g, bd)), sa) if na else None,
+            _unbroadcast(np.multiply(g, ad, out=ufunc_out(g, ad)), sb) if nb else None,
         )
 
     return _record("mul", (a, b), out, backward)
@@ -108,19 +117,19 @@ def mul(a: Tensor, b) -> Tensor:
 
 def div(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
-    out = Tensor(a.data / b.data, requires_grad=a.requires_grad or b.requires_grad)
+    ad, bd = a.data, b.data
     na, nb = a.requires_grad, b.requires_grad
-    sa, sb = a.data.shape, b.data.shape
-    ad = a.data if nb else None
-    bd = b.data
+    out = Tensor(np.divide(ad, bd, out=ufunc_out(ad, bd)), requires_grad=na or nb)
+    sa, sb = ad.shape, bd.shape
+    ad = ad if nb else None
 
     def backward(g):
-        ga = _unbroadcast(g / bd, sa) if na else None
+        ga = _unbroadcast(np.divide(g, bd, out=ufunc_out(g, bd)), sa) if na else None
         gb = None
         if nb:
-            t = -g
+            t = np.negative(g, out=ufunc_out(g))
             t *= ad
-            t /= bd * bd
+            t /= np.multiply(bd, bd, out=ufunc_out(bd))
             gb = _unbroadcast(t, sb)
         return ga, gb
 
@@ -129,10 +138,10 @@ def div(a: Tensor, b) -> Tensor:
 
 def square(x: Tensor) -> Tensor:
     xd = x.data
-    out = Tensor(xd * xd, requires_grad=x.requires_grad)
+    out = Tensor(np.multiply(xd, xd, out=ufunc_out(xd)), requires_grad=x.requires_grad)
 
     def backward(g):
-        t = 2.0 * xd
+        t = np.multiply(2.0, xd, out=ufunc_out(xd))
         t *= g
         return (t,)
 
@@ -140,21 +149,22 @@ def square(x: Tensor) -> Tensor:
 
 
 def sqrt(x: Tensor) -> Tensor:
-    out = Tensor(np.sqrt(x.data), requires_grad=x.requires_grad)
+    out = Tensor(np.sqrt(x.data, out=ufunc_out(x.data)), requires_grad=x.requires_grad)
     out_data = out.data
 
     def backward(g):
-        return (g * 0.5 / out_data,)
+        t = np.multiply(g, 0.5, out=ufunc_out(g))
+        return (np.divide(t, out_data, out=ufunc_out(t, out_data)),)
 
     return _record("sqrt", (x,), out, backward)
 
 
 def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data), requires_grad=x.requires_grad)
+    out = Tensor(np.exp(x.data, out=ufunc_out(x.data)), requires_grad=x.requires_grad)
     out_data = out.data
 
     def backward(g):
-        return (g * out_data,)
+        return (np.multiply(g, out_data, out=ufunc_out(g, out_data)),)
 
     return _record("exp", (x,), out, backward)
 
@@ -165,13 +175,14 @@ def exp(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad)
+    out = Tensor(np.maximum(x.data, 0, out=ufunc_out(x.data)), requires_grad=x.requires_grad)
     out_data = out.data
 
     def backward(g):
         # max(x, 0) > 0 exactly where x > 0 (NaN and -0.0 included), so the
         # output gives the input's mask
-        return (g * (out_data > 0),)
+        mask = out_data > 0
+        return (np.multiply(g, mask, out=ufunc_out(g, mask)),)
 
     return _record("relu", (x,), out, backward)
 
@@ -187,10 +198,10 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     costs more than all the arithmetic, and this form gives the select's
     bits (NaN included) with two fresh arrays.
     """
-    e = np.abs(v, out=np.empty_like(v))
+    e = np.abs(v, out=empty(v.shape, v.dtype))
     np.negative(e, out=e)
     np.exp(e, out=e)
-    r = np.add(e, 1.0, out=np.empty_like(e))
+    r = np.add(e, 1.0, out=empty(e.shape, e.dtype))
     np.divide(1.0, r, out=r)
     np.maximum(e, v >= 0, out=e)
     r *= e
@@ -202,8 +213,8 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(s, requires_grad=x.requires_grad)
 
     def backward(g):
-        t = g * s
-        t *= 1.0 - s
+        t = np.multiply(g, s, out=ufunc_out(g, s))
+        t *= np.subtract(1.0, s, out=ufunc_out(s))
         return (t,)
 
     return _record("sigmoid", (x,), out, backward)
@@ -260,14 +271,14 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
+    out = Tensor(kernels.gemm(a.data, b.data), requires_grad=a.requires_grad or b.requires_grad)
     na, nb = a.requires_grad, b.requires_grad
     ad = a.data if nb else None
     bd = b.data if na else None
 
     def backward(g):
-        ga = g @ bd.T if na else None
-        gb = ad.T @ g if nb else None
+        ga = kernels.gemm(g, bd.T) if na else None
+        gb = kernels.gemm(ad.T, g) if nb else None
         return ga, gb
 
     return _record("matmul", (a, b), out, backward)
@@ -314,7 +325,7 @@ def conv2d_transpose(x: Tensor, k: Tensor) -> Tensor:
         cols = kernels.im2col(g, kh, kw)
         gx = gk = None
         if nx:
-            gx = (cols @ kd.transpose(0, 1, 3, 2).reshape(-1, ci)).reshape(x_shape)
+            gx = kernels.gemm(cols, kd.transpose(0, 1, 3, 2).reshape(-1, ci)).reshape(x_shape)
         if nk:
             gk = kernels.kernel_grad_t(xd, cols).reshape(ci, kh, kw, co).transpose(1, 2, 0, 3)
         return gx, gk
@@ -373,7 +384,8 @@ def reduce_mean(x: Tensor, axes: tuple) -> Tensor:
     count = int(np.prod([shape[a] for a in axes]))
 
     def backward(g):
-        return (np.broadcast_to(g, shape) / count,)
+        spread = np.broadcast_to(g, shape)
+        return (np.divide(spread, count, out=ufunc_out(spread)),)
 
     return _record("reduce_mean", (x,), out, backward)
 
@@ -403,7 +415,7 @@ def batchnorm(x: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
     if n < 2:
         raise ShapeError("batchnorm needs a batch of at least 2")
     mu = x2.sum(axis=0) / n
-    xhat = x2 - mu
+    xhat = np.subtract(x2, mu, out=ufunc_out(x2))
     var = np.einsum("ij,ij->j", xhat, xhat) / n
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
@@ -413,8 +425,8 @@ def batchnorm(x: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
         # inv_std * ((g - mean(g)) - xhat * mean(g * xhat)), updated in place
         # in this order, which keeps every bit of the gradient
         g2 = g.reshape(xhat.shape)
-        gx = g2 - g2.sum(axis=0) / n
-        gx -= xhat * (np.einsum("ij,ij->j", g2, xhat) / n)
+        gx = np.subtract(g2, g2.sum(axis=0) / n, out=ufunc_out(g2))
+        gx -= np.multiply(xhat, np.einsum("ij,ij->j", g2, xhat) / n, out=ufunc_out(xhat))
         gx *= inv_std
         return (gx.reshape(shape),)
 
@@ -429,11 +441,13 @@ def batchnorm(x: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
 def add_gaussian_noise(x: Tensor, std: float, rng: Rng) -> Tensor:
     """x + eps with eps ~ N(0, std^2); eps is a constant in the backward pass."""
     std = as_real("noise std", std)
+    xd = x.data
     if std == 0.0:
-        out = Tensor(x.data.copy(), requires_grad=x.requires_grad)
+        data = np.positive(xd, out=ufunc_out(xd))  # a copy, every bit kept
     else:
-        eps = rng.normal(std, x.data.shape, dtype=x.dtype)
-        out = Tensor(x.data + eps, requires_grad=x.requires_grad)
+        eps = rng.normal(std, xd.shape, dtype=x.dtype)
+        data = np.add(xd, eps, out=ufunc_out(xd, eps))
+    out = Tensor(data, requires_grad=x.requires_grad)
 
     def backward(g):
         return (g,)

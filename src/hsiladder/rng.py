@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, as_index
+from .tensor import empty
 
 MAX_SEED = 2**64 - 1  # a seed is one unsigned 64-bit word
 
@@ -48,10 +49,16 @@ class Rng:
         """Derive ``n`` independent substreams (init / noise / batching ...)."""
         return [Rng(self.seed, _ss=child) for child in self._ss.spawn(n)]
 
-    def normal(self, std: float, shape, dtype=np.float64) -> np.ndarray:
-        out = self.gen.standard_normal(size=shape, dtype=np.float64)
+    def normal(self, std: float, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """``std`` times standard normals drawn in f64, then cast to
+        ``dtype``; both arrays come from :func:`~hsiladder.tensor.empty`."""
+        out = self.gen.standard_normal(dtype=np.float64, out=empty(shape, np.float64))
         out *= std
-        return out.astype(dtype, copy=False)
+        if out.dtype == dtype:
+            return out
+        cast = empty(shape, dtype)
+        cast[...] = out
+        return cast
 
     # PCG64 state as plain uint64 words so checkpoints can persist and
     # restore mid-run streams exactly.

@@ -17,17 +17,146 @@ reference cycle.  ``backward`` drops each closure as soon as it has run, so
 the arrays a node saved are freed while the walk goes on and the gradients
 do not pile up on top of the whole forward's saved arrays.  A recorded graph
 cannot be replayed: outputs that no backward reads are not kept.
+
+Step memory.  While a ``GradTape`` is entered or its ``backward`` is
+walking, :func:`empty` serves every request of at least
+:data:`ARENA_MIN_BYTES` from the step arena: ranges of anonymous ``mmap``
+chunks that the package owns and never returns to the operating system.
+Ops, backward closures, ``Tensor.accumulate_grad``, the conv kernels and
+``Rng.normal`` write their large results through ``out=`` into such arrays,
+so a training step reuses the pages of the one before instead of having the
+heap trim them and fault them in again (the caching-allocator idea of
+Paszke et al. 2019, arXiv 1912.01703, sec. 5.3, with the liveness of Chen
+et al. 2016).  Each request gets its own lifetime token, an array that
+``np.frombuffer`` builds over the chunk.  Its base is not an ndarray, so
+numpy does not collapse the bases of its views past it: every view of the
+result (a reshape, a transpose, a slice) keeps the token alive, and the
+range goes back to the free list only when the last of them dies.  An array
+a caller keeps past the step, such as a decoded level, keeps its range busy
+and stays valid.  Outside that window :func:`empty` is ``np.empty``, so
+prediction, set-up and ``evaluate`` allocate as numpy does.  ``tracemalloc``
+does not see arena memory; :func:`arena_usage` reports it.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import itertools
+import math
+import mmap
+import weakref
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import GraphError
+
+# Smallest request the step arena serves, chosen by a 256 KiB-4 MiB sweep on
+# the paper conv ladder (see CHANGES.md); the FC ladder's largest step
+# array (240 KB) stays below it.
+ARENA_MIN_BYTES = 1 << 20
+_CHUNK_BYTES = 32 << 20
+_ALIGN = 64
+
+
+class _Arena:
+    """First-fit free lists over anonymous ``mmap`` chunks.
+
+    ``take`` hands out 64-byte-aligned ranges and adds a chunk when no free
+    range fits.  A range is released when its token dies: the weakref
+    callback only queues it in ``dead`` (it may run inside ``take``, at any
+    allocation that triggers a collection), and the next ``take`` or
+    ``usage`` merges it back into its chunk's sorted free list, coalesced
+    with its neighbours.
+    """
+
+    def __init__(self):
+        self.depth = 0  # open GradTape blocks and running backward walks
+        self.chunks: list[mmap.mmap] = []
+        self.free: list[list[list[int]]] = []  # per chunk, sorted [offset, size]
+        self.live: dict[int, tuple] = {}  # id(weakref) -> (weakref, chunk, offset, size)
+        self.dead: list[int] = []
+
+    def _died(self, ref) -> None:
+        self.dead.append(id(ref))
+
+    def _release(self) -> None:
+        while self.dead:
+            _, c, off, size = self.live.pop(self.dead.pop())
+            ranges = self.free[c]
+            i = bisect.bisect(ranges, [off])
+            if i < len(ranges) and ranges[i][0] == off + size:
+                size += ranges.pop(i)[1]
+            if i and ranges[i - 1][0] + ranges[i - 1][1] == off:
+                ranges[i - 1][1] += size
+            else:
+                ranges.insert(i, [off, size])
+
+    def take(self, shape: tuple, dtype: np.dtype, nbytes: int) -> np.ndarray:
+        self._release()
+        size = -(-nbytes // _ALIGN) * _ALIGN
+        for c, ranges in enumerate(self.free):
+            for i, r in enumerate(ranges):
+                if r[1] >= size:
+                    off = r[0]
+                    if r[1] == size:
+                        del ranges[i]
+                    else:
+                        r[0] += size
+                        r[1] -= size
+                    return self._token(c, off, size, shape, dtype)
+        length = max(_CHUNK_BYTES, -(-size // mmap.PAGESIZE) * mmap.PAGESIZE)
+        chunk = mmap.mmap(-1, length)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            chunk.madvise(mmap.MADV_HUGEPAGE)
+        self.chunks.append(chunk)
+        self.free.append([[size, length - size]] if length > size else [])
+        return self._token(len(self.chunks) - 1, 0, size, shape, dtype)
+
+    def _token(self, c: int, off: int, size: int, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        token = np.frombuffer(self.chunks[c], dtype, math.prod(shape), off)
+        ref = weakref.ref(token, self._died)
+        self.live[id(ref)] = (ref, c, off, size)
+        return token.reshape(shape)
+
+    def usage(self) -> tuple[int, int]:
+        self._release()
+        reserved = sum(len(chunk) for chunk in self.chunks)
+        return reserved, sum(size for _, _, _, size in self.live.values())
+
+
+_ARENA = _Arena()
+
+
+def empty(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialized array: a step-arena range inside a ``GradTape``
+    block or ``backward`` walk when it holds at least
+    :data:`ARENA_MIN_BYTES`, else ``np.empty``.  The ops' small results skip
+    it: :func:`ufunc_out` tests an operand's size first."""
+    if _ARENA.depth:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes >= ARENA_MIN_BYTES:
+            return _ARENA.take(shape, dtype, nbytes)
+    return np.empty(shape, dtype)
+
+
+def ufunc_out(a: np.ndarray, b: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    """The ``out=`` of an elementwise ufunc of ``a`` (and ``b``): an
+    :func:`empty` array of their broadcast shape and result dtype when
+    either holds at least :data:`ARENA_MIN_BYTES`, else None, so numpy
+    allocates a small result itself."""
+    if b is None:
+        return empty(a.shape, a.dtype) if a.nbytes >= ARENA_MIN_BYTES else None
+    if a.nbytes < ARENA_MIN_BYTES and b.nbytes < ARENA_MIN_BYTES:
+        return None
+    return empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+
+
+def arena_usage() -> tuple[int, int]:
+    """(bytes reserved in arena chunks, bytes of them in live ranges)."""
+    return _ARENA.usage()
 
 
 class Tensor:
@@ -73,7 +202,10 @@ class Tensor:
         is what lets ``GradTape.backward`` drop a node's gradient once read
         while an alias of it lives on in another slot.
         """
-        self.grad = np.asarray(g) if self.grad is None else self.grad + g
+        if self.grad is None:
+            self.grad = np.asarray(g)
+        else:
+            self.grad = np.add(self.grad, g, out=ufunc_out(self.grad, g))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -128,9 +260,11 @@ class GradTape:
 
     def __enter__(self) -> "GradTape":
         _TAPE_STACK.append(self)
+        _ARENA.depth += 1
         return self
 
     def __exit__(self, *exc) -> None:
+        _ARENA.depth -= 1
         popped = _TAPE_STACK.pop()
         assert popped is self
 
@@ -179,6 +313,7 @@ class GradTape:
         # looked up per call so that a patched method sees every accumulation
         accumulate = Tensor.accumulate_grad
         start = self._slot(loss)
+        _ARENA.depth += 1
         try:
             accumulate(loss if start is None else start, np.ones_like(loss.data))
             for node in reversed(self.nodes):
@@ -192,6 +327,7 @@ class GradTape:
                 # the closure's saved arrays go now, not at the end of the walk
                 fn = None
         finally:
+            _ARENA.depth -= 1
             for node in self.nodes:
                 node.backward_fn = None
                 node.inputs = ()

@@ -6,8 +6,24 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hsiladder import GradTape, Tensor, kernels
+from hsiladder import GradTape, LadderSpec, LayerSpec, Tensor, kernels
 from hsiladder.train import batch_input
+
+
+def paper_conv_spec():
+    """7x7x15 patches -> conv 90 -> conv 30 -> conv 15 -> fc 30 -> 9."""
+    return LadderSpec(
+        (
+            LayerSpec("conv3x3", 90),
+            LayerSpec("conv3x3", 30),
+            LayerSpec("conv3x3", 15),
+            LayerSpec("fc", 30),
+            LayerSpec("softmax_head", 9, activation="none"),
+        ),
+        0.3,
+        (1.0, 0.1, 0.1, 0.1, 0.1, 0.1),
+        (7, 7, 15),
+    )
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

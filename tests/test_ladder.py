@@ -33,6 +33,7 @@ from helpers import (
     conv2d_oracle,
     fd_gradcheck,
     matmul_oracle,
+    paper_conv_spec,
     reference_backward,
 )
 
@@ -44,22 +45,6 @@ def fc_spec(widths, classes, bands, noise=0.3, lambdas=None):
     if lambdas is None:
         lambdas = [0.1] * (len(layers) + 1)
     return LadderSpec(tuple(layers), noise, tuple(lambdas), (bands,))
-
-
-def paper_conv_spec():
-    """7x7x15 patches -> conv 90 -> conv 30 -> conv 15 -> fc 30 -> 9."""
-    return LadderSpec(
-        (
-            LayerSpec("conv3x3", 90),
-            LayerSpec("conv3x3", 30),
-            LayerSpec("conv3x3", 15),
-            LayerSpec("fc", 30),
-            LayerSpec("softmax_head", 9, activation="none"),
-        ),
-        0.3,
-        (1.0, 0.1, 0.1, 0.1, 0.1, 0.1),
-        (7, 7, 15),
-    )
 
 
 def comb_params(feat, **overrides):

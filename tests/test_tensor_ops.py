@@ -6,8 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from hsiladder import GradTape, GraphError, Rng, ShapeError, Tensor
-from hsiladder import kernels, ops
+from hsiladder import GradTape, GraphError, LadderNetwork, Rng, ShapeError, Tensor
+from hsiladder import kernels, ops, tensor
+from hsiladder.tensor import ARENA_MIN_BYTES, arena_usage
+from hsiladder.train import Adam
 
 from helpers import (
     conv2d_input_grad_oracle,
@@ -17,6 +19,7 @@ from helpers import (
     conv2d_transpose_grads_oracle,
     fd_gradcheck,
     matmul_oracle,
+    paper_conv_spec,
     sigmoid_oracle,
 )
 
@@ -667,3 +670,102 @@ class TestFiniteDifferences:
             return ops.sum_all(ops.square(noisy))
 
         fd_gradcheck(loss, [x])
+
+
+class TestStepArena:
+    """Large arrays of a step come from reused arena ranges; none is reused
+    while any view of it lives."""
+
+    SHAPE = (ARENA_MIN_BYTES // 8 + 8,)  # just over the threshold in f64
+
+    def test_outside_a_step_empty_is_an_owning_ndarray(self):
+        a = tensor.empty(self.SHAPE, np.float64)
+        assert a.flags.owndata and a.base is None
+
+    def test_inside_a_step_large_requests_are_aligned_arena_views(self):
+        with GradTape():
+            big = tensor.empty(self.SHAPE, np.float64)
+            small = tensor.empty((100,), np.float64)
+        assert not big.flags.owndata and big.flags.writeable
+        assert big.ctypes.data % 64 == 0
+        assert small.flags.owndata
+
+    def test_a_view_keeps_its_range_reserved(self):
+        _, busy = arena_usage()
+        with GradTape():
+            a = tensor.empty(self.SHAPE, np.float64)
+        a[:] = 7.0
+        view = a.reshape(-1, 8).T[2:5]
+        nbytes = arena_usage()[1] - busy
+        assert nbytes >= a.nbytes
+        addr = a.ctypes.data
+        del a
+        assert arena_usage()[1] - busy == nbytes
+        with GradTape():
+            b = tensor.empty(self.SHAPE, np.float64)
+        b[:] = -1.0
+        assert b.ctypes.data != addr
+        assert np.all(view == 7.0)
+        del view, b
+        assert arena_usage()[1] == busy
+        with GradTape():
+            # the first fit is the range just released
+            assert tensor.empty(self.SHAPE, np.float64).ctypes.data == addr
+
+    def test_a_request_larger_than_a_chunk_grows_the_arena(self):
+        reserved, _ = arena_usage()
+        n = tensor._CHUNK_BYTES // 8 + 1
+        with GradTape():
+            big = tensor.empty((n,), np.float64)
+        big[-1] = 1.0
+        assert arena_usage()[0] >= reserved + big.nbytes
+        assert big.ctypes.data % 64 == 0
+
+    @staticmethod
+    def steps(dtype, use_decoder: bool, count: int, kept=None) -> bytes:
+        """``count`` paper-scale training steps on fixed random input: the
+        losses, parameters and running statistics as bytes.  The first
+        step's decoded level 1 and a copy of it go into ``kept`` when given."""
+        net = LadderNetwork(paper_conv_spec(), Rng(3), dtype=dtype)
+        adam = Adam(net.params, 0.01)
+        noise = Rng(4)
+        gen = np.random.default_rng(5)
+        out = []
+        for i in range(count):
+            batch = gen.standard_normal((200, 7, 7, 15)).astype(dtype)
+            targets = gen.integers(0, 9, 100)
+            net.zero_grads()
+            with GradTape() as tape:
+                loss, _, _, z_hat = net.training_loss(batch, 100, targets, noise, use_decoder=use_decoder)
+            if i == 0 and kept is not None:
+                kept += [z_hat[1].data, z_hat[1].data.copy()]
+            tape.backward(loss)
+            adam.step()
+            out.append(loss.data.tobytes())
+        out += [p.data.tobytes() for p in net.params.values()]
+        out += [rs.mean.tobytes() + rs.var.tobytes() for rs in net.running.values()]
+        return b"".join(out)
+
+    def test_a_kept_decoded_level_is_unchanged_by_the_next_step(self):
+        kept = []
+        self.steps(np.float64, True, 2, kept)
+        level1, before = kept
+        assert level1.nbytes >= ARENA_MIN_BYTES and not level1.flags.owndata
+        np.testing.assert_array_equal(level1, before)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("use_decoder", [True, False])
+    def test_paper_steps_same_bits_when_no_range_is_reused(self, monkeypatch, dtype, use_decoder):
+        reused = self.steps(dtype, use_decoder, 2)
+        kept = []
+        take = tensor._ARENA.take
+
+        def take_and_keep(*args):
+            kept.append(take(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(tensor._ARENA, "take", take_and_keep)
+        assert self.steps(dtype, use_decoder, 2) == reused
+        assert kept
+        monkeypatch.setattr(tensor._ARENA, "take", lambda shape, dtype, nbytes: np.empty(shape, dtype))
+        assert self.steps(dtype, use_decoder, 2) == reused

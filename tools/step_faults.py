@@ -6,11 +6,20 @@ with it whether a step's large temporaries come from the heap or from fresh
 pages, is per process.  In each, it builds the workload with
 ``benchmarks/workloads.py``'s ``setup``, runs its untimed warm-up steps, then
 ``--steps`` ``train_step`` calls with ``getrusage(RUSAGE_SELF)`` read around
-each.  Per workload it prints one JSON line: the median step time, minor
-faults and system milliseconds per step (mean and worst), and the peak
-resident set size.  A step whose arrays come from the heap takes few faults
-and little system time; one that maps fresh pages for its temporaries takes
-thousands of faults and tens of milliseconds of system time.
+each.  Then it runs one ``train()`` call of the workload's model and mode
+for ``WARMUP_STEPS + --steps + 1`` iterations and reads the minor faults
+between consecutive Adam steps, i.e. per ``train()`` iteration after the
+warm-up.  Per workload it prints one JSON line: the median step time, minor
+faults and system milliseconds per step (mean and worst), the peak resident
+set size after the step loop, the MiB the package's step arena reserves
+then (its ``mmap`` chunks, which neither ``tracemalloc`` nor the heap
+shows; null for a tree without one) and the minor faults per ``train()``
+iteration (mean and worst).  A step whose arrays come from reused memory
+takes few faults and little system time; one that maps fresh pages for its
+temporaries takes thousands of faults and tens of milliseconds of system
+time.  ``train()`` keeps the last step's decoded levels alive into the
+next, which pins the heap top, so its iterations can fault less than the
+benchmark's loop, which drops every array between steps.
 
 It takes the workload names from ``BENCHMARK.json`` and only reads the
 benchmark's code and that file, never changes them.  BLAS may use as many
@@ -78,6 +87,10 @@ def measure(name: str, steps: int, seed: int) -> dict:
         step_ms.append((t1 - t0) * 1e3)
         faults.append(r1.ru_minflt - r0.ru_minflt)
         sys_ms.append((r1.ru_stime - r0.ru_stime) * 1e3)
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    arena_usage = getattr(sys.modules["hsiladder.tensor"], "arena_usage", None)
+    reserved = None if arena_usage is None else arena_usage()[0] / 2**20
+    train_faults = train_iteration_faults(W, w, s, seed, steps)
     return {
         "workload": name,
         "seed": seed,
@@ -87,8 +100,35 @@ def measure(name: str, steps: int, seed: int) -> dict:
         "minor_faults_max": int(max(faults)),
         "sys_ms_per_step": round(float(np.mean(sys_ms)), 3),
         "sys_ms_max": round(float(max(sys_ms)), 3),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "peak_rss_mb": round(peak_rss, 1),
+        "arena_reserved_mib": reserved,
+        "train_faults_per_iteration": round(float(np.mean(train_faults)), 1),
+        "train_faults_max": int(max(train_faults)),
     }
+
+
+def train_iteration_faults(W, w, s, seed: int, steps: int) -> list[int]:
+    """Minor faults between consecutive Adam steps of one ``train()`` call
+    of ``W.WARMUP_STEPS + steps + 1`` iterations, after the warm-up ones."""
+    train_mod = W.train_mod
+    marks = []
+    orig = vars(train_mod.Adam)["step"]
+
+    def step(self, *args, **kwargs):
+        orig(self, *args, **kwargs)
+        marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    config = train_mod.TrainConfig(
+        w.spec, W.LEARNING_RATE, W.WARMUP_STEPS + steps + 1, seed,
+        batch_size=W.BATCH, mode=w.mode, precision=w.precision,
+    )
+    train_mod.Adam.step = step
+    try:
+        train_mod.train(config, s.prep.patches, s.prep.split)
+    finally:
+        train_mod.Adam.step = orig
+    marks = marks[W.WARMUP_STEPS:]
+    return [b - a for a, b in zip(marks, marks[1:])]
 
 
 def main(argv=None) -> int:
