@@ -1,7 +1,10 @@
 """Shared test utilities: brute-force oracles and finite-difference checks."""
 
 import copy
+import importlib.util
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,6 +27,18 @@ def paper_conv_spec():
         (1.0, 0.1, 0.1, 0.1, 0.1, 0.1),
         (7, 7, 15),
     )
+
+
+def load_tool(name: str):
+    """``tools/<name>.py`` as a module, with ``tools/`` first on ``sys.path``
+    as when the tool runs as a script, so that its ``import trees`` resolves."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    if str(tools) not in sys.path:
+        sys.path.insert(0, str(tools))
+    spec = importlib.util.spec_from_file_location(name, tools / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,16 +1,14 @@
 """``tools/compare.py``: parsing ``run.py``'s lines, the paired summary and
 the two fingerprints."""
 
-import importlib.util
 import json
-from pathlib import Path
+import shutil
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare.py"
-_SPEC = importlib.util.spec_from_file_location("compare", _PATH)
-compare = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare)
+from helpers import load_tool
+
+compare = load_tool("compare")
 
 METRICS = [
     {"name": "step_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
@@ -139,52 +137,72 @@ class TestSummarize:
 
 
 class TestFingerprints:
+    FC = "fc: tape nodes per step 156 (ladder), 22 (supervised-only)"
+    CONV = "conv: tape nodes per step 159 (ladder), 23 (supervised-only)"
+
     @staticmethod
-    def tree(root: Path, name: str, printed: str) -> Path:
-        """A tree whose ``tools/fingerprint.py`` prints ``printed``."""
-        (root / name / "tools").mkdir(parents=True)
-        script = f"print({printed!r})\n"
-        (root / name / "tools" / "fingerprint.py").write_text(script)
-        return root / name
+    def printed(**sides: str) -> dict:
+        """Each side's fingerprint parsed from the text it printed."""
+        return {side: compare.parse_fingerprint(text) for side, text in sides.items()}
 
-    def test_hashes_and_src_lines_of_both_sides(self, tmp_path):
-        def tree(name: str, summary: str) -> Path:
-            return self.tree(tmp_path, name, f"  fc ladder f64: 0123\n{summary}")
-
-        parent = compare.fingerprint(tree("parent", "src lines 2722\nstep peak 320 KiB\nsha256 ab"))
-        change = compare.fingerprint(tree("change", "src lines 2702\nsha256 ab"))
-        assert parent == {
-            "exit": 0,
+    def test_hashes_and_src_lines_of_both_sides(self):
+        runs = "  fc ladder f64: 0123\n"
+        prints = self.printed(
+            parent=f"{runs}src lines 2722\nstep peak 320 KiB\nsha256 ab",
+            change=f"{runs}src lines 2702\nsha256 ab",
+        )
+        assert prints["parent"] == {
             "sha256": "ab",
             "src_lines": 2722,
             "lines": ["src lines 2722", "step peak 320 KiB", "sha256 ab"],
             "tape_nodes": [],
         }
-        out = compare.compare_fingerprints({"parent": parent, "change": change})
-        assert out == {
+        assert compare.compare_fingerprints(prints) == {
             "fingerprints_equal": True,
-            "tape_nodes_equal": None,
+            "tape_nodes_equal": False,
             "src_lines": {"parent": 2722, "change": 2702},
         }
-        out = compare.compare_fingerprints({"parent": None, "change": change})
-        assert out == {
-            "fingerprints_equal": None,
-            "tape_nodes_equal": None,
+
+    def test_a_side_without_a_hash_is_never_equal(self):
+        # a fingerprint that failed before its last line prints no sha256
+        text = f"{self.FC}\nsrc lines 2722"
+        prints = self.printed(parent=text, change=text)
+        assert prints["parent"]["sha256"] is None
+        out = compare.compare_fingerprints(prints)
+        assert out["fingerprints_equal"] is False and out["tape_nodes_equal"] is True
+        prints = self.printed(parent="", change="src lines 2702\nsha256 ab")
+        assert compare.compare_fingerprints(prints) == {
+            "fingerprints_equal": False,
+            "tape_nodes_equal": False,
             "src_lines": {"parent": None, "change": 2702},
         }
 
-    def test_tape_node_lines_recorded_and_compared(self, tmp_path):
-        fc = "fc: tape nodes per step 156 (ladder), 22 (supervised-only)"
-        conv = "conv: tape nodes per step 159 (ladder), 23 (supervised-only)"
+    def test_tape_node_lines_recorded_and_compared(self):
         runs = "  fc ladder f64: 0123\n  conv ladder f64: 4567"
         summary = "src lines 2708\nsha256 ab"
-        parent = compare.fingerprint(self.tree(tmp_path, "parent", f"{fc}\n{conv}\n{runs}\n{summary}"))
-        assert parent["tape_nodes"] == [fc, conv]
-        assert parent["lines"] == ["src lines 2708", "sha256 ab"]
-        same = compare.fingerprint(self.tree(tmp_path, "same", f"{fc}\n{runs}\n{conv}\n{summary}"))
-        fewer = conv.replace("159", "158")
-        other = compare.fingerprint(self.tree(tmp_path, "other", f"{fc}\n{fewer}\n{summary}"))
-        out = compare.compare_fingerprints({"parent": parent, "change": same})
+        fewer = self.CONV.replace("159", "158")
+        prints = self.printed(
+            parent=f"{self.FC}\n{self.CONV}\n{runs}\n{summary}",
+            same=f"{self.FC}\n{runs}\n{self.CONV}\n{summary}",
+            other=f"{self.FC}\n{fewer}\n{summary}",
+        )
+        assert prints["parent"]["tape_nodes"] == [self.FC, self.CONV]
+        assert prints["parent"]["lines"] == ["src lines 2708", "sha256 ab"]
+        out = compare.compare_fingerprints({"parent": prints["parent"], "change": prints["same"]})
         assert out["tape_nodes_equal"] is True and out["fingerprints_equal"] is True
-        out = compare.compare_fingerprints({"parent": parent, "change": other})
+        out = compare.compare_fingerprints({"parent": prints["parent"], "change": prints["other"]})
         assert out["tape_nodes_equal"] is False and out["fingerprints_equal"] is True
+
+    def test_one_script_hashes_a_tree_and_its_copy_alike(self, tmp_path):
+        src = compare.ROOT / "src"
+        shutil.copytree(src / "hsiladder", tmp_path / "src" / "hsiladder",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        roots = {"parent": tmp_path / "src", "change": src}
+        prints = {side: compare.fingerprint(root) for side, root in roots.items()}
+        for side in compare.SIDES:
+            assert prints[side]["exit"] == 0
+            assert len(prints[side]["sha256"]) == 64 and len(prints[side]["tape_nodes"]) == 2
+        assert prints["parent"]["sha256"] == prints["change"]["sha256"]
+        assert prints["parent"]["tape_nodes"] == prints["change"]["tape_nodes"]
+        out = compare.compare_fingerprints(prints)
+        assert out["fingerprints_equal"] is True and out["tape_nodes_equal"] is True

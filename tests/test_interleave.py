@@ -1,17 +1,17 @@
 """``tools/interleave.py``: the per-round summary, its resolution rule and
 paired runs against fake parent trees."""
 
-import importlib.util
 import shutil
 import time
 from pathlib import Path
 
 import pytest
 
+from helpers import load_tool
+
 _ROOT = Path(__file__).resolve().parents[1]
-_SPEC = importlib.util.spec_from_file_location("interleave", _ROOT / "tools" / "interleave.py")
-interleave = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(interleave)
+interleave = load_tool("interleave")
+trees = interleave.trees
 
 TINY = interleave.Case(
     layers=(("fc", 8, "relu"), ("softmax_head", 3, "none")),
@@ -89,7 +89,7 @@ class TestPairedRuns:
         assert [o[0] for o in orders] == ["parent", "change", "null"]
 
     def test_a_slower_parent_is_resolved(self, tmp_path):
-        pkg = interleave.load_package(fake_parent(tmp_path), "hsiladder_slow_parent")
+        pkg = trees.load_package(fake_parent(tmp_path), "hsiladder_slow_parent")
         backward = pkg.GradTape.backward
 
         def slow_backward(tape, loss):
@@ -99,7 +99,7 @@ class TestPairedRuns:
         pkg.GradTape.backward = slow_backward
         sides = {"parent": interleave.Side(pkg, TINY, 1)}
         for name in ("change", "null"):
-            module = interleave.load_package(_ROOT / "src" / "hsiladder", f"hsiladder_test_{name}")
+            module = trees.load_package(_ROOT / "src" / "hsiladder", f"hsiladder_test_{name}")
             sides[name] = interleave.Side(module, TINY, 1)
         out = interleave.summarize(interleave.run_rounds(sides, TINY, interleave.MIN_ROUNDS, 3, 1))
         assert out["wins"] == interleave.MIN_ROUNDS

@@ -1,15 +1,11 @@
 """``tools/quality.py``: the per-mode summary, the paired differences and
 the gate, on made-up runs."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "quality.py"
-_SPEC = importlib.util.spec_from_file_location("quality", _PATH)
-quality = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(quality)
+from helpers import load_tool
+
+quality = load_tool("quality")
 
 
 def runs_from(oa: dict, aa: dict | None = None) -> list[dict]:

@@ -6,7 +6,8 @@ directory, which is removed at exit; the change is this checkout as it
 stands.  Each of ``--pairs`` pairs runs each side's own, unchanged
 ``benchmarks/run.py`` once with the same fresh seed (``--first-seed`` plus
 the pair's number), and the side that runs first alternates from pair to
-pair.  ``tools/fingerprint.py`` runs once on each side (where it exists).
+pair.  This checkout's ``tools/fingerprint.py`` runs once on each side's
+``src`` (its ``--src``), so one script hashes both trees.
 
 Per end-to-end metric of ``BENCHMARK.json`` the file records the median and
 quartiles of both sides, the change/parent ratio of the medians, the pairs
@@ -17,9 +18,11 @@ than the parent's interquartile range) and ``parent_iqr_over_bound`` (the
 parent's interquartile range, as a share of its median, is wider than the
 metric's bound, so the metric cannot resolve a change of that size).  It
 also records every run's result line, both manifests and both fingerprints
-with their tape-node lines, and prints each side's ``src lines`` next to
-whether the hashes and the tape-node counts are equal.
-The exit code is non-zero when any run was not ``correct``.
+with their tape-node lines, and prints each side's fingerprint summary
+lines (``src lines``, the traced peaks, the step arena's MiB, ``sha256``)
+and whether the hashes and the tape-node counts are equal.
+The exit code is non-zero when any run was not ``correct`` or the change's
+fingerprint failed.
 
 Usage, from the repository root:
 
@@ -38,21 +41,19 @@ import sys
 import tempfile
 from pathlib import Path
 
+import trees
+
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9  # of the pairs run that the change must win for ``resolved``
 MIN_PAIRS = 10  # pairs run, fewest for ``resolved``
 
 
-def benchmark_spec() -> dict:
-    return json.loads((ROOT / "BENCHMARK.json").read_text())
-
-
-def parse_args(argv, spec: dict):
+def parse_args(argv):
     parser = argparse.ArgumentParser(description="paired parent/change benchmark runs")
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
+    parser.add_argument("--workload", required=True, choices=trees.workload_names())
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_*.json to write")
     parser.add_argument("--first-seed", type=int, default=1, help="seed of pair 0; pair i uses this + i")
@@ -66,20 +67,6 @@ def parse_args(argv, spec: dict):
     if (ROOT / "benchmarks") in args.out.resolve().parents:
         parser.error("--out must lie outside benchmarks/, which this tool never changes")
     return args
-
-
-def git(*args: str) -> str:
-    return subprocess.run(
-        ["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True
-    ).stdout.strip()
-
-
-def export(rev: str, dest: Path) -> None:
-    """The tree of ``rev`` written into ``dest`` with ``git archive``."""
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True, check=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -106,34 +93,39 @@ def parse_run(stdout: str) -> dict:
         return {"manifest": None, "correct": False, "attempted": 0, "failed": 0, "metrics": {}}
 
 
-def fingerprint(root: Path) -> dict | None:
+def fingerprint(src: Path) -> dict:
+    """This checkout's ``tools/fingerprint.py`` run on the package tree
+    ``src``: its exit code and its parsed output."""
+    script = ROOT / "tools" / "fingerprint.py"
+    proc = subprocess.run([sys.executable, str(script), "--src", str(src)], capture_output=True,
+                          text=True, cwd=ROOT)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+    return {"exit": proc.returncode, **parse_fingerprint(proc.stdout)}
+
+
+def parse_fingerprint(stdout: str) -> dict:
     """The summary lines that ``tools/fingerprint.py`` prints after its
     per-run hashes (``src lines``, the traced peaks, ``sha256``), with the
     hash and the line count read out of them, and its per-spec tape-node
     lines (``fc: tape nodes per step ...``)."""
-    script = root / "tools" / "fingerprint.py"
-    if not script.is_file():
-        return None
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, cwd=root)
-    printed = proc.stdout.splitlines()
+    printed = stdout.splitlines()
     lines = [l for l in printed if l and not l.startswith(" ") and ":" not in l]
     sha = next((l.split()[1] for l in lines if l.startswith("sha256 ")), None)
     src = next((int(l.split()[2]) for l in lines if l.startswith("src lines ")), None)
     nodes = [l for l in printed if ": tape nodes " in l]
-    return {"exit": proc.returncode, "sha256": sha, "src_lines": src, "lines": lines, "tape_nodes": nodes}
+    return {"sha256": sha, "src_lines": src, "lines": lines, "tape_nodes": nodes}
 
 
 def compare_fingerprints(prints: dict) -> dict:
-    """Whether both sides' hashes are equal and whether their tape-node
-    lines are (each None when a side has none), and each side's ``src
-    lines``."""
-    found = {side: prints[side] or {} for side in SIDES}
-    hashes = [found[side].get("sha256") for side in SIDES]
-    nodes = [found[side].get("tape_nodes") or None for side in SIDES]
+    """Whether both sides printed the same hash and the same tape-node
+    lines (false when a side printed none), and each side's ``src lines``."""
+    parent, change = (prints[side] for side in SIDES)
+    same = {key: bool(parent[key]) and parent[key] == change[key] for key in ("sha256", "tape_nodes")}
     return {
-        "fingerprints_equal": None if None in hashes else hashes[0] == hashes[1],
-        "tape_nodes_equal": None if None in nodes else nodes[0] == nodes[1],
-        "src_lines": {side: found[side].get("src_lines") for side in SIDES},
+        "fingerprints_equal": same["sha256"],
+        "tape_nodes_equal": same["tape_nodes"],
+        "src_lines": {side: prints[side]["src_lines"] for side in SIDES},
     }
 
 
@@ -188,14 +180,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    spec = benchmark_spec()
-    args = parse_args(argv, spec)
-    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    args = parse_args(argv)
+    parent_commit = trees.git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     tmp = Path(tempfile.mkdtemp(prefix="compare-parent-"))
     try:
-        export(parent_commit, tmp)
+        trees.export(parent_commit, tmp)
         roots = {"parent": tmp, "change": ROOT}
-        prints = {side: fingerprint(root) for side, root in roots.items()}
+        prints = {side: fingerprint(root / "src") for side, root in roots.items()}
         runs = []
         for pair in range(args.pairs):
             seed = args.first_seed + pair
@@ -222,12 +213,12 @@ def main(argv=None) -> int:
         "seeds": [args.first_seed + i for i in range(args.pairs)],
         "parent": {"rev": args.parent, "commit": parent_commit, "manifest": manifests["parent"],
                    "fingerprint": prints["parent"]},
-        "change": {"rev": "working tree", "commit": git("rev-parse", "HEAD"),
-                   "modified": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "change": {"rev": "working tree", "commit": trees.git("rev-parse", "HEAD"),
+                   "modified": bool(trees.git("status", "--porcelain", "--untracked-files=no")),
                    "manifest": manifests["change"], "fingerprint": prints["change"]},
         **compare_fingerprints(prints),
         "all_correct": all(r["correct"] for r in runs),
-        "metrics": summarize(runs, spec["end_to_end"]),
+        "metrics": summarize(runs, json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]),
         "runs": [{k: v for k, v in r.items() if k != "manifest"} for r in runs],
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -239,13 +230,14 @@ def main(argv=None) -> int:
             f" -> {s['change']['median']:>12.6g} ({ratio}, won {s['wins']}/{s['pairs']}"
             f"{', resolved' if s['resolved'] else ''}{', parent IQR over bound' if s['parent_iqr_over_bound'] else ''})"
         )
-    src = report["src_lines"]
+    for side in SIDES:
+        for line in prints[side]["lines"]:
+            print(f"{side} fingerprint: {line}")
     print(
         f"fingerprints equal: {report['fingerprints_equal']}; "
-        f"tape nodes equal: {report['tape_nodes_equal']}; "
-        f"src lines {src['parent']} -> {src['change']}; wrote {args.out}"
+        f"tape nodes equal: {report['tape_nodes_equal']}; wrote {args.out}"
     )
-    return 0 if report["all_correct"] else 1
+    return 0 if report["all_correct"] and prints["change"]["exit"] == 0 else 1
 
 
 if __name__ == "__main__":

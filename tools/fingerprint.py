@@ -47,6 +47,8 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import trees
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
@@ -63,9 +65,8 @@ LAMBDAS = (1.0, 0.1, 0.1, 0.1)
 MASK_SHARE = 0.25  # of each scene's pixels whose ground truth is masked
 MASK_STREAM = 7  # second word of the mask's numpy seed
 # the paper-scale steps: the paper conv ladder on a 32x32 scene
-PAPER_SCENE = dict(height=32, width=32, bands=20, classes=9, block=8)
-PAPER_WINDOW, PAPER_PCA, PAPER_BATCH, PAPER_STEPS = 7, 15, 100, 2
-PAPER_LAMBDAS = (1.0, 0.1, 0.1, 0.1, 0.1, 0.1)
+PAPER_SCENE = dict(height=32, width=32, bands=20, classes=trees.PAPER_CLASSES, block=8)
+PAPER_BATCH, PAPER_STEPS = 100, 2
 
 
 def parse_args(argv):
@@ -81,10 +82,7 @@ def parse_args(argv):
 
 def load(src: Path) -> SimpleNamespace:
     """``hsiladder`` and the modules this script uses, imported from ``src``."""
-    sys.path.insert(0, str(src.resolve()))
-    pkg = importlib.import_module("hsiladder")
-    if Path(pkg.__file__).resolve().parent != (src / "hsiladder").resolve():
-        raise SystemExit(f"imported hsiladder from {pkg.__file__}, not from {src}")
+    pkg = trees.load_package(src / "hsiladder", "hsiladder")
     names = ("data", "synthetic", "tensor", "train")
     return SimpleNamespace(pkg=pkg, **{n: importlib.import_module(f"hsiladder.{n}") for n in names})
 
@@ -102,18 +100,6 @@ def small_specs(api) -> dict:
             (WINDOW, WINDOW, PCA_COMPONENTS),
         ),
     }
-
-
-def paper_spec(api):
-    LayerSpec = api.pkg.LayerSpec
-    layers = (
-        LayerSpec("conv3x3", 90),
-        LayerSpec("conv3x3", 30),
-        LayerSpec("conv3x3", 15),
-        LayerSpec("fc", 30),
-        LayerSpec("softmax_head", PAPER_SCENE["classes"], "none"),
-    )
-    return api.pkg.LadderSpec(layers, 0.3, PAPER_LAMBDAS, (PAPER_WINDOW, PAPER_WINDOW, PAPER_PCA))
 
 
 def masked_scene(api, **scene):
@@ -177,7 +163,7 @@ def paper_steps(api, prepared, precision: str, use_decoder: bool) -> str:
     (forward, backward, Adam, as ``train()`` does them) on fixed rows: the
     losses, then every parameter, every running statistic and the
     log-probabilities of the first 64 test rows."""
-    spec, patchset, split = paper_spec(api), prepared.patches, prepared.split
+    spec, patchset, split = trees.paper_conv_spec(api.pkg), prepared.patches, prepared.split
     dtype = np.float64 if precision == "f64" else np.float32
     net = api.pkg.LadderNetwork(spec, api.pkg.Rng(SEED), dtype=dtype)
     adam = api.train.Adam(net.params, 0.01)
@@ -260,7 +246,7 @@ def main(argv=None) -> int:
                 print(f"  {name} {mode} {precision}: {digest[:16]}")
                 total.update(f"{name}|{mode}|{precision}|{digest}".encode())
     paper = api.data.prepare_dataset(
-        masked_scene(api, **PAPER_SCENE), PAPER_WINDOW, PAPER_PCA, 20, seed=SEED
+        masked_scene(api, **PAPER_SCENE), trees.PAPER_WINDOW, trees.PAPER_PCA, 20, seed=SEED
     )
     for mode, use_decoder in (("ladder", True), ("supervised-only", False)):
         for precision in PRECISIONS:

@@ -46,16 +46,16 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import importlib.util
 import json
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+
+import trees
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "benchmarks"
@@ -100,17 +100,6 @@ def workload_case(name: str) -> Case:
         learning_rate=W.LEARNING_RATE,
         classes=spec.num_classes,
     )
-
-
-def load_package(src: Path, name: str):
-    """The package in directory ``src`` imported under ``name``."""
-    spec = importlib.util.spec_from_file_location(
-        name, src / "__init__.py", submodule_search_locations=[str(src)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 class Side:
@@ -205,22 +194,12 @@ def summarize(records: list[dict]) -> dict:
     }
 
 
-def export_package(rev: str, dest: Path) -> Path:
-    """``src/hsiladder`` of ``rev``, written under ``dest`` with ``git archive``."""
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/hsiladder"],
-        capture_output=True, check=True,
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    return dest / "src" / "hsiladder"
-
-
 def compare_packages(parent_src: Path, change_src: Path, case: Case, rounds: int, steps: int,
                      seed: int) -> dict:
     """Load the parent, the change and the change's null copy and time them."""
     sources = {"parent": parent_src, "change": change_src, "null": change_src}
     sides = {
-        name: Side(load_package(src, f"hsiladder_{name}"), case, seed)
+        name: Side(trees.load_package(src, f"hsiladder_{name}"), case, seed)
         for name, src in sources.items()
     }
     records = run_rounds(sides, case, rounds, steps, seed)
@@ -228,12 +207,9 @@ def compare_packages(parent_src: Path, change_src: Path, case: Case, rounds: int
 
 
 def parse_args(argv):
-    sys.path.insert(0, str(BENCH))
-    from run import WORKLOAD_NAMES
-
     parser = argparse.ArgumentParser(description="one-process paired step timing with an A/A null")
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
+    parser.add_argument("--workload", required=True, choices=trees.workload_names())
     parser.add_argument("--rounds", type=int, default=MIN_ROUNDS)
     parser.add_argument("--steps", type=int, default=8, help="timed steps per side and round")
     parser.add_argument("--seed", type=int, default=1)
@@ -246,24 +222,19 @@ def parse_args(argv):
     return args
 
 
-def git(*args: str) -> str:
-    return subprocess.run(
-        ["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True
-    ).stdout.strip()
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
+    sys.path.insert(0, str(BENCH))
     from run import limit_blas_threads
 
     threads = limit_blas_threads()  # before numpy is imported, as in the benchmark
-    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    parent_commit = trees.git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     case = workload_case(args.workload)
     tmp = Path(tempfile.mkdtemp(prefix="interleave-parent-"))
     try:
-        parent_src = export_package(parent_commit, tmp)
-        report = compare_packages(parent_src, ROOT / "src" / "hsiladder", case, args.rounds,
-                                  args.steps, args.seed)
+        trees.export(parent_commit, tmp, "src/hsiladder")
+        report = compare_packages(tmp / "src" / "hsiladder", ROOT / "src" / "hsiladder", case,
+                                  args.rounds, args.steps, args.seed)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     report = {
@@ -274,8 +245,8 @@ def main(argv=None) -> int:
         "rule": f">= {MIN_ROUNDS} rounds, change wins >= {WIN_SHARE:.4g} of them, "
                 "median ratio below the null's lowest",
         "parent": {"rev": args.parent, "commit": parent_commit},
-        "change": {"rev": "working tree", "commit": git("rev-parse", "HEAD"),
-                   "modified": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "change": {"rev": "working tree", "commit": trees.git("rev-parse", "HEAD"),
+                   "modified": bool(trees.git("status", "--porcelain", "--untracked-files=no"))},
         **report,
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -46,15 +46,15 @@ from pathlib import Path
 
 import numpy as np
 
+import trees
+
 ROOT = Path(__file__).resolve().parents[1]
 MODES = ("ladder", "supervised-only", "sdae-pretrain")
 BASELINES = ("supervised-only", "sdae-pretrain")
 GATED = "supervised-only"
-SCENE = dict(height=96, width=96, bands=103, classes=9, block=16, noise=1.0)
-WINDOW, PCA_COMPONENTS, LABELS_PER_CLASS = 7, 15, 5
+SCENE = dict(height=96, width=96, bands=103, classes=trees.PAPER_CLASSES, block=16, noise=1.0)
+LABELS_PER_CLASS = 5
 LEARNING_RATE, ITERATIONS, PRETRAIN_ITERATIONS = 0.002, 300, 500
-CORRUPTION_STD = 0.3
-LAMBDAS = (1.0, 0.1, 0.1, 0.1, 0.1, 0.1)
 MASK_STREAM = 7  # second word of the mask's numpy seed, so it never shares a stream
 SPLIT = (
     "random stratified (data.make_split): 25% of each class's labeled pixels are the test set, "
@@ -83,28 +83,6 @@ def parse_args(argv):
     return args
 
 
-def import_package(src: Path):
-    """``hsiladder`` and the modules this tool uses (by name), imported from
-    ``src``."""
-    sys.path.insert(0, str(src.resolve()))
-    pkg = importlib.import_module("hsiladder")
-    if Path(pkg.__file__).resolve().parent != (src / "hsiladder").resolve():
-        raise SystemExit(f"imported hsiladder from {pkg.__file__}, not from {src}")
-    names = ("data", "synthetic", "train")
-    return pkg, {name: importlib.import_module(f"hsiladder.{name}") for name in names}
-
-
-def paper_conv_spec(pkg):
-    layers = (
-        pkg.LayerSpec("conv3x3", 90),
-        pkg.LayerSpec("conv3x3", 30),
-        pkg.LayerSpec("conv3x3", 15),
-        pkg.LayerSpec("fc", 30),
-        pkg.LayerSpec("softmax_head", SCENE["classes"], "none"),
-    )
-    return pkg.LadderSpec(layers, CORRUPTION_STD, LAMBDAS, (WINDOW, WINDOW, PCA_COMPONENTS))
-
-
 def masked_scene(mods, seed: int, fraction: float):
     """The seed's scene with the ground truth of all but a random
     ``fraction`` of its pixels set to 0; the mask is drawn with numpy alone,
@@ -118,7 +96,9 @@ def masked_scene(mods, seed: int, fraction: float):
 def run_seed(pkg, mods, seed: int, fraction: float) -> tuple[dict, list[dict]]:
     """The split's sizes and one run per mode on the seed's scene."""
     cube = masked_scene(mods, seed, fraction)
-    prep = mods["data"].prepare_dataset(cube, WINDOW, PCA_COMPONENTS, LABELS_PER_CLASS, seed=seed)
+    prep = mods["data"].prepare_dataset(
+        cube, trees.PAPER_WINDOW, trees.PAPER_PCA, LABELS_PER_CLASS, seed=seed
+    )
     split = prep.split
     sizes = {
         "pixels": int(cube.ground_truth.size),
@@ -131,7 +111,7 @@ def run_seed(pkg, mods, seed: int, fraction: float) -> tuple[dict, list[dict]]:
     runs = []
     for mode in MODES:
         config = mods["train"].TrainConfig(
-            ladder=paper_conv_spec(pkg),
+            ladder=trees.paper_conv_spec(pkg),
             learning_rate=LEARNING_RATE,
             iterations=ITERATIONS,
             seed=seed,
@@ -190,7 +170,8 @@ def gate(summary: dict) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    pkg, mods = import_package(args.src)
+    pkg = trees.load_package(args.src / "hsiladder", "hsiladder")
+    mods = {n: importlib.import_module(f"hsiladder.{n}") for n in ("data", "synthetic", "train")}
     splits, runs = {}, []
     for seed in args.seeds:
         sizes, seed_runs = run_seed(pkg, mods, seed, args.labeled_fraction)
@@ -204,11 +185,12 @@ def main(argv=None) -> int:
         "src_sha256": hashlib.sha256(b"".join(sources)).hexdigest(),
         "src_lines": sum(len(b.splitlines()) for b in sources),
         "settings": {
-            "scene": SCENE, "labeled_fraction": args.labeled_fraction, "window": WINDOW,
-            "pca_components": PCA_COMPONENTS, "labels_per_class": LABELS_PER_CLASS,
+            "scene": SCENE, "labeled_fraction": args.labeled_fraction, "window": trees.PAPER_WINDOW,
+            "pca_components": trees.PAPER_PCA, "labels_per_class": LABELS_PER_CLASS,
             "precision": "f32", "learning_rate": LEARNING_RATE, "lr_decay": "linear",
             "iterations": ITERATIONS, "pretrain_iterations": PRETRAIN_ITERATIONS,
-            "lambdas": LAMBDAS, "corruption_std": CORRUPTION_STD, "seeds": args.seeds,
+            "lambdas": trees.PAPER_LAMBDAS, "corruption_std": trees.PAPER_NOISE_STD,
+            "seeds": args.seeds,
         },
         "split": {"kind": SPLIT, "sizes": splits},
         **summary,

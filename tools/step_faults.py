@@ -42,18 +42,15 @@ import tempfile
 import time
 from pathlib import Path
 
+import trees
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "benchmarks"
 
 
-def workload_names() -> tuple[str, ...]:
-    """The benchmark's workloads, as ``BENCHMARK.json`` declares them."""
-    return tuple(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
-
-
 def parse_args(argv):
     parser = argparse.ArgumentParser(description="page faults and system time per training step")
-    parser.add_argument("--workload", required=True, choices=workload_names() + ("all",))
+    parser.add_argument("--workload", required=True, choices=trees.workload_names() + ("all",))
     parser.add_argument("--steps", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
@@ -137,7 +134,7 @@ def main(argv=None) -> int:
         print(json.dumps(measure(args.workload, args.steps, args.seed)), flush=True)
         return 0
     status = 0
-    for name in workload_names():
+    for name in trees.workload_names():
         cmd = [
             sys.executable, str(Path(__file__).resolve()), "--workload", name,
             "--steps", str(args.steps), "--seed", str(args.seed),
