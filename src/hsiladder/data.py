@@ -158,15 +158,13 @@ class SemiSplit:
 # ---------------------------------------------------------------------------
 
 
-def load_cube(data_path, gt_path, expected_classes: int | None = None, scale: bool = True) -> HsiCube:
-    """Read reflectance + ground-truth HSICUBE1 files into a validated cube.
+def load_cube(data_path, gt_path, expected_classes: int, scale: bool = True) -> HsiCube:
+    """Read reflectance + ground-truth HSICUBE1 files into a validated cube
+    of ``expected_classes`` classes, an integer >= 1, else ``ConfigError``.
 
     With ``scale=True`` each band is min-max scaled to [0, 1] over the whole
     scene; pass ``scale=False`` when the split-aware :func:`scale_bands` will
-    run later (as :func:`prepare_dataset` does).  ``expected_classes``, when
-    given, must be an integer >= 1, else ``ConfigError``; without it the
-    class count is the largest label, and a ground truth with no labeled
-    pixel raises ``DataError``.
+    run later (as :func:`prepare_dataset` does).
     """
     data = cube_io.read_array(data_path)
     gt = cube_io.read_array(gt_path)
@@ -181,11 +179,7 @@ def load_cube(data_path, gt_path, expected_classes: int | None = None, scale: bo
         data = data.astype(np.float64)
     elif data.dtype != np.float64:
         raise DataError(f"{data_path}: reflectance must be float32 or float64, got {data.dtype}")
-    if expected_classes is not None:
-        k = as_index("expected_classes", expected_classes, 1)
-    elif (k := int(gt.max())) < 1:
-        raise DataError(f"{gt_path}: no pixel is labeled, so the class count cannot be inferred")
-    cube = HsiCube(data, gt.astype(np.int64), num_classes=k)
+    cube = HsiCube(data, gt.astype(np.int64), as_index("expected_classes", expected_classes, 1))
     if scale:
         cube = scale_bands(cube)
     return cube
@@ -314,21 +308,19 @@ def _stratified_test_counts(class_counts: np.ndarray) -> np.ndarray:
     return base
 
 
-def make_split(labels: np.ndarray, n_per_class: int | None, seed: int = 0) -> SemiSplit:
+def make_split(labels: np.ndarray, n_per_class: int, seed: int = 0) -> SemiSplit:
     """Stratified draw of :data:`TEST_FRACTION` of each class as the test
     set first, then n labeled points per class from the remainder;
     everything else, the unlabeled (-1) points included, becomes the
     unlabeled pool.
 
     The test set is drawn before any labeled sampling, so runs at different
-    ``n_per_class`` under one seed share a test set.  ``n_per_class=None``
-    uses every non-test labeled point as labeled (full-label runs); any
-    other value must be an integer >= 1, else ``ConfigError``.  ``labels``
-    must be a 1-d integer vector, one class index or -1 per pixel, with at
-    least one class index, else ``DataError``."""
+    ``n_per_class`` under one seed share a test set.  ``n_per_class`` must
+    be an integer >= 1, else ``ConfigError``.  ``labels`` must be a 1-d
+    integer vector, one class index or -1 per pixel, with at least one class
+    index, else ``DataError``."""
     labels = np.asarray(labels)
-    if n_per_class is not None:
-        as_index("n_per_class", n_per_class, 1)
+    n_per_class = as_index("n_per_class", n_per_class, 1)
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
         raise DataError(f"labels must be a 1-d integer vector, got {labels.dtype} {labels.shape}")
     if (labels < -1).any():
@@ -347,9 +339,6 @@ def make_split(labels: np.ndarray, n_per_class: int | None, seed: int = 0) -> Se
         rest_parts.append(perm[t:])
     labeled_parts, unlabeled_parts = [], [np.flatnonzero(labels < 0)]
     for c, rest in zip(classes, rest_parts):
-        if n_per_class is None:
-            labeled_parts.append(rest)
-            continue
         if len(rest) < n_per_class:
             raise DataError(
                 f"class {int(c) + 1} has only {len(rest)} non-test points, "
@@ -380,7 +369,7 @@ class PreparedData:
 
 
 def prepare_dataset(
-    cube: HsiCube, window: int, pca_components: int | None, n_per_class: int | None, seed: int = 0
+    cube: HsiCube, window: int, pca_components: int | None, n_per_class: int, seed: int = 0
 ) -> PreparedData:
     """Split -> train-only band scaling -> train-only PCA -> patches.
 

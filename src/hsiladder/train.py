@@ -58,7 +58,6 @@ class TrainConfig:
     lr_decay: str = "none"  # "none" | "linear"
     mode: str = "ladder"
     precision: str = "f64"  # "f64" | "f32"
-    grad_clip: float | None = None
     pretrain_iterations: int = 500
     checkpoint_interval: int = 0
 
@@ -69,8 +68,6 @@ class TrainConfig:
         self.pretrain_iterations = as_index("pretrain_iterations", self.pretrain_iterations, 0)
         self.checkpoint_interval = as_index("checkpoint_interval", self.checkpoint_interval, 0)
         self.learning_rate = as_real("learning_rate", self.learning_rate, positive=True)
-        if self.grad_clip is not None:
-            self.grad_clip = as_real("grad_clip", self.grad_clip, positive=True)
         one_of("mode", self.mode, MODES)
         one_of("lr_decay", self.lr_decay, ("none", "linear"))
         one_of("precision", self.precision, ("f64", "f32"))
@@ -129,23 +126,17 @@ class Adam:
     checks it for finiteness as a whole
     (:func:`~hsiladder.errors.first_non_finite`) and only then updates, so a
     step that raises ``DivergenceError`` leaves the parameters, the moments
-    and ``t`` as they were.  A buffer whose global L2 norm exceeds
-    ``max_norm`` is then scaled to it (Pascanu et al. 2013, arXiv 1211.5063;
-    squares summed in f64, so finite f32 gradients of 1e20 do not overflow,
-    and only when even the f64 sum overflows, as for 1e160, after dividing
-    by ``max|g|``); each ``p.grad`` keeps the raw gradient.  The update is
-    the per-parameter formula applied once to the whole buffer, with the
-    same operations in the same order per element.  All parameters must
-    share one dtype.
+    and ``t`` as they were.  The update is the per-parameter formula
+    applied once to the whole buffer, with the same operations in the same
+    order per element.  All parameters must share one dtype.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, max_norm: float | None = None):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         dtypes = {p.data.dtype for p in params.values()}
         if len(dtypes) != 1:
             raise ConfigError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         (dtype,) = dtypes
         self.lr = lr
-        self.max_norm = max_norm
         self.t = 0
         # (name, parameter, start, stop) of each parameter's slice
         self._spans = []
@@ -166,14 +157,6 @@ class Adam:
         bad = first_non_finite(grads, out=g)
         if bad is not None:
             raise DivergenceError(f"non-finite gradient for parameter {bad}")
-        if self.max_norm is not None:
-            with np.errstate(over="ignore"):
-                norm = float(np.sqrt(np.square(g, dtype=np.float64).sum()))
-            if np.isinf(norm):  # finite gradients whose squares overflow f64
-                top = float(np.abs(g).max())
-                norm = top * float(np.sqrt(np.square(g / top, dtype=np.float64).sum()))
-            if norm > self.max_norm:
-                g *= self.max_norm / norm
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1**self.t
@@ -233,7 +216,7 @@ def check_rows(patchset, indices, what: str, num_classes: int | None = None) -> 
 
 
 CURVES = ("c_super", "c_recon", "c_total")
-_RESUME_FIELDS = ("seed", "precision", "mode", "batch_size", "learning_rate", "lr_decay", "grad_clip")
+_RESUME_FIELDS = ("seed", "precision", "mode", "batch_size", "learning_rate", "lr_decay")
 
 
 def _resume_settings(config: TrainConfig) -> dict:
@@ -385,22 +368,31 @@ def train(
     out_dir=None,
     resume=None,
 ) -> tuple[LadderNetwork, TrainReport]:
+    """Train a fresh net on ``split``, then evaluate it on ``split.test``.
+
+    Before iteration 0 and before ``out_dir`` exists, :func:`check_rows`
+    refuses an empty or out-of-range labeled, unlabeled or test set, or a
+    labeled or test label the head lacks (``DataError``), and patches that
+    do not fit the input are refused (``ShapeError``).  ``out_dir`` gets
+    ``last.ckpt`` every ``checkpoint_interval`` iterations (if > 0), then
+    ``report.txt``, ``losses.csv`` and ``final.ckpt``.  ``resume`` names a
+    checkpoint of the same spec, settings and array shapes, at an iteration
+    <= ``iterations`` (:func:`load_checkpoint`); the run continues it
+    bit-identically and does not pretrain again.
+    """
     spec = config.ladder
     dtype = config.dtype
     root = Rng(config.seed)
     init_rng, noise_rng, batch_rng, pretrain_rng = root.spawn(4)
     net = LadderNetwork(spec, init_rng, dtype=dtype)
 
-    # before any work on a set that does not fit the split or the net
     k = spec.num_classes
     labeled = check_rows(patchset, split.labeled_train, "labeled", k)
-    unlabeled = labeled
-    if len(split.unlabeled_train):
-        unlabeled = check_rows(patchset, split.unlabeled_train, "unlabeled")
+    unlabeled = check_rows(patchset, split.unlabeled_train, "unlabeled")
     check_rows(patchset, split.test, "test", k)
     sample_shape(patchset.patches, spec.input_shape)
 
-    adam = Adam(net.params, config.learning_rate, max_norm=config.grad_clip)
+    adam = Adam(net.params, config.learning_rate)
     n_iter = config.iterations
     curves = {name: np.zeros(n_iter) for name in CURVES}
     start_iter = 0
@@ -415,8 +407,6 @@ def train(
     elif config.mode == "sdae-pretrain":
         _sdae_pretrain(net, config, patchset.patches, unlabeled, pretrain_rng)
 
-    use_decoder = config.mode == "ladder"
-
     t0 = time.perf_counter()
     last_ckpt = None
     if out_dir is not None:
@@ -430,11 +420,7 @@ def train(
         net.zero_grads()
         with GradTape() as tape:
             c_total, c_super, c_recon, _ = net.training_loss(
-                batch,
-                config.batch_size,
-                targets,
-                noise_rng,
-                use_decoder=use_decoder,
+                batch, config.batch_size, targets, noise_rng, use_decoder=config.mode == "ladder"
             )
         # the running statistics the clean pass just updated can overflow
         # while the loss stays finite

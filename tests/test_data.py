@@ -208,7 +208,7 @@ class TestLoadCube:
         gt = rng.integers(0, 4, size=(6, 5)).astype(np.uint8)
         gt[0, 0] = 3
         dp, gp = self._write_pair(tmp_path, data, gt)
-        cube = load_cube(dp, gp)
+        cube = load_cube(dp, gp, expected_classes=3)
         assert cube.num_classes == 3
         assert cube.reflectance.min() >= 0.0 and cube.reflectance.max() <= 1.0
         for b in range(3):
@@ -220,7 +220,7 @@ class TestLoadCube:
             tmp_path, np.zeros((4, 4, 2)), np.zeros((3, 4), dtype=np.uint8)
         )
         with pytest.raises(DataError):
-            load_cube(dp, gp)
+            load_cube(dp, gp, expected_classes=1)
 
     def test_label_above_declared_classes_rejected(self, tmp_path):
         gt = np.zeros((4, 4), dtype=np.uint8)
@@ -242,14 +242,14 @@ class TestLoadCube:
     def test_empty_axis_rejected(self, tmp_path, shape):
         dp, gp = self._write_pair(tmp_path, np.zeros(shape), np.zeros(shape[:2], dtype=np.uint8))
         with pytest.raises(DataError, match="empty"):
-            load_cube(dp, gp)
+            load_cube(dp, gp, expected_classes=1)
         with pytest.raises(DataError, match="empty axis"):
             HsiCube(np.zeros(shape), np.zeros(shape[:2], dtype=np.int64), 1)
 
     def test_non_integer_ground_truth_rejected(self, tmp_path):
         dp, gp = self._write_pair(tmp_path, np.zeros((4, 4, 2)), np.zeros((4, 4)))
         with pytest.raises(DataError):
-            load_cube(dp, gp)
+            load_cube(dp, gp, expected_classes=1)
 
     def test_cube_refuses_fractional_labels_and_a_bad_class_count(self):
         gt = np.repeat([[1.5, 2.5]], 4, axis=0).repeat(2, axis=1)  # two 4x2 blocks
@@ -260,10 +260,13 @@ class TestLoadCube:
                 HsiCube(np.zeros((4, 4, 2)), np.zeros((4, 4), np.int64), k)
 
     def test_unlabeled_ground_truth_needs_a_class_count(self, tmp_path):
+        # nothing is inferred from the labels: the cube loads, and only the
+        # split finds no labeled pixel
         dp, gp = self._write_pair(tmp_path, np.ones((4, 4, 2)), np.zeros((4, 4), np.uint8))
-        with pytest.raises(DataError, match="no pixel is labeled"):
-            load_cube(dp, gp)
-        assert load_cube(dp, gp, expected_classes=2).num_classes == 2
+        cube = load_cube(dp, gp, expected_classes=2)
+        assert cube.num_classes == 2
+        with pytest.raises(DataError, match="no labeled pixels"):
+            prepare_dataset(cube, window=1, pca_components=None, n_per_class=1)
 
 
 class TestScaleBands:
@@ -625,7 +628,7 @@ class TestSplit:
             make_split(labels, 10, seed=13)
         assert "class 2" in str(e.value)
 
-    @pytest.mark.parametrize("n", [-1, 0, 2.0, 2.5, True])
+    @pytest.mark.parametrize("n", [-1, 0, 2.0, 2.5, True, None])
     def test_bad_budget_rejected_by_name(self, n):
         with pytest.raises(ConfigError, match="n_per_class"):
             make_split(self._labels([30, 30]), n, seed=17)
@@ -644,13 +647,7 @@ class TestSplit:
         with pytest.raises(DataError, match="labels must be a 1-d integer vector"):
             make_split(labels, 1, seed=1)
 
-    def test_full_label_split(self):
-        labels = self._labels([30, 30])
-        split = make_split(labels, None, seed=15)
-        assert len(split.unlabeled_train) == 0
-        assert len(split.labeled_train) + len(split.test) == 60
-
-    @pytest.mark.parametrize("n", [3, None])
+    @pytest.mark.parametrize("n", [1, 3])
     def test_unlabeled_points_join_only_the_unlabeled_pool(self, n):
         labels = self._labels([20, 20, 20, 20])
         labels[labels == 3] = -1  # the fourth "class" is unlabeled
@@ -684,7 +681,7 @@ class TestPipeline:
         with pytest.raises(DataError, match="no labeled pixels"):
             prepare_dataset(cube, window=1, pca_components=None, n_per_class=5, seed=1)
         with pytest.raises(DataError, match="no labeled pixels"):
-            make_split(np.array([], dtype=np.int64), None, seed=1)
+            make_split(np.array([], dtype=np.int64), 1, seed=1)
 
     def test_overlapping_split_refused(self, monkeypatch):
         real = data_mod.make_split
@@ -707,7 +704,7 @@ class TestPipeline:
         gt[np.random.default_rng(seed).random(gt.shape) < 0.7] = 0
         return HsiCube(scene.reflectance, gt, scene.num_classes)
 
-    @pytest.mark.parametrize("n_per_class", [3, None])
+    @pytest.mark.parametrize("n_per_class", [1, 3])
     def test_masked_scene_split_covers_every_pixel(self, n_per_class):
         cube = self._masked()
         gt = cube.ground_truth.reshape(-1)
@@ -755,7 +752,7 @@ class TestPipeline:
         dp, gp = tmp_path / "data.hsicube", tmp_path / "gt.hsicube"
         cube_io.write_array(dp, scene.reflectance.astype(dtype))
         cube_io.write_array(gp, gt)
-        cube = load_cube(dp, gp, scale=False)
+        cube = load_cube(dp, gp, expected_classes=scene.num_classes, scale=False)
         np.testing.assert_array_equal(cube.reflectance, read_array_oracle(dp).astype(np.float64))
         rows, cols = np.unravel_index(np.arange(20 * 16), (20, 16))
         for window in (1, 3, 7):

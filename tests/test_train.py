@@ -4,7 +4,6 @@ import dataclasses
 import json
 import struct
 import tracemalloc
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -213,84 +212,21 @@ class TestAdam:
         with pytest.raises(ConfigError, match="one dtype"):
             Adam(params, lr=0.1)
 
-    def test_clipping_matches_oracle_fed_pre_clipped_gradients(self):
-        rng = np.random.default_rng(5)
-        shapes = {"enc1/W": (5, 4), "enc1/gamma": (4,), "dec1/V": (4, 5), "dec1/a": (3, 1, 5)}
-        init = {n: rng.standard_normal(s) for n, s in shapes.items()}
-        ours = {n: Tensor(x.copy(), requires_grad=True) for n, x in init.items()}
-        theirs = {n: Tensor(x.copy(), requires_grad=True) for n, x in init.items()}
-        max_norm = 3.0
-        opt, ref = Adam(ours, 0.03, max_norm=max_norm), AdamOracle(theirs, 0.03)
-        clipped = 0
-        for step in range(20):
-            raw = {}
-            for n, s in shapes.items():
-                # dec1/V never gets a gradient, dec1/a only on even steps
-                none = n == "dec1/V" or (n == "dec1/a" and step % 2)
-                raw[n] = None if none else rng.standard_normal(s) * 10.0 ** (step % 3 - 1)
-                ours[n].grad = None if raw[n] is None else raw[n].copy()
-            flat = np.concatenate([np.zeros(np.prod(s)) if raw[n] is None else raw[n].ravel()
-                                   for n, s in shapes.items()])
-            norm = np.sqrt(np.square(flat).sum())
-            factor = max_norm / norm if norm > max_norm else 1.0
-            clipped += factor < 1.0
-            for n in shapes:
-                theirs[n].grad = None if raw[n] is None else raw[n] * factor
-            opt.step()
-            ref.step()
-            for n in shapes:
-                assert np.array_equal(ours[n].data, theirs[n].data), (step, n)
-                # the clipping acts on Adam's gathered copy, not on p.grad
-                if raw[n] is not None:
-                    assert np.array_equal(ours[n].grad, raw[n]), (step, n)
-        assert 0 < clipped < 20
-
-    def test_clipping_f32_squares_do_not_overflow(self):
-        # 1e20 is finite in f32, its square is not
-        params = {n: Tensor(np.zeros(2, dtype=np.float32), requires_grad=True) for n in "ab"}
-        for p in params.values():
-            p.grad = np.full(2, 1e20, dtype=np.float32)
-        opt = Adam(params, lr=0.1, max_norm=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opt.step()
-        # after one step m = (1 - beta1) * g, so m recovers the clipped gradient
-        clipped = opt.flat_m.astype(np.float64) / (1.0 - train_mod.ADAM_BETA1)
-        np.testing.assert_allclose(np.sqrt(np.square(clipped).sum()), 1.0, rtol=1e-6)
-        assert opt.flat_m.dtype == np.float32
-        for p in params.values():
-            np.testing.assert_array_equal(p.grad, np.full(2, 1e20, dtype=np.float32))
-
-    def test_clipping_f64_squares_that_overflow_still_clip(self):
-        # 1e160 is finite in f64, its square is not
-        params = {"w": Tensor(np.zeros(2), requires_grad=True)}
-        params["w"].grad = np.full(2, 1e160)
-        opt = Adam(params, lr=0.1, max_norm=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opt.step()
-        clipped = opt.flat_m / (1.0 - train_mod.ADAM_BETA1)
-        np.testing.assert_allclose(clipped, np.full(2, np.sqrt(0.5)), rtol=1e-12)
-        # the first Adam step moves each coordinate by lr * sign(g), up to eps
-        np.testing.assert_allclose(params["w"].data, [-0.1, -0.1], rtol=1e-7)
-
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("grad_clip", -1.0),
-            ("grad_clip", 0.0),
-            ("grad_clip", float("nan")),
-            ("grad_clip", float("inf")),
+            ("learning_rate", -1.0),
+            ("learning_rate", 0.0),
             ("learning_rate", float("nan")),
             ("learning_rate", float("inf")),
             ("learning_rate", None),
-            ("grad_clip", "1"),
+            ("learning_rate", "1"),
             ("checkpoint_interval", -3),
             ("pretrain_iterations", -3),
             ("learning_rate", True),
-            ("grad_clip", np.True_),
+            ("learning_rate", np.True_),
             ("seed", -1),
             ("seed", 2**64),
         ],
@@ -319,11 +255,9 @@ class TestConfigValidation:
             dataclasses.replace(small_config(), **{field: value})
 
     def test_numpy_reals_become_python_floats(self):
-        config = dataclasses.replace(
-            small_config(), learning_rate=np.float32(0.5), grad_clip=np.int64(2)
-        )
-        assert (config.learning_rate, config.grad_clip) == (0.5, 2.0)
-        assert {type(v) for v in (config.learning_rate, config.grad_clip)} == {float}
+        for value, want in ((np.float32(0.5), 0.5), (np.int64(2), 2.0)):
+            config = dataclasses.replace(small_config(), learning_rate=value)
+            assert config.learning_rate == want and type(config.learning_rate) is float
 
     def test_numpy_integers_become_python_ints(self):
         config = dataclasses.replace(
@@ -471,10 +405,12 @@ class TestSplitCheck:
             train(config, prepared.patches, split, out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
-    def test_empty_test_set_refused_before_training(self, prepared, tmp_path):
-        split = self._split(prepared, test=np.array([], dtype=np.int64))
+    @pytest.mark.parametrize("which", ["labeled_train", "unlabeled_train", "test"])
+    def test_empty_set_refused_before_training(self, prepared, tmp_path, which):
+        split = self._split(prepared, **{which: np.array([], dtype=np.int64)})
+        name = {"labeled_train": "labeled", "unlabeled_train": "unlabeled", "test": "test"}[which]
         config = small_config(iterations=3, checkpoint_interval=1)
-        with pytest.raises(DataError, match="^test set is empty$"):
+        with pytest.raises(DataError, match=f"^{name} set is empty$"):
             train(config, prepared.patches, split, out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
@@ -630,17 +566,9 @@ class TestCheckpoint:
         save_checkpoint(p2, net, adam, it, noise, batch, config, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
-    # unclipped global gradient norms here stay above 0.6, so a max norm of
-    # 0.05 clips every step
-    @pytest.mark.parametrize(
-        "precision, grad_clip",
-        [("f64", None), ("f32", None), ("f64", 0.05)],
-        ids=["f64", "f32", "f64-clipped"],
-    )
-    def test_resume_is_bit_identical_continuation(self, prepared, tmp_path, precision, grad_clip):
-        full_cfg = small_config(
-            seed=8, iterations=40, checkpoint_interval=20, precision=precision, grad_clip=grad_clip
-        )
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_resume_is_bit_identical_continuation(self, prepared, tmp_path, precision):
+        full_cfg = small_config(seed=8, iterations=40, checkpoint_interval=20, precision=precision)
         net_full, rep_full = train(full_cfg, prepared.patches, prepared.split)
 
         out = tmp_path / "half"
@@ -675,7 +603,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "field,change",
-        [("seed", {"seed": 9}), ("precision", {"precision": "f32"}), ("grad_clip", {"grad_clip": 1.0})],
+        [("seed", {"seed": 9}), ("precision", {"precision": "f32"})],
     )
     def test_mismatched_resume_refused(self, prepared, tmp_path, field, change):
         out = tmp_path / "run"
@@ -710,16 +638,25 @@ class TestCheckpoint:
             train(other, prepared.patches, prepared.split, resume=out / "final.ckpt")
 
     def test_dropped_settings_refused_by_name(self, tmp_path):
-        # a checkpoint from before the Adam and decay-fraction settings left
-        # TrainConfig still carries them in its config entry
+        # a checkpoint from before a setting left TrainConfig still carries
+        # it in its config entry; it loads only where the value it held is
+        # null, the value that behaves as this build does
         path, net, adam, noise, batch = self._saved_state(tmp_path)
         iteration, entries = ckpt.load_entries(path)
         saved = json.loads(entries["config"].tobytes().decode("utf-8"))
-        saved.update(adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8, lr_decay_fraction=0.25)
-        entries["config"] = np.frombuffer(json.dumps(saved).encode("utf-8"), dtype=np.uint8)
-        ckpt.save_entries(path, iteration, entries)
+
+        def resave(**dropped):
+            config = np.frombuffer(json.dumps({**saved, **dropped}).encode("utf-8"), np.uint8)
+            ckpt.save_entries(path, iteration, {**entries, "config": config})
+
+        resave(adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8, lr_decay_fraction=0.25)
         with pytest.raises(ConfigError, match="written with adam_beta1 = 0.9, this run has"):
             load_checkpoint(path, net, adam, noise, batch, small_config(seed=3))
+        resave(grad_clip=0.5)
+        with pytest.raises(ConfigError, match="grad_clip = 0.5, this run has grad_clip = None$"):
+            load_checkpoint(path, net, adam, noise, batch, small_config(seed=3))
+        resave(grad_clip=None)  # as every unclipped run saved it
+        assert load_checkpoint(path, net, adam, noise, batch, small_config(seed=3))[0] == iteration
 
     def test_mismatched_spec_refused_before_loading(self, tmp_path):
         path, net, adam, noise, batch = self._saved_state(tmp_path)
@@ -955,7 +892,7 @@ class TestCheckpoint:
 
     def test_report_echoes_every_checkpoint_setting_as_json(self, prepared, tmp_path):
         out = tmp_path / "run"
-        config = small_config(seed=9, iterations=5, grad_clip=0.5, lr_decay="linear")
+        config = small_config(seed=9, iterations=5, lr_decay="linear")
         train(config, prepared.patches, prepared.split, out_dir=out)
         echoed = {}
         for line in (out / "report.txt").read_text().splitlines():
@@ -965,7 +902,7 @@ class TestCheckpoint:
         _, entries = ckpt.load_entries(out / "final.ckpt")
         saved = json.loads(entries["config"].tobytes().decode("utf-8"))
         assert echoed == saved
-        assert echoed["ladder.noise_std"] == 0.5 and echoed["grad_clip"] == 0.5
+        assert echoed["ladder.noise_std"] == 0.5 and echoed["iterations"] == 5
         assert echoed["ladder.lambdas"] == [0.1, 0.1, 0.1, 0.1]
 
     def test_load_writes_into_the_live_arrays(self, tmp_path):
