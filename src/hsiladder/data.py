@@ -10,6 +10,7 @@ pixel whose ground truth is 0 carries label -1 and joins the unlabeled pool.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -58,14 +59,17 @@ class WindowReader:
     """The ``(n, w, w, c)`` window array of a :class:`PatchSet`, read on
     demand from the mirror-padded cube.
 
-    ``reader[idx]`` indexes the rows as numpy indexes the first axis of an
-    array (integers, negative or repeated, slices, boolean masks; an
-    out-of-range index raises ``IndexError``) and gathers only those rows'
-    windows into a fresh C-contiguous array.  ``np.asarray(reader, dtype)``
-    gathers every row with :func:`gather_rows`;
-    :meth:`~hsiladder.ladder.LadderNetwork.predict` reads a reader a chunk
-    of rows at a time instead, so a map of every pixel never holds them all.
-    No window exists until it is read, so n patches of an h x w scene hold
+    ``reader[i]`` for an integer ``i`` (negative counts from the end) reads
+    that row's window into a fresh array.  Any other index (a slice, an
+    integer array or list, negative or repeated, or a boolean mask) selects
+    rows as numpy indexes the first axis of an array and returns a
+    ``WindowReader`` over them, which shares the padded cube and reads no
+    window; an out-of-range index raises ``IndexError`` when it is
+    selected.  Windows are read by ``np.asarray(reader, dtype)``, which
+    gathers every row with :func:`gather_rows` straight into ``dtype``, or
+    by :meth:`~hsiladder.ladder.LadderNetwork.predict`, which reads a chunk
+    of rows at a time, so a map of every pixel never holds them all.  No
+    window exists until it is read, so n patches of an h x w scene hold
     ``(h + win - 1) * (w + win - 1) * c`` values of padded cube instead of
     ``n * win * win * c``.
     """
@@ -82,13 +86,21 @@ class WindowReader:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def __getitem__(self, idx) -> np.ndarray:
+    def __getitem__(self, idx):
         rows, cols = self._rows[idx], self._cols[idx]
-        # one advanced index gathers a fresh (k, win, win, c) array; two
-        # integers would give a read-only view of the padded cube instead
         if np.ndim(rows) == 0:
-            return self._view[rows, cols].copy()
-        return self._view[rows, cols]
+            return self._view[rows, cols].copy()  # two integers give a read-only view
+        if np.ndim(rows) != 1:
+            raise IndexError(f"a row selection must be 1-d, got shape {np.shape(rows)}")
+        sub = copy.copy(self)
+        sub._rows, sub._cols = rows, cols
+        sub.shape = (len(rows), *self.shape[1:])
+        return sub
+
+    def _read(self, idx) -> np.ndarray:
+        """The windows of the integer rows ``idx``, as one fresh
+        C-contiguous ``(k, win, win, c)`` array."""
+        return self._view[self._rows[idx], self._cols[idx]]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
@@ -104,14 +116,16 @@ GATHER_CHUNK_BYTES = 256 << 10
 
 def gather_rows(rows, indices, dtype) -> np.ndarray:
     """``rows[indices].astype(dtype)`` for integer ``indices`` into an array
-    or a :class:`WindowReader`, gathered and cast a chunk at a time, so a
-    cast never holds a full-size copy in the source dtype."""
+    or a :class:`WindowReader`, gathered and cast a chunk at a time into
+    one fresh array, so a cast never holds a full-size copy in the source
+    dtype.  This is the one place a reader's windows are read."""
     indices = np.asarray(indices)
+    read = rows._read if isinstance(rows, WindowReader) else rows.__getitem__
     out = np.empty((len(indices), *rows.shape[1:]), dtype=dtype)
     row_bytes = rows.dtype.itemsize * math.prod(rows.shape[1:])
     step = max(1, GATHER_CHUNK_BYTES // max(1, row_bytes))
     for i in range(0, len(indices), step):
-        out[i : i + step] = rows[indices[i : i + step]]
+        out[i : i + step] = read(indices[i : i + step])
     return out
 
 
@@ -120,9 +134,10 @@ class PatchSet:
     """One window per pixel of the scene, row-major, plus its (0-based)
     class index, -1 where the ground truth is 0 (unlabeled).
 
-    ``patches`` reads each pixel's window from the mirror-padded cube when
-    it is indexed (:class:`WindowReader`); the full ``(n, w, w, c)`` array is
-    never built unless asked for with ``np.asarray``.
+    ``patches`` is a :class:`WindowReader` over the mirror-padded cube:
+    ``patches[idx]`` selects rows without reading them, and a window is
+    read only by ``np.asarray``, by :func:`gather_rows` or by prediction, so
+    the full ``(n, w, w, c)`` array is never built unless asked for.
     """
 
     patches: WindowReader

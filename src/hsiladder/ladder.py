@@ -68,9 +68,12 @@ def sample_shape(patches, input_shape: tuple) -> tuple:
 def batch_input(patches, input_shape: tuple, dtype, rows=None) -> np.ndarray:
     """(n, w, w, c) patches (an array or a ``WindowReader``), or their
     integer ``rows``, as ``dtype`` in the :func:`sample_shape` input shape.
-    ``rows`` are gathered and cast a chunk at a time by ``gather_rows``, so
-    f32 input from f64 patches holds no full-size f64 copy; without them an
-    array already in ``dtype`` comes back as a view, not a copy."""
+    A reader, ``reader[rows]`` included, and the ``rows`` of an array are
+    gathered and cast a chunk at a time by ``gather_rows``, so f32 input
+    from f64 patches holds no full-size f64 copy; ``batch_input(reader[rows],
+    ...)`` and ``batch_input(reader, ..., rows)`` are the same bits.  Without
+    ``rows`` an array already in ``dtype`` comes back as a view, not a
+    copy."""
     shape = sample_shape(patches, input_shape)
     out = np.asarray(patches, dtype) if rows is None else gather_rows(patches, rows, dtype)
     return out.reshape(len(out), *shape)
@@ -467,8 +470,9 @@ class LadderNetwork:
         float dtype whose samples fit :func:`sample_shape`.  ``rows`` picks
         rows of ``x`` as numpy indexes its first axis; by default every row
         is read.  Each chunk of :meth:`predict_chunk_rows` rows becomes
-        input on its own, by :func:`batch_input` of the chunk (of its
-        ``rows`` when given), so only one chunk's input exists at a time and
+        input on its own, as :func:`batch_input` of ``x[sel]`` for the
+        chunk's slice or its chunk of ``rows`` (a reader's selection reads
+        its windows there), so only one chunk's input exists at a time and
         an array already in the net's dtype is read in place.  The result is
         the same bits as predicting ``batch_input(x, ..., rows)``.
 
@@ -506,10 +510,8 @@ class LadderNetwork:
         n = len(x) if rows is None else len(rows)
         out = np.empty((n, self.spec.num_classes), dtype=self.dtype)
         for i in range(0, n, chunk):
-            if rows is None:
-                h = batch_input(x[i : i + chunk], shape, self.dtype)
-            else:
-                h = batch_input(x, shape, self.dtype, rows[i : i + chunk])
+            sel = slice(i, i + chunk) if rows is None else rows[i : i + chunk]
+            h = batch_input(x[sel], shape, self.dtype)
             for layer, w, t in folded:
                 # layer_map on plain arrays
                 if layer.kind == CONV3X3:

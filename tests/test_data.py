@@ -13,6 +13,7 @@ from hsiladder import train as train_mod
 from hsiladder.data import (
     TEST_FRACTION,
     HsiCube,
+    WindowReader,
     extract_patches,
     load_cube,
     make_split,
@@ -386,15 +387,44 @@ class TestPatches:
         ps, want = self._bordered(window)
         got = ps.patches[idx]
         assert got.shape == want[idx].shape and got.dtype == want.dtype
+        if isinstance(idx, (int, np.integer)):  # one row: its window, read at once
+            assert isinstance(got, np.ndarray)
+        else:  # a selection of rows, read when asked for
+            assert isinstance(got, WindowReader) and len(got) == len(want[idx])
+            got = np.asarray(got)
         assert got.flags.c_contiguous and got.flags.writeable
         np.testing.assert_array_equal(got, want[idx])
 
     def test_boolean_mask_selects_rows(self):
         ps, want = self._bordered(3)
         mask = np.arange(len(ps)) % 4 == 1
-        np.testing.assert_array_equal(ps.patches[mask], want[mask])
+        sub = ps.patches[mask]
+        assert isinstance(sub, WindowReader) and sub.shape == want[mask].shape
+        np.testing.assert_array_equal(sub, want[mask])
 
-    @pytest.mark.parametrize("idx", [98, -99, np.array([0, 98]), [1, -99]])
+    def test_selections_compose_like_array_indexing(self):
+        ps, want = self._bordered(3)
+        mask = np.arange(len(ps)) % 4 == 1
+        picks = np.array([7, -2, 7, 0, 40, 3])
+        for first, second in (
+            (mask, slice(None, None, -2)),
+            (picks, mask[: len(picks)]),
+            (slice(3, 90, 2), picks),
+            (picks, slice(1, -1)),
+        ):
+            sub = ps.patches[first]
+            assert isinstance(sub, WindowReader)
+            np.testing.assert_array_equal(sub, want[first])
+            subsub = sub[second]
+            assert isinstance(subsub, WindowReader) and subsub.shape == want[first][second].shape
+            np.testing.assert_array_equal(subsub, want[first][second])
+            np.testing.assert_array_equal(subsub[-1], want[first][second][-1])
+            cast = np.asarray(subsub, np.float32)
+            np.testing.assert_array_equal(cast, want[first][second].astype(np.float32))
+
+    @pytest.mark.parametrize(
+        "idx", [98, -99, np.array([0, 98]), [1, -99], np.zeros(97, dtype=bool), np.ones((2, 2), int)]
+    )
     def test_out_of_range_index_raises(self, idx):
         ps, want = self._bordered(3)
         assert len(ps) == len(want) == 98
@@ -441,12 +471,47 @@ class TestPatches:
         idx = np.random.default_rng(3).integers(0, len(ps), 300)
         tracemalloc.start()
         try:
-            out = ps.patches[idx]
+            out = np.asarray(ps.patches[idx])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert out.nbytes == 300 * 7 * 7 * 10 * 8
         assert peak < 1.25 * out.nbytes  # only the rows asked for
+
+    @pytest.mark.parametrize("kind", ["ints", "mask", "slice"])
+    def test_a_selection_reads_no_window(self, kind):
+        ps = extract_patches(make_synthetic_cube(9, height=40, width=40, bands=10, block=4), 7)
+        n = len(ps)
+        idx = {
+            "ints": np.random.default_rng(3).integers(0, n, 1200),
+            "mask": np.arange(n) % 4 != 1,
+            "slice": slice(5, None, 1),
+        }[kind]
+        tracemalloc.start()
+        try:
+            sub = ps.patches[idx]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = len(sub)
+        assert k >= 1200 and isinstance(sub, WindowReader)
+        # the selected coordinates (two int64 per row) and little else; one
+        # f64 window alone is 7 * 7 * 10 * 8 = 3920 bytes
+        assert peak < 4 * 8 * k
+
+    def test_cast_read_of_a_selection_peaks_at_one_copy(self):
+        ps = extract_patches(make_synthetic_cube(9, height=96, width=96, bands=15, block=8), 7)
+        idx = np.random.default_rng(5).permutation(len(ps))[:6000]
+        assert ps.patches.dtype == np.float64
+        tracemalloc.start()
+        try:
+            out = np.asarray(ps.patches[idx], np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a gather then a cast would hold the f64 copy beside the f32 result (3x)
+        assert out.dtype == np.float32 and out.shape == (6000, 7, 7, 15)
+        assert peak <= 1.1 * out.nbytes
 
     def test_even_window_rejected(self):
         cube = make_synthetic_cube(2, height=6, width=6, bands=2, block=2)

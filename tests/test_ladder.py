@@ -665,6 +665,23 @@ class TestEvalMode:
         with pytest.raises(IndexError):
             net.predict_log_probs(x, [0, 121])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_a_selection_predicts_as_its_rows(self, dtype, monkeypatch):
+        net, reader = self.window_net(dtype)
+        net.clean_encoder(Tensor(np.asarray(reader, dtype)))
+        monkeypatch.setattr(ladder_mod, "PREDICT_CHUNK_BYTES", 3 * 243 * net.dtype.itemsize)
+        shape = net.spec.input_shape
+        for rows in (np.array([5, 5, 0, 120, -1, 17, 5, 2]), np.arange(121) % 7 == 2):
+            sel = reader[rows]
+            assert isinstance(sel, WindowReader)
+            x = batch_input(sel, shape, dtype)
+            assert x.dtype == dtype
+            ints = np.arange(len(reader))[rows]  # ``batch_input`` takes integer rows
+            np.testing.assert_array_equal(x, batch_input(reader, shape, dtype, ints))
+            want = net.predict_log_probs(reader, rows)
+            np.testing.assert_array_equal(net.predict_log_probs(sel), want)
+            np.testing.assert_array_equal(net.predict_log_probs(sel, slice(None)), want)
+
     def test_fc_net_reads_window_one_patches(self):
         patches = extract_patches(make_synthetic_cube(3, height=12, width=12, bands=5), 1).patches
         assert patches.shape[1:] == (1, 1, 5)

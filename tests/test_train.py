@@ -346,7 +346,7 @@ class TestMetrics:
         x = batch_input(data.patches.patches, spec.input_shape, dtype, test)
         whole = net.predict_log_probs(x)
         calls, reads = [], []
-        predict_log_probs = net.predict_log_probs
+        predict_log_probs, gather_rows = net.predict_log_probs, data_mod.gather_rows
 
         def spy(x, rows):
             calls.append(predict_log_probs(x, rows))
@@ -354,10 +354,11 @@ class TestMetrics:
 
         def gather_spy(rows, indices, dtype):
             reads.append(len(indices))
-            return data_mod.gather_rows(rows, indices, dtype)
+            return gather_rows(rows, indices, dtype)
 
         net.predict_log_probs = spy  # ``predict`` calls it through the instance
-        monkeypatch.setattr(ladder_mod, "gather_rows", gather_spy)
+        # a reader's windows are read only by ``data.gather_rows``
+        monkeypatch.setattr(data_mod, "gather_rows", gather_spy)
         m = evaluate(net, data.patches, test)
         assert len(calls) == 1
         assert reads == [min(chunk, len(test) - i) for i in range(0, len(test), chunk)]
