@@ -1,8 +1,10 @@
-"""``tools/trees.py``: the workload names, the paper conv spec and loading
-package trees side by side."""
+"""``tools/trees.py``: the workload names, the paper conv spec, the
+temporary parent tree and loading package trees side by side."""
 
 import json
 import shutil
+
+import pytest
 
 import hsiladder
 from helpers import load_tool, paper_conv_spec
@@ -39,3 +41,24 @@ def test_two_copies_load_side_by_side(tmp_path):
     assert b.tensor.__file__ == str(copy / "tensor.py")
     # each copy's spec is built from its own classes
     assert type(trees.paper_conv_spec(b).layers[0]) is b.LayerSpec
+
+
+
+def test_a_second_load_under_one_name_reads_the_new_tree(tmp_path):
+    here = trees.ROOT / "src" / "hsiladder"
+    copy = tmp_path / "hsiladder"
+    shutil.copytree(here, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert trees.load_package(here, "hsiladder_trees_again").tensor.__file__ == str(here / "tensor.py")
+    assert trees.load_package(copy, "hsiladder_trees_again").tensor.__file__ == str(copy / "tensor.py")
+
+
+def test_the_parent_tree_is_removed_after_the_block_also_when_it_raises():
+    with trees.parent_tree("HEAD", "pyproject.toml") as (commit, tree):
+        assert commit == trees.git("rev-parse", "HEAD")
+        assert [p.name for p in tree.iterdir()] == ["pyproject.toml"]
+    assert not tree.exists()
+    with pytest.raises(RuntimeError, match="inside the block"):
+        with trees.parent_tree("HEAD", "pyproject.toml") as (_, tree):
+            assert tree.is_dir()
+            raise RuntimeError("inside the block")
+    assert not tree.exists()

@@ -34,11 +34,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import trees
@@ -64,8 +62,7 @@ def parse_args(argv):
         parser.error("--seconds must be positive")
     if args.first_seed < 0:
         parser.error("--first-seed must be >= 0")
-    if (ROOT / "benchmarks") in args.out.resolve().parents:
-        parser.error("--out must lie outside benchmarks/, which this tool never changes")
+    trees.check_out(parser, args.out)
     return args
 
 
@@ -181,10 +178,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    parent_commit = trees.git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    tmp = Path(tempfile.mkdtemp(prefix="compare-parent-"))
-    try:
-        trees.export(parent_commit, tmp)
+    with trees.parent_tree(args.parent) as (parent_commit, tmp):
         roots = {"parent": tmp, "change": ROOT}
         prints = {side: fingerprint(root / "src") for side, root in roots.items()}
         runs = []
@@ -200,8 +194,6 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                     flush=True,
                 )
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
     manifests = {
         side: next((r["manifest"] for r in runs if r["side"] == side and r["manifest"]), None)
         for side in SIDES
@@ -213,9 +205,8 @@ def main(argv=None) -> int:
         "seeds": [args.first_seed + i for i in range(args.pairs)],
         "parent": {"rev": args.parent, "commit": parent_commit, "manifest": manifests["parent"],
                    "fingerprint": prints["parent"]},
-        "change": {"rev": "working tree", "commit": trees.git("rev-parse", "HEAD"),
-                   "modified": bool(trees.git("status", "--porcelain", "--untracked-files=no")),
-                   "manifest": manifests["change"], "fingerprint": prints["change"]},
+        "change": {**trees.change_record(), "manifest": manifests["change"],
+                   "fingerprint": prints["change"]},
         **compare_fingerprints(prints),
         "all_correct": all(r["correct"] for r in runs),
         "metrics": summarize(runs, json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]),

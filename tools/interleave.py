@@ -22,19 +22,27 @@ This tool times the sides under one process instead:
   ``WARMUP_STEPS`` untimed ones per side at the start, and the side that
   goes first rotates from round to round.
 
-Per round it records each side's median step time, the claim's ratio
-(change / parent) and the null's ratio (null / change).  The file it writes
-(``--out``, named ``BENCH_inproc_<label>.json`` by convention) holds those,
-the rounds the change won and lost, the median ratios, the null's range and
+Per round it records each side's median step time, its minor page faults
+and system milliseconds per step (``getrusage(RUSAGE_SELF)`` read around
+each timed step, outside its timed span; round 0 carries the first-touch
+faults), the claim's ratio (change / parent) and the null's ratio (null /
+change).  After the rounds it records the MiB each side's step arena
+reserves (``tensor.arena_usage()``, null for a tree without one).  The file
+it writes (``--out``, named ``BENCH_inproc_<label>.json`` by convention)
+holds those, each side's median faults and system ms, the rounds the change
+won and lost, the median ratios, the null's range and 10th percentile, and
 ``resolved``.
 
-Resolution rule, fixed before this tool's first use: a change resolves as a
-gain when at least ``MIN_ROUNDS`` (16) rounds ran, it won at least
-``WIN_SHARE`` (13/16) of them, and its median ratio lies below the lowest
-per-round ratio of the A/A null.  The null's range is what one process's
-noise alone produces, so a median inside it is not a measured change.  This
-complements ``tools/compare.py``, which stays the end-to-end record: a
-claim made through this tool still commits the ``tools/compare.py`` pairs.
+Resolution rule, restated before its next use: a change resolves as a gain
+when at least ``MIN_ROUNDS`` (16) rounds ran, it won at least ``WIN_SHARE``
+(13/16) of them, and its median ratio lies below the A/A null's 10th
+percentile, ``statistics.quantiles(null, n=10, method="inclusive")[0]``
+over the null's per-round ratios (recorded as ``null_p10``).  The null is
+what one process's noise alone produces, so a median inside its bulk is not
+a measured change; a percentile rather than the lowest round keeps one
+drifting null round from setting the bar alone.  This complements
+``tools/compare.py``, which stays the end-to-end record: a claim made
+through this tool still commits the ``tools/compare.py`` pairs.
 
 Usage, from the repository root:
 
@@ -47,10 +55,9 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import shutil
+import resource
 import statistics
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -59,6 +66,7 @@ import trees
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "benchmarks"
+SIDES = ("parent", "change", "null")
 MIN_ROUNDS = 16
 WIN_SHARE = 13 / 16  # of the rounds run that the change must win
 POOL = 2000  # rows in the shared input pool
@@ -131,8 +139,9 @@ class Side:
 
 
 def run_rounds(sides: dict, case: Case, rounds: int, steps: int, seed: int) -> list[dict]:
-    """Per round, each side's median step milliseconds and losses, the
-    sides rotating which goes first; every side sees the same batches."""
+    """Per round, each side's median step milliseconds, minor faults and
+    system milliseconds per step and losses, the sides rotating which goes
+    first; every side sees the same batches."""
     import numpy as np
 
     gen = np.random.default_rng(seed)
@@ -154,19 +163,25 @@ def run_rounds(sides: dict, case: Case, rounds: int, steps: int, seed: int) -> l
         order = names[r % len(names):] + names[: r % len(names)]
         record = {"round": r, "order": order}
         for name in order:
-            times, losses = [], []
+            times, losses, faults, sys_s = [], [], 0, 0.0
             for batch, targets in batches(r + 1, steps):
-                t0 = time.perf_counter()
+                u0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
                 losses.append(sides[name].step(batch, targets))
-                times.append((time.perf_counter() - t0) * 1e3)
+                t1, u1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
+                times.append((t1 - t0) * 1e3)
+                faults += u1.ru_minflt - u0.ru_minflt
+                sys_s += u1.ru_stime - u0.ru_stime
             record[f"{name}_ms"] = statistics.median(times)
+            record[f"{name}_faults"] = faults / steps
+            record[f"{name}_sys_ms"] = sys_s * 1e3 / steps
             record[f"{name}_losses"] = losses
         out.append(record)
     return out
 
 
 def summarize(records: list[dict]) -> dict:
-    """Rounds won and lost, median ratios, the null's range and
+    """Rounds won and lost, median ratios, each side's median faults and
+    system ms per step, the null's range and 10th percentile, and
     ``resolved`` under the rule in the module docstring; each record gains
     its round's ``ratio`` and ``null_ratio``."""
     ratios = [r["change_ms"] / r["parent_ms"] for r in records]
@@ -175,19 +190,21 @@ def summarize(records: list[dict]) -> dict:
         r["ratio"], r["null_ratio"] = ratio, n
     wins = sum(x < 1.0 for x in ratios)
     median = statistics.median(ratios)
-    lo, hi = min(null), max(null)
+    p10 = statistics.quantiles(null, n=10, method="inclusive")[0] if len(null) > 1 else null[0]
     return {
         "rounds": len(records),
         "parent_ms_median": statistics.median(r["parent_ms"] for r in records),
         "change_ms_median": statistics.median(r["change_ms"] for r in records),
+        **{f"{side}_{col}_median": statistics.median(r[f"{side}_{col}"] for r in records)
+           for col in ("faults", "sys_ms") for side in SIDES},
         "median_ratio": median,
         "wins": wins,
         "losses": sum(x > 1.0 for x in ratios),
         "null_median_ratio": statistics.median(null),
         "null_wins": sum(x < 1.0 for x in null),
-        "null_range": [lo, hi],
-        "outside_null": not lo <= median <= hi,
-        "resolved": len(records) >= MIN_ROUNDS and wins >= WIN_SHARE * len(records) and median < lo,
+        "null_range": [min(null), max(null)],
+        "null_p10": p10,
+        "resolved": len(records) >= MIN_ROUNDS and wins >= WIN_SHARE * len(records) and median < p10,
         "losses_equal": all(
             r["parent_losses"] == r["change_losses"] == r["null_losses"] for r in records
         ),
@@ -196,14 +213,17 @@ def summarize(records: list[dict]) -> dict:
 
 def compare_packages(parent_src: Path, change_src: Path, case: Case, rounds: int, steps: int,
                      seed: int) -> dict:
-    """Load the parent, the change and the change's null copy and time them."""
-    sources = {"parent": parent_src, "change": change_src, "null": change_src}
+    """Load the parent, the change and the change's null copy and time them;
+    then read the MiB each side's step arena reserves (null without one)."""
+    sources = dict(zip(SIDES, (parent_src, change_src, change_src)))
     sides = {
         name: Side(trees.load_package(src, f"hsiladder_{name}"), case, seed)
         for name, src in sources.items()
     }
     records = run_rounds(sides, case, rounds, steps, seed)
-    return {**summarize(records), "per_round": records}
+    usage = {name: getattr(side.pkg.tensor, "arena_usage", None) for name, side in sides.items()}
+    arena = {name: None if f is None else f()[0] / 2**20 for name, f in usage.items()}
+    return {**summarize(records), "arena_mib": arena, "per_round": records}
 
 
 def parse_args(argv):
@@ -217,8 +237,9 @@ def parse_args(argv):
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.steps < 1:
         parser.error("--rounds and --steps must be >= 1")
-    if (ROOT / "benchmarks") in args.out.resolve().parents:
-        parser.error("--out must lie outside benchmarks/, which this tool never changes")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    trees.check_out(parser, args.out)
     return args
 
 
@@ -228,37 +249,38 @@ def main(argv=None) -> int:
     from run import limit_blas_threads
 
     threads = limit_blas_threads()  # before numpy is imported, as in the benchmark
-    parent_commit = trees.git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     case = workload_case(args.workload)
-    tmp = Path(tempfile.mkdtemp(prefix="interleave-parent-"))
-    try:
-        trees.export(parent_commit, tmp, "src/hsiladder")
+    with trees.parent_tree(args.parent, "src/hsiladder") as (parent_commit, tmp):
         report = compare_packages(tmp / "src" / "hsiladder", ROOT / "src" / "hsiladder", case,
                                   args.rounds, args.steps, args.seed)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
     report = {
         "workload": args.workload,
         "steps": args.steps,
         "seed": args.seed,
         "blas_threads": threads,
-        "rule": f">= {MIN_ROUNDS} rounds, change wins >= {WIN_SHARE:.4g} of them, "
-                "median ratio below the null's lowest",
+        "rule": f">= {MIN_ROUNDS} rounds, change wins >= {WIN_SHARE:.4g} of them, median ratio "
+                "below the null's 10th percentile, "
+                "statistics.quantiles(null, n=10, method='inclusive')[0]",
         "parent": {"rev": args.parent, "commit": parent_commit},
-        "change": {"rev": "working tree", "commit": trees.git("rev-parse", "HEAD"),
-                   "modified": bool(trees.git("status", "--porcelain", "--untracked-files=no"))},
+        "change": trees.change_record(),
         **report,
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     lo, hi = report["null_range"]
+    per_side = "; ".join(
+        f"{side} {report[f'{side}_faults_median']:.1f} faults, "
+        f"{report[f'{side}_sys_ms_median']:.3f} sys ms per step, arena {report['arena_mib'][side]} MiB"
+        for side in SIDES
+    )
     print(
         f"{args.workload}: step ms {report['parent_ms_median']:.2f} -> "
         f"{report['change_ms_median']:.2f} (ratio {report['median_ratio']:.4f}, "
         f"won {report['wins']}/{report['rounds']}); "
-        f"A/A null {report['null_median_ratio']:.4f} in [{lo:.4f}, {hi:.4f}], won "
-        f"{report['null_wins']}/{report['rounds']}; resolved={report['resolved']}; "
-        f"losses equal: {report['losses_equal']}; wrote {args.out}"
+        f"A/A null {report['null_median_ratio']:.4f} in [{lo:.4f}, {hi:.4f}], p10 "
+        f"{report['null_p10']:.4f}, won {report['null_wins']}/{report['rounds']}; "
+        f"resolved={report['resolved']}; losses equal: {report['losses_equal']}; {per_side}; "
+        f"wrote {args.out}"
     )
     return 0
 

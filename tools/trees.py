@@ -1,15 +1,18 @@
-"""What the tools share: git in this checkout, a revision's files exported,
-a package directory imported by its path, the benchmark's workload names
-and the paper conv ladder's spec.  A tool imports it as ``trees`` (a
+"""What the tools share: git in this checkout, a revision's files exported
+(also into a temporary parent tree), the change side's record, the ``--out``
+rule, a package directory imported by its path, the benchmark's workload
+names and the paper conv ladder's spec.  A tool imports it as ``trees`` (a
 script's own directory leads ``sys.path``); it imports no numpy, so a tool
 can still limit BLAS threads after importing it."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,10 +39,36 @@ def export(rev: str, dest: Path, *paths: str) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+@contextlib.contextmanager
+def parent_tree(rev: str, *paths: str):
+    """``(commit, dir)``: ``rev``'s commit and a temporary directory holding
+    its files under ``paths`` (the whole tree when none are given).  The
+    directory is removed when the block ends, also when it raises."""
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    with tempfile.TemporaryDirectory(prefix="parent-") as tmp:
+        export(commit, Path(tmp), *paths)
+        yield commit, Path(tmp)
+
+
+def change_record() -> dict:
+    """The change side of a paired record: this checkout as it stands."""
+    return {"rev": "working tree", "commit": git("rev-parse", "HEAD"),
+            "modified": bool(git("status", "--porcelain", "--untracked-files=no"))}
+
+
+def check_out(parser, out: Path) -> None:
+    """Exit through ``parser`` when ``out`` lies under ``benchmarks/``."""
+    if ROOT / "benchmarks" in out.resolve().parents:
+        parser.error("--out must lie outside benchmarks/, which this tool never changes")
+
+
 def load_package(pkg_dir: Path, name: str):
     """The package in directory ``pkg_dir`` imported under ``name``.  The
     package uses only relative imports, so copies from different trees
-    load side by side under different names."""
+    load side by side under different names.  Submodules left by an earlier
+    load under ``name`` are dropped first, else its imports would reuse them."""
+    for key in [k for k in sys.modules if k.startswith(name + ".")]:
+        del sys.modules[key]
     spec = importlib.util.spec_from_file_location(
         name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)]
     )
