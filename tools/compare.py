@@ -62,7 +62,7 @@ def parse_args(argv):
         parser.error("--seconds must be positive")
     if args.first_seed < 0:
         parser.error("--first-seed must be >= 0")
-    trees.check_out(parser, args.out)
+    trees.check_out_path(parser, args.out)
     return args
 
 

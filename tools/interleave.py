@@ -239,7 +239,7 @@ def parse_args(argv):
         parser.error("--rounds and --steps must be >= 1")
     if args.seed < 0:
         parser.error("--seed must be >= 0")
-    trees.check_out(parser, args.out)
+    trees.check_out_path(parser, args.out)
     return args
 
 

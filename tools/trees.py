@@ -56,7 +56,7 @@ def change_record() -> dict:
             "modified": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
-def check_out(parser, out: Path) -> None:
+def check_out_path(parser, out: Path) -> None:
     """Exit through ``parser`` when ``out`` lies under ``benchmarks/``."""
     if ROOT / "benchmarks" in out.resolve().parents:
         parser.error("--out must lie outside benchmarks/, which this tool never changes")
